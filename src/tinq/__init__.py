@@ -7,6 +7,7 @@ from .exceptions import (
     ConvergenceFailure,
     DivergenceDetected,
     DomainError,
+    EmptyPolytope,
     ImmediatelyInfeasible,
     Infeasible,
     InfeasibleGdof,
@@ -24,7 +25,6 @@ from .fixtures import NETWORK_A, NETWORK_B, fixture_checksums
 from .matching import (
     CyclicPartition,
     Matching,
-    brute_force_matching,
     cyclic_partition,
     max_matching_weight,
     max_weight_matching,

@@ -356,7 +356,7 @@ def _cmd_simulate(args) -> int:
         "n_links": args.links,
         "n_drops": args.drops,
         "excluded": res.excluded,
-        "valid": getattr(res, "valid", res.excluded <= 0.01 * args.drops),
+        "valid": res.valid,
         "aggregates": [
             {
                 "scheme": a.scheme,

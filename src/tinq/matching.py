@@ -1,35 +1,29 @@
 """Maximum-weight bipartite matching over user subsets with cross-strength
-weights, cyclic-partition extraction, and a brute-force oracle.
+weights and cyclic-partition extraction.
 
 Matchings live on the complete bipartite graph (transmitters x receivers) of a
 subset; diagonal edges carry weight zero, so a perfect matching can represent
-any partial cross matching. All weight comparisons use an absolute tolerance,
-1e-9 by default.
+any partial cross matching. All weight comparisons use the package's absolute
+tolerance ``TOL``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .exceptions import NotPerfect, OracleLimitExceeded
-from .model import ChannelMatrix
+from .exceptions import NotPerfect
+from .model import TOL, ChannelMatrix, check_subset
 
 __all__ = [
     "Matching",
     "CyclicPartition",
     "max_weight_matching",
     "max_matching_weight",
-    "brute_force_matching",
     "cyclic_partition",
 ]
-
-DEFAULT_TOL = 1e-9
-ORACLE_MAX = 8
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -50,17 +44,6 @@ class CyclicPartition:
     is_best: bool
 
 
-def _check_subset(alpha: ChannelMatrix, subset) -> tuple[int, ...]:
-    idx = tuple(sorted(int(i) for i in subset))
-    if len(idx) == 0:
-        raise IndexError("subset must be non-empty")
-    if len(set(idx)) != len(idx):
-        raise IndexError(f"subset has repeated indices: {subset}")
-    if idx[0] < 0 or idx[-1] >= alpha.K:
-        raise IndexError(f"subset {subset} out of range for K={alpha.K}")
-    return idx
-
-
 def _lsa_max(w: np.ndarray) -> float:
     """Maximum-weight perfect assignment value of a square weight matrix."""
     if w.size == 0:
@@ -74,12 +57,12 @@ def max_matching_weight(alpha: ChannelMatrix, subset) -> float:
 
     Fast weight-only path; zero for singletons by construction.
     """
-    idx = _check_subset(alpha, subset)
+    idx = check_subset(alpha.K, subset)
     w = alpha.alpha_prime()[np.ix_(idx, idx)]
     return _lsa_max(w)
 
 
-def max_weight_matching(alpha: ChannelMatrix, subset, tol: float = DEFAULT_TOL) -> Matching:
+def max_weight_matching(alpha: ChannelMatrix, subset) -> Matching:
     """Maximum-weight perfect matching on the subset with cross weights.
 
     Ties between equally-weighted optima are broken toward the
@@ -87,7 +70,7 @@ def max_weight_matching(alpha: ChannelMatrix, subset, tol: float = DEFAULT_TOL) 
     order, each taking the smallest receiver that still permits an optimal
     completion), so results are deterministic.
     """
-    idx = _check_subset(alpha, subset)
+    idx = check_subset(alpha.K, subset)
     n = len(idx)
     w = alpha.alpha_prime()[np.ix_(idx, idx)]
     total = _lsa_max(w)
@@ -101,7 +84,7 @@ def max_weight_matching(alpha: ChannelMatrix, subset, tol: float = DEFAULT_TOL) 
         for pos, col in enumerate(free_cols):
             rest = free_cols[:pos] + free_cols[pos + 1:]
             completion = _lsa_max(w[np.ix_(remaining_rows, rest)])
-            if fixed + w[row, col] + completion >= total - tol:
+            if fixed + w[row, col] + completion >= total - TOL:
                 sigma[row] = col
                 fixed += w[row, col]
                 free_cols = rest
@@ -113,31 +96,7 @@ def max_weight_matching(alpha: ChannelMatrix, subset, tol: float = DEFAULT_TOL) 
     return Matching(pairs=pairs, weight=weight)
 
 
-def brute_force_matching(alpha: ChannelMatrix, subset, tol: float = DEFAULT_TOL) -> Matching:
-    """Exhaustive oracle: enumerate every perfect matching of the subset.
-
-    Only for |subset| <= 8; weight must agree with max_weight_matching.
-    """
-    idx = _check_subset(alpha, subset)
-    n = len(idx)
-    if n > ORACLE_MAX:
-        raise OracleLimitExceeded(f"brute force capped at {ORACLE_MAX}, got {n}")
-    w = alpha.alpha_prime()[np.ix_(idx, idx)]
-
-    best = max(
-        sum(w[i, p[i]] for i in range(n))
-        for p in itertools.permutations(range(n))
-    )
-    for p in itertools.permutations(range(n)):
-        weight = sum(w[i, p[i]] for i in range(n))
-        if weight >= best - tol:
-            pairs = frozenset((idx[i], idx[p[i]]) for i in range(n))
-            return Matching(pairs=pairs, weight=float(weight))
-    raise AssertionError("unreachable")
-
-
-def cyclic_partition(alpha: ChannelMatrix, m: Matching, subset,
-                     tol: float = DEFAULT_TOL) -> CyclicPartition:
+def cyclic_partition(alpha: ChannelMatrix, m: Matching, subset) -> CyclicPartition:
     """Cycle decomposition of a perfect matching on the subset.
 
     Each matched chain is closed with diagonal edges and the resulting
@@ -146,7 +105,7 @@ def cyclic_partition(alpha: ChannelMatrix, m: Matching, subset,
     split the subset's maximum matching weight exactly:
     w(M*_S) = sum_i w(M*_{S_i}).
     """
-    idx = _check_subset(alpha, subset)
+    idx = check_subset(alpha.K, subset)
     txs = sorted(p[0] for p in m.pairs)
     rxs = sorted(p[1] for p in m.pairs)
     if txs != list(idx) or rxs != list(idx):
@@ -171,4 +130,4 @@ def cyclic_partition(alpha: ChannelMatrix, m: Matching, subset,
 
     total = max_matching_weight(alpha, idx)
     parts = sum(max_matching_weight(alpha, c) for c in cycles)
-    return CyclicPartition(cycles=tuple(cycles), is_best=bool(abs(total - parts) <= tol))
+    return CyclicPartition(cycles=tuple(cycles), is_best=bool(abs(total - parts) <= TOL))

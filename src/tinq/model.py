@@ -9,7 +9,7 @@ conversions use 10*log10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,25 @@ __all__ = [
     "db_to_linear",
     "linear_to_db",
 ]
+
+TOL = 1e-9  # absolute tolerance of every weight, bound and label comparison
+
+
+def check_subset(K: int, subset, allow_empty: bool = False) -> tuple[int, ...]:
+    """Sorted user indices of ``subset`` (None means all K users); repeated,
+    out-of-range and, unless ``allow_empty``, empty subsets raise IndexError."""
+    if subset is None:
+        return tuple(range(K))
+    idx = tuple(sorted(int(i) for i in subset))
+    if not idx:
+        if allow_empty:
+            return idx
+        raise IndexError("subset must be non-empty")
+    if len(set(idx)) != len(idx):
+        raise IndexError(f"subset has repeated indices: {subset}")
+    if idx[0] < 0 or idx[-1] >= K:
+        raise IndexError(f"subset {subset} out of range for K={K}")
+    return idx
 
 
 def db_to_linear(x_db):
@@ -115,7 +134,7 @@ class PowerAlloc:
             raise ShapeError("empty power allocation")
         if np.any(np.isnan(v)) or np.any(v == np.inf):
             raise ShapeError("power exponents must not be NaN or +inf")
-        if np.any(v > 1e-9):
+        if np.any(v > TOL):
             raise ShapeError("power exponents must be <= 0")
         # tiny positive float noise is clipped rather than rejected
         object.__setattr__(self, "r", _readonly(np.minimum(v, 0.0)))

@@ -9,6 +9,7 @@ operation chains the GP with the assignment-based power minimizer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from .model import (
     PhysicalNetwork,
     PowerAlloc,
     achieved_gdof,
+    check_subset,
     strength_from_physical,
 )
 from .power import solve_power_auction, solve_power_hungarian
@@ -74,14 +76,13 @@ class WeightVector:
 class GpSolution:
     """Finite-SNR power-control solution: linear transmit power fractions in
     (0, 1] on the solved subset (0 elsewhere), per-link SINR, the throughput
-    objective sum w*log2(1+SINR), the inverse-SINR values t (constraint tight
-    by construction), and the raw geometric objective prod t^w."""
+    objective sum w*log2(1+SINR) and the inverse-SINR values t (constraint
+    tight by construction)."""
 
     powers: np.ndarray
     sinr: np.ndarray
     objective: float
     t: np.ndarray
-    geo_objective: float
     sum_w_log2_sinr: float
     subset: tuple
 
@@ -100,21 +101,7 @@ def _as_weights(w, K: int) -> np.ndarray:
     return v
 
 
-def _effective_subset(K: int, subset, w: np.ndarray) -> tuple[int, ...]:
-    """Subset restricted to positively weighted users, validated."""
-    if subset is None:
-        idx = tuple(range(K))
-    else:
-        idx = tuple(sorted(int(i) for i in subset))
-        if len(set(idx)) != len(idx):
-            raise IndexError(f"subset has repeated indices: {subset}")
-        if idx and (idx[0] < 0 or idx[-1] >= K):
-            raise IndexError(f"subset {subset} out of range for K={K}")
-    return tuple(k for k in idx if w[k] > 0)
-
-
-def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None,
-                         cap: int = LP_SUBSET_MAX) -> tuple[GdofTuple, float]:
+def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[GdofTuple, float]:
     """Maximize sum w_k d_k over one subset's achievable polytope.
 
     Zero-weight users are dropped from the subset before solving (they are
@@ -122,11 +109,11 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None,
     constraints, so the effective subset is capped at 16 users.
     """
     wv = _as_weights(w, alpha.K)
-    idx = _effective_subset(alpha.K, subset, wv)
+    idx = tuple(k for k in check_subset(alpha.K, subset, allow_empty=True) if wv[k] > 0)
     if len(idx) == 0:
         return GdofTuple(np.zeros(alpha.K)), 0.0
-    if len(idx) > cap:
-        raise SubsetTooLarge(f"LP subset size {len(idx)} exceeds cap {cap}")
+    if len(idx) > LP_SUBSET_MAX:
+        raise SubsetTooLarge(f"LP subset size {len(idx)} exceeds cap {LP_SUBSET_MAX}")
 
     poly = tina_polytope(alpha, idx)
     pos = {k: p for p, k in enumerate(idx)}
@@ -156,8 +143,7 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None,
     return GdofTuple(d), float(-res.fun)
 
 
-def max_weighted_gdof_exact(alpha: ChannelMatrix, w=None,
-                            k_max: int = EXACT_K_MAX) -> tuple[GdofTuple, tuple, float]:
+def max_weighted_gdof_exact(alpha: ChannelMatrix, w=None) -> tuple[GdofTuple, tuple, float]:
     """Global optimum of the weighted sum over the union of all subsets'
     polytopes, by enumerating active subsets and solving each LP.
 
@@ -166,14 +152,13 @@ def max_weighted_gdof_exact(alpha: ChannelMatrix, w=None,
     users; larger networks should use the scheduling pipeline instead.
     """
     wv = _as_weights(w, alpha.K)
-    if alpha.K > k_max:
+    if alpha.K > EXACT_K_MAX:
         raise SubsetTooLarge(
-            f"exact search capped at {k_max} users (got {alpha.K}); "
+            f"exact search capped at {EXACT_K_MAX} users (got {alpha.K}); "
             "use a scheduling pipeline for larger networks"
         )
     support = [k for k in range(alpha.K) if wv[k] > 0]
     best = (GdofTuple(np.zeros(alpha.K)), (), 0.0)
-    import itertools
     for size in range(1, len(support) + 1):
         for sub in itertools.combinations(support, size):
             try:
@@ -186,17 +171,6 @@ def max_weighted_gdof_exact(alpha: ChannelMatrix, w=None,
     return best
 
 
-def _gp_inputs(net: PhysicalNetwork, subset, w):
-    wv = _as_weights(w, net.K)
-    idx = _effective_subset(net.K, subset, wv)
-    if len(idx) == 0:
-        raise ShapeError("no positively weighted users in subset")
-    g = net.nominal_snr()[np.ix_(idx, idx)]
-    if np.any(np.diag(g) <= 0):
-        raise ShapeError("direct gains must be positive on the solved subset")
-    return wv, idx, g
-
-
 def gp_power_control(net: PhysicalNetwork, subset=None, w=None,
                      max_iter: int = 1000) -> GpSolution:
     """Minimize prod t_i^{w_i} with t_i = (1 + sum_{j!=i} g_ji P_j)/(g_ii P_i)
@@ -205,7 +179,13 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None,
     Solved in log-power coordinates, where the objective is smooth and convex,
     with an analytic gradient under box bounds.
     """
-    wv, idx, g = _gp_inputs(net, subset, w)
+    wv = _as_weights(w, net.K)
+    idx = tuple(k for k in check_subset(net.K, subset, allow_empty=True) if wv[k] > 0)
+    if len(idx) == 0:
+        raise ShapeError("no positively weighted users in subset")
+    g = net.nominal_snr()[np.ix_(idx, idx)]
+    if np.any(np.diag(g) <= 0):
+        raise ShapeError("direct gains must be positive on the solved subset")
     n = len(idx)
     ww = wv[list(idx)]
     cross = g.copy()
@@ -259,7 +239,6 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None,
         sinr=sinr_full,
         objective=float(np.sum(ww * np.log2(1.0 + sinr_sub))),
         t=t_full,
-        geo_objective=float(np.prod(t_sub ** ww)),
         sum_w_log2_sinr=float(np.sum(ww * np.log2(sinr_sub))),
         subset=idx,
     )
@@ -273,11 +252,11 @@ def gp_gdof_equivalence_gap(net: PhysicalNetwork, subset=None, w=None) -> float:
     """
     wv = _as_weights(w, net.K)
     alpha = strength_from_physical(net)
-    idx = _effective_subset(net.K, subset, wv)
-    _, lp_obj = max_weighted_gdof_lp(alpha, idx, wv)
-    sol = gp_power_control(net, idx, wv)
+    _, lp_obj = max_weighted_gdof_lp(alpha, subset, wv)
+    sol = gp_power_control(net, subset, wv)
+    idx = list(sol.subset)
     log_p = math.log(net.reference_power)
-    gp_obj = float(np.sum(wv[list(idx)] * np.log(sol.sinr[list(idx)]))) / log_p
+    gp_obj = float(np.sum(wv[idx] * np.log(sol.sinr[idx]))) / log_p
     return abs(gp_obj - lp_obj)
 
 
@@ -316,13 +295,15 @@ def decentralized_gp(alpha: ChannelMatrix, subset=None, w=None, step=None,
     solves are exact (the subproblems are piecewise linear over boxes), and
     the reported allocation is the stepsize-weighted average of the iterates.
     Raises DivergenceDetected if the consistency residual grows for 100
-    consecutive iterations.
+    consecutive iterations, and ValueError for fewer than one iteration.
 
     Returns (PowerAlloc, GdofTuple), plus an info dict (residuals, objective)
     when ``return_info``.
     """
+    if iters < 1:
+        raise ValueError(f"need at least one iteration, got {iters}")
     wv = _as_weights(w, alpha.K)
-    idx = _effective_subset(alpha.K, subset, wv)
+    idx = tuple(k for k in check_subset(alpha.K, subset, allow_empty=True) if wv[k] > 0)
     if len(idx) == 0:
         raise ShapeError("no positively weighted users in subset")
     if step is None:

@@ -28,7 +28,7 @@ from .exceptions import (
     InfeasibleOrEpsilonTooLarge,
     ShapeError,
 )
-from .model import ChannelMatrix, GdofTuple, PowerAlloc
+from .model import TOL, ChannelMatrix, GdofTuple, PowerAlloc, check_subset
 
 __all__ = [
     "AssignmentMatrix",
@@ -40,7 +40,6 @@ __all__ = [
     "is_feasible",
 ]
 
-DEFAULT_TOL = 1e-9
 DEFAULT_EPSILON = 1e-5
 
 
@@ -87,21 +86,6 @@ def _as_gdof(d) -> np.ndarray:
     return np.asarray(d, dtype=float).reshape(-1)
 
 
-def _resolve_subset(alpha: ChannelMatrix, d: np.ndarray, subset) -> tuple[int, ...]:
-    if d.size != alpha.K:
-        raise ShapeError(f"d has {d.size} entries for a {alpha.K}-user network")
-    if np.any(np.isnan(d)) or np.any(d < 0):
-        raise ValueError("GDoF targets must be nonnegative")
-    if subset is None:
-        return tuple(int(k) for k in np.nonzero(d > 0)[0])
-    idx = tuple(sorted(int(i) for i in subset))
-    if len(set(idx)) != len(idx):
-        raise IndexError(f"subset has repeated indices: {subset}")
-    if idx and (idx[0] < 0 or idx[-1] >= alpha.K):
-        raise IndexError(f"subset {subset} out of range for K={alpha.K}")
-    return idx
-
-
 def build_assignment_matrix(alpha: ChannelMatrix, d, subset=None) -> AssignmentMatrix:
     """A_ij = alpha_ij off the diagonal, alpha_jj - d_j on it, over the subset.
 
@@ -110,7 +94,12 @@ def build_assignment_matrix(alpha: ChannelMatrix, d, subset=None) -> AssignmentM
     makes the diagonal negative and is rejected outright.
     """
     dv = _as_gdof(d)
-    idx = _resolve_subset(alpha, dv, subset)
+    if dv.size != alpha.K:
+        raise ShapeError(f"d has {dv.size} entries for a {alpha.K}-user network")
+    if np.any(np.isnan(dv)) or np.any(dv < 0):
+        raise ValueError("GDoF targets must be nonnegative")
+    support = np.flatnonzero(dv > 0) if subset is None else subset
+    idx = check_subset(alpha.K, support, allow_empty=True)
     for k in idx:
         if dv[k] <= 0:
             raise ValueError(
@@ -134,7 +123,7 @@ def _full_power(alpha: ChannelMatrix, subset, y_u) -> PowerAlloc:
 
 
 def solve_power_hungarian(alpha: ChannelMatrix, d, subset=None,
-                          tol: float = DEFAULT_TOL, return_trace: bool = False):
+                          return_trace: bool = False):
     """Kuhn-Munkres solve for the minimum-power allocation achieving d.
 
     Left labels start at the row maxima of A, right labels at zero, and label
@@ -163,12 +152,12 @@ def solve_power_hungarian(alpha: ChannelMatrix, d, subset=None,
     initial_y_u, initial_y_v = y_u.copy(), y_v.copy()
 
     def diag_tight() -> bool:
-        return bool(np.all(y_u + y_v - np.diag(A) <= tol))
+        return bool(np.all(y_u + y_v - np.diag(A) <= TOL))
 
     # deterministic greedy matching inside the equality subgraph
     for i in range(n):
         for j in range(n):
-            if match_of_col[j] < 0 and y_u[i] + y_v[j] - A[i, j] <= tol:
+            if match_of_col[j] < 0 and y_u[i] + y_v[j] - A[i, j] <= TOL:
                 match_of_col[j] = i
                 match_of_row[i] = j
                 break
@@ -204,7 +193,7 @@ def solve_power_hungarian(alpha: ChannelMatrix, d, subset=None,
         while not augmented:
             j_tight = -1
             for j in range(n):
-                if not in_tree_col[j] and slack[j] <= tol:
+                if not in_tree_col[j] and slack[j] <= TOL:
                     j_tight = j
                     break
             if j_tight < 0:
@@ -255,8 +244,7 @@ def solve_power_hungarian(alpha: ChannelMatrix, d, subset=None,
 
 
 def solve_power_auction(alpha: ChannelMatrix, d, subset=None,
-                        epsilon: float = DEFAULT_EPSILON, snap: bool = False,
-                        bid_cap: int | None = None):
+                        epsilon: float = DEFAULT_EPSILON, snap: bool = False):
     """Decentralized auction solve for the minimum-power allocation.
 
     Bidders are transmitters holding their own row of A; products are the
@@ -282,8 +270,7 @@ def solve_power_auction(alpha: ChannelMatrix, d, subset=None,
     if snap:
         return solve_power_hungarian(alpha, d, subset)
 
-    if bid_cap is None:
-        bid_cap = int(math.ceil(10.0 * n * n * float(A.max()) / epsilon)) + n
+    bid_cap = int(math.ceil(10.0 * n * n * float(A.max()) / epsilon)) + n
 
     prices = np.zeros(n)
     owner = [-1] * n
@@ -320,7 +307,7 @@ def solve_power_auction(alpha: ChannelMatrix, d, subset=None,
     return _full_power(alpha, am.subset, y_u), labels
 
 
-def is_feasible(alpha: ChannelMatrix, d, tol: float = DEFAULT_TOL) -> bool:
+def is_feasible(alpha: ChannelMatrix, d) -> bool:
     """Whether the target tuple is TIN-achievable, by assignment solvability.
 
     Zero-target users are removed first; a target above its direct strength or
@@ -330,11 +317,11 @@ def is_feasible(alpha: ChannelMatrix, d, tol: float = DEFAULT_TOL) -> bool:
     dv = _as_gdof(d)
     if dv.size != alpha.K:
         raise ShapeError(f"d has {dv.size} entries for a {alpha.K}-user network")
-    if np.any(dv < -tol):
+    if np.any(dv < -TOL):
         return False
-    support = tuple(int(k) for k in np.nonzero(dv > tol)[0])
+    support = tuple(int(k) for k in np.nonzero(dv > TOL)[0])
     try:
-        solve_power_hungarian(alpha, np.maximum(dv, 0.0), subset=support, tol=tol)
+        solve_power_hungarian(alpha, np.maximum(dv, 0.0), subset=support)
     except Infeasible:
         return False
     return True

@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import OracleLimitExceeded, ShapeError, SubsetTooLarge
 from .matching import _lsa_max, max_matching_weight
-from .model import ChannelMatrix, GdofTuple
+from .model import TOL, ChannelMatrix, GdofTuple, check_subset
 
 __all__ = [
     "TinaPolytope",
@@ -32,7 +32,6 @@ __all__ = [
     "converse_g_bound",
 ]
 
-DEFAULT_TOL = 1e-9
 POLYTOPE_MAX = 20
 CYCLIC_ORACLE_MAX = 8
 G_BOUND_MAX = 7
@@ -80,30 +79,17 @@ class ConditionReport:
         return tuple(out)
 
 
-def _check_subset(alpha: ChannelMatrix, subset) -> tuple[int, ...]:
-    if subset is None:
-        return tuple(range(alpha.K))
-    idx = tuple(sorted(int(i) for i in subset))
-    if len(idx) == 0:
-        raise IndexError("subset must be non-empty")
-    if len(set(idx)) != len(idx):
-        raise IndexError(f"subset has repeated indices: {subset}")
-    if idx[0] < 0 or idx[-1] >= alpha.K:
-        raise IndexError(f"subset {subset} out of range for K={alpha.K}")
-    return idx
-
-
 def _nonempty_subsets(idx):
     for size in range(1, len(idx) + 1):
         yield from itertools.combinations(idx, size)
 
 
-def tina_polytope(alpha: ChannelMatrix, subset=None, cap: int = POLYTOPE_MAX) -> TinaPolytope:
+def tina_polytope(alpha: ChannelMatrix, subset=None) -> TinaPolytope:
     """Matching-form polytope: c_{S'} = sum alpha_kk - w(M*_{S'}) for every
     non-empty S' of the subset, in deterministic (size, lexicographic) order."""
-    idx = _check_subset(alpha, subset)
-    if len(idx) > cap:
-        raise SubsetTooLarge(f"subset size {len(idx)} exceeds cap {cap}")
+    idx = check_subset(alpha.K, subset)
+    if len(idx) > POLYTOPE_MAX:
+        raise SubsetTooLarge(f"subset size {len(idx)} exceeds cap {POLYTOPE_MAX}")
     diag = np.diag(alpha.alpha)
     constraints = {}
     for sub in _nonempty_subsets(idx):
@@ -112,8 +98,7 @@ def tina_polytope(alpha: ChannelMatrix, subset=None, cap: int = POLYTOPE_MAX) ->
     return TinaPolytope(K=alpha.K, subset=idx, constraints=constraints)
 
 
-def tina_polytope_cyclic(alpha: ChannelMatrix, subset=None,
-                         cap: int = CYCLIC_ORACLE_MAX) -> TinaPolytope:
+def tina_polytope_cyclic(alpha: ChannelMatrix, subset=None) -> TinaPolytope:
     """Cyclic-form polytope, built without any matching solver.
 
     The raw system has one inequality per ordered cycle (i_0, ..., i_{m-1}):
@@ -123,10 +108,10 @@ def tina_polytope_cyclic(alpha: ChannelMatrix, subset=None,
     individual bound alpha_kk); that cover is found by dynamic programming
     over sub-subsets, with each cycle bound enumerated explicitly.
     """
-    idx = _check_subset(alpha, subset)
+    idx = check_subset(alpha.K, subset)
     n = len(idx)
-    if n > cap:
-        raise OracleLimitExceeded(f"cyclic oracle capped at {cap}, got {n}")
+    if n > CYCLIC_ORACLE_MAX:
+        raise OracleLimitExceeded(f"cyclic oracle capped at {CYCLIC_ORACLE_MAX}, got {n}")
     a = alpha.alpha
 
     # tightest single-cycle (or singleton) bound per block of users
@@ -169,7 +154,7 @@ def tina_polytope_cyclic(alpha: ChannelMatrix, subset=None,
     return TinaPolytope(K=alpha.K, subset=idx, constraints=constraints)
 
 
-def contains(poly: TinaPolytope, d: GdofTuple, tol: float = DEFAULT_TOL) -> bool:
+def contains(poly: TinaPolytope, d: GdofTuple, tol: float = TOL) -> bool:
     """Membership: nonnegativity, zero outside the subset, and every subset
     sum within its bound, all to absolute tolerance."""
     if d.K != poly.K:
@@ -187,8 +172,7 @@ def contains(poly: TinaPolytope, d: GdofTuple, tol: float = DEFAULT_TOL) -> bool
     return True
 
 
-def union_membership(alpha: ChannelMatrix, d: GdofTuple,
-                     tol: float = DEFAULT_TOL) -> tuple[bool, tuple]:
+def union_membership(alpha: ChannelMatrix, d: GdofTuple) -> tuple[bool, tuple]:
     """Whether d is TIN-achievable for some active subset.
 
     Positive entries pin the candidate subset to the support of d, so only
@@ -196,17 +180,16 @@ def union_membership(alpha: ChannelMatrix, d: GdofTuple,
     """
     if d.K != alpha.K:
         raise ShapeError(f"d has {d.K} entries for a {alpha.K}-user network")
-    if np.any(d.d < -tol):
+    if np.any(d.d < -TOL):
         return False, ()
-    support = d.support(tol)
+    support = d.support(TOL)
     if not support:
         return True, ()
     poly = tina_polytope(alpha, support)
-    return contains(poly, d, tol), support
+    return contains(poly, d), support
 
 
-def check_conditions(alpha: ChannelMatrix, tol: float = DEFAULT_TOL,
-                     c2_max_k: int = C2_MAX_K) -> ConditionReport:
+def check_conditions(alpha: ChannelMatrix, c2_max_k: int = C2_MAX_K) -> ConditionReport:
     """Evaluate the per-user strength conditions and the zero-edge condition.
 
     Strict per-user condition:  alpha_kk >= max_{i!=k} alpha_ik + max_{j!=k} alpha_kj.
@@ -231,7 +214,7 @@ def check_conditions(alpha: ChannelMatrix, tol: float = DEFAULT_TOL,
             continue
         i_in = max(others, key=lambda i: a[i, k])
         j_out = max(others, key=lambda j: a[k, j])
-        ok_gnaj = a[k, k] >= a[i_in, k] + a[k, j_out] - tol
+        ok_gnaj = a[k, k] >= a[i_in, k] + a[k, j_out] - TOL
         gnaj.append(bool(ok_gnaj))
         if not ok_gnaj:
             gnaj_w[k] = (i_in, j_out)
@@ -242,7 +225,7 @@ def check_conditions(alpha: ChannelMatrix, tol: float = DEFAULT_TOL,
                 val = a[i, k] + a[k, j] - ap[i, j]
                 if val > best_val:
                     best_val, best_pair = val, (i, j)
-        ok_c1 = a[k, k] >= best_val - tol
+        ok_c1 = a[k, k] >= best_val - TOL
         c1.append(bool(ok_c1))
         if not ok_c1:
             c1_w[k] = best_pair
@@ -258,7 +241,7 @@ def check_conditions(alpha: ChannelMatrix, tol: float = DEFAULT_TOL,
         for sub in _nonempty_subsets(tuple(range(K))):
             if len(sub) <= 2:
                 continue
-            if not _subset_has_zero_edge_optimum(a, ap, sub, tol):
+            if not _subset_has_zero_edge_optimum(a, ap, sub):
                 c2 = False
                 c2_witness = sub
                 break
@@ -269,24 +252,24 @@ def check_conditions(alpha: ChannelMatrix, tol: float = DEFAULT_TOL,
     )
 
 
-def _subset_has_zero_edge_optimum(a, ap, sub, tol) -> bool:
+def _subset_has_zero_edge_optimum(a, ap, sub) -> bool:
     """Is there a zero-strength edge inside sub x sub that some maximum
     matching of the block can contain?"""
     sub = list(sub)
     w_star = _lsa_max(ap[np.ix_(sub, sub)])
     for i in sub:
         for j in sub:
-            if a[i, j] > tol:
+            if a[i, j] > TOL:
                 continue
             rows = [r for r in sub if r != i]
             cols = [c for c in sub if c != j]
             forced = _lsa_max(ap[np.ix_(rows, cols)])  # the zero edge adds 0
-            if forced >= w_star - tol:
+            if forced >= w_star - TOL:
                 return True
     return False
 
 
-def converse_g_bound(alpha: ChannelMatrix, subset, cap: int = G_BOUND_MAX) -> float:
+def converse_g_bound(alpha: ChannelMatrix, subset) -> float:
     """Permutation outer bound on the subset's GDoF sum:
 
         min over orderings pi and positions k of
@@ -294,10 +277,10 @@ def converse_g_bound(alpha: ChannelMatrix, subset, cap: int = G_BOUND_MAX) -> fl
 
     with indices cyclic in the ordering.
     """
-    idx = _check_subset(alpha, subset)
+    idx = check_subset(alpha.K, subset)
     m = len(idx)
-    if m > cap:
-        raise OracleLimitExceeded(f"permutation bound capped at {cap}, got {m}")
+    if m > G_BOUND_MAX:
+        raise OracleLimitExceeded(f"permutation bound capped at {G_BOUND_MAX}, got {m}")
     a = alpha.alpha
     best = np.inf
     for perm in itertools.permutations(idx):

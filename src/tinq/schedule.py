@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShapeError
-from .matching import _check_subset
-from .model import ChannelMatrix, GdofTuple
+from .model import TOL, ChannelMatrix, GdofTuple, check_subset
 from .optimize import max_weighted_gdof_exact, max_weighted_gdof_lp
+from .region import check_conditions
 
 __all__ = [
     "SchedulerParams",
@@ -32,9 +32,6 @@ __all__ = [
     "num_step",
     "num_run",
 ]
-
-DEFAULT_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SchedulerParams:
@@ -96,18 +93,11 @@ def _order(n: int, priority) -> list:
 def itis_plus_check(alpha: ChannelMatrix, subset) -> bool:
     """Relaxed independent-set test on a subnetwork: each member's direct
     strength covers its worst incoming-plus-outgoing cross pair discounted by
-    the strongest path between the partners."""
-    idx = _check_subset(alpha, subset)
-    a = alpha.alpha
-    ap = alpha.alpha_prime()
-    for k in idx:
-        others = [i for i in idx if i != k]
-        if not others:
-            continue
-        worst = max(a[i, k] + a[k, j] - ap[i, j] for i in others for j in others)
-        if a[k, k] < worst - DEFAULT_TOL:
-            return False
-    return True
+    the strongest path between the partners, i.e. the relaxed per-user
+    condition of ``check_conditions`` holds for every user of the subnetwork."""
+    idx = check_subset(alpha.K, subset)
+    sub = ChannelMatrix(alpha.alpha[np.ix_(idx, idx)])
+    return all(check_conditions(sub, c2_max_k=0).c1)
 
 
 def itlinq_plus_schedule(snr, inr, params: SchedulerParams | None = None) -> ScheduleResult:
@@ -190,14 +180,12 @@ def flashlinq_schedule(snr, inr, sir_db: float = 9.0, priority=None) -> Schedule
 class NumState:
     """Drift-plus-penalty state: per-user virtual queue weights, the utility
     control parameter v, the arrival cap, the fairness exponent of the
-    utility family (0 = linear, 1 = logarithmic), and the per-slot history
-    of (service, arrival) pairs."""
+    utility family (0 = linear, 1 = logarithmic)."""
 
     weights: np.ndarray
     v: float
     a_max: float
     fairness: float = 1.0
-    history: tuple = ()
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).reshape(-1).copy()
@@ -248,7 +236,7 @@ def _solve_service(alpha: ChannelMatrix, w: np.ndarray, solver: str,
     # The update max(0, w - d + a) can leave float residue where the true
     # backlog is zero; residue-scale weights also lose solver tie-breaks
     # against the zero point, so snap them before testing for idleness.
-    w = np.where(w > 1e-9, w, 0.0)
+    w = np.where(w > TOL, w, 0.0)
     if not np.any(w > 0):
         # Zero backlog everywhere makes every feasible point optimal for the
         # weighted sum, so break the tie toward the uniform-weight optimum
@@ -285,10 +273,7 @@ def num_step(state: NumState, alpha: ChannelMatrix, solver: str = "exact",
     d_star = _solve_service(alpha, state.weights, solver, ref_power, params)
     a_star = _arrivals(state)
     new_w = np.maximum(0.0, state.weights - d_star + a_star)
-    new_state = dataclasses.replace(
-        state, weights=new_w,
-        history=state.history + ((tuple(d_star), tuple(a_star)),),
-    )
+    new_state = dataclasses.replace(state, weights=new_w)
     return GdofTuple(d_star), a_star, new_state
 
 

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DomainError, Infeasible, RegionTooTight, ShapeError
+from .exceptions import (ConvergenceFailure, DomainError, Infeasible, RegionTooTight,
+                         ShapeError)
 from .model import (
     ChannelMatrix,
     PhysicalNetwork,
@@ -137,10 +140,15 @@ class Aggregate:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """Per-drop metric rows, their per (scheme, power mode) aggregates, the
+    drop count, the drops excluded because a solver gave a typed verdict, and
+    (synthetic runs only) the per-drop linear power fractions of every mode."""
+
     rows: list
     aggregates: list
     n_drops: int
     excluded: int
+    fractions: dict = field(default_factory=dict)
 
     @property
     def valid(self) -> bool:
@@ -253,7 +261,7 @@ def _allocate(net: PhysicalNetwork, alpha: ChannelMatrix, selected: tuple,
 
 def _throughput(net: PhysicalNetwork, frac: np.ndarray) -> tuple[float, int]:
     """Sum log2(1+SINR) over powered links at the given linear fractions."""
-    snr_tab = net.gains * net.max_tx_power[:, None] / net.noise_power
+    snr_tab = net.nominal_snr()
     active = frac > 0
     if not np.any(active):
         return 0.0, 0
@@ -270,7 +278,7 @@ def _drop_rows(scenario: Scenario, schemes: tuple, power_mode: str,
     drop = generate_drop(scenario, seed)
     net = drop.net
     alpha = strength_from_physical(net)
-    snr_tab = net.gains * net.max_tx_power[:, None] / net.noise_power
+    snr_tab = net.nominal_snr()
     snr = np.diag(snr_tab).copy()
     rows = []
     for scheme in schemes:
@@ -311,8 +319,10 @@ def _aggregate(rows: list) -> list:
 def run_experiment(scenario: Scenario, schemes, n_drops: int, master_seed: int,
                    power_mode: str = "full", jobs: int = 1) -> ExperimentResult:
     """Monte-Carlo comparison of schedulers (and one power mode) over seeded
-    drops. Drops where a solver fails are excluded and counted; aggregates
-    are flagged invalid when more than 1% of drops are lost."""
+    drops, on at most min(jobs, n_drops, CPU count) worker processes. Drops
+    where a solver returns a typed verdict (infeasible, region too tight, no
+    convergence) are excluded and counted; aggregates are flagged invalid
+    when more than 1% of drops are lost. Any other error propagates."""
     schemes = tuple(schemes)
     for s in schemes:
         if s not in SCHEMES:
@@ -325,17 +335,9 @@ def run_experiment(scenario: Scenario, schemes, n_drops: int, master_seed: int,
     rows: list = []
     excluded = 0
     args = [(scenario, schemes, power_mode, master_seed, i) for i in range(n_drops)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(_drop_rows_safe, args)
-            for drop_rows in results:
-                if drop_rows is None:
-                    excluded += 1
-                else:
-                    rows.extend(drop_rows)
-    else:
-        for a in args:
-            drop_rows = _drop_rows_safe(a)
+    workers = min(jobs, n_drops, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for drop_rows in (pool.map if pool else map)(_drop_rows_safe, args):
             if drop_rows is None:
                 excluded += 1
             else:
@@ -343,29 +345,21 @@ def run_experiment(scenario: Scenario, schemes, n_drops: int, master_seed: int,
     return ExperimentResult(rows, _aggregate(rows), n_drops, excluded)
 
 
+# Typed per-drop verdicts; any other exception is a bug and propagates.
+_DROP_VERDICTS = (Infeasible, RegionTooTight, ConvergenceFailure)
+
+
 def _drop_rows_safe(packed):
     scenario, schemes, power_mode, master_seed, index = packed
     try:
         return _drop_rows(scenario, schemes, power_mode, master_seed, index)
-    except (Infeasible, RegionTooTight, RuntimeError):
+    except _DROP_VERDICTS:
         return None
-
-
-@dataclass(frozen=True)
-class SyntheticResult:
-    """Synthetic-exponent comparison: per-mode metric rows and, for the power
-    ordering checks, the per-drop linear power fractions of every mode."""
-
-    rows: list
-    aggregates: list
-    fractions: dict
-    n_drops: int
-    excluded: int
 
 
 def run_synthetic_experiment(n_links: int, n_drops: int, master_seed: int,
                              snr_db: float, modes=("full", "gp", "gp+assignment"),
-                             ) -> SyntheticResult:
+                             ) -> ExperimentResult:
     """Small random-exponent networks (direct strengths uniform in [1, 2],
     cross strengths uniform in [0, 1]) realized at reference power
     10^(snr_db/10), compared across power-control modes with all links
@@ -384,7 +378,7 @@ def run_synthetic_experiment(n_links: int, n_drops: int, master_seed: int,
         selected = tuple(range(n_links))
         try:
             per_mode = {m: _allocate(net, alpha, selected, m) for m in modes}
-        except (Infeasible, RuntimeError):
+        except _DROP_VERDICTS:
             excluded += 1
             continue
         for m in modes:
@@ -394,7 +388,7 @@ def run_synthetic_experiment(n_links: int, n_drops: int, master_seed: int,
             energy = tput / power if power > 0 else 0.0
             rows.append(MetricRow("none", m, n_links, seed, tput, energy, active))
             fractions[m].append(frac)
-    return SyntheticResult(rows, _aggregate(rows), fractions, n_drops, excluded)
+    return ExperimentResult(rows, _aggregate(rows), n_drops, excluded, fractions)
 
 
 def write_rows_csv(rows, path) -> None:

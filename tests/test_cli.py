@@ -163,6 +163,12 @@ def test_sumgdof_dgp(capsys, net_b):
     assert len(out["r"]) == len(out["d"]) == 3
 
 
+def test_sumgdof_dgp_zero_iters_exits_2(capsys, net_a):
+    code, out = run(capsys, ["sumgdof", "--network", net_a, "--weights", "1,1,1",
+                             "--method", "dgp", "--iters", "0"])
+    assert code == 2 and out is None
+
+
 def test_schedule_schemes(capsys, tmp_path, net_a):
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps({"k": 2, "alpha": [[1, 1], [1, 1]]}))

@@ -1,20 +1,32 @@
 """Max-weight matching over cross-link strengths and cyclic decomposition."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from oracles import assignment_lp_weight, random_alpha
+from oracles import assignment_lp_weight, brute_matching_weight, random_alpha
 from tinq import (
     ChannelMatrix,
     NETWORK_A,
     NETWORK_B,
-    brute_force_matching,
+    build_assignment_matrix,
+    converse_g_bound,
     cyclic_partition,
+    decentralized_gp,
+    gp_power_control,
+    itis_plus_check,
     max_matching_weight,
     max_weight_matching,
+    max_weighted_gdof_lp,
+    realize_network,
+    solve_power_auction,
+    solve_power_hungarian,
+    tina_polytope,
+    tina_polytope_cyclic,
 )
 from tinq.exceptions import ShapeError
 
@@ -58,11 +70,60 @@ def test_subset_indexing_uses_original_labels():
     assert m.pairs == frozenset({(0, 2), (2, 0)})
 
 
-def test_bad_subset_rejected():
-    with pytest.raises((ShapeError, IndexError, ValueError)):
-        max_weight_matching(NETWORK_A, (0, 3))
-    with pytest.raises((ShapeError, IndexError, ValueError)):
-        max_weight_matching(NETWORK_A, (0, 0))
+# Every subset-taking function on NETWORK_A, reduced to a comparable value.
+# D is zero for user 1, so "support of d" (0, 2) differs from "all users".
+D = (0.5, 0.0, 0.7)
+PHYS_A = realize_network(NETWORK_A, 1e4)
+SUBSET_FUNCS = {
+    "max_matching_weight": lambda s: max_matching_weight(NETWORK_A, s),
+    "max_weight_matching": lambda s: max_weight_matching(NETWORK_A, s),
+    "itis_plus_check": lambda s: itis_plus_check(NETWORK_A, s),
+    "tina_polytope": lambda s: tina_polytope(NETWORK_A, s),
+    "tina_polytope_cyclic": lambda s: tina_polytope_cyclic(NETWORK_A, s),
+    "converse_g_bound": lambda s: converse_g_bound(NETWORK_A, s),
+    "solve_power_hungarian": lambda s: solve_power_hungarian(NETWORK_A, D, s)[0].r.tolist(),
+    "solve_power_auction": lambda s: solve_power_auction(NETWORK_A, D, s)[0].r.tolist(),
+    "build_assignment_matrix": lambda s: build_assignment_matrix(NETWORK_A, D, s).subset,
+    "max_weighted_gdof_lp": lambda s: max_weighted_gdof_lp(NETWORK_A, s)[0].d.tolist(),
+    "gp_power_control": lambda s: gp_power_control(PHYS_A, s).subset,
+    "decentralized_gp": lambda s: decentralized_gp(NETWORK_A, s, iters=20)[1].d.tolist(),
+}
+ALL, SUPPORT, OFF = (0, 1, 2), (0, 2), [-math.inf] * 3
+# function -> (None, ()): a subset to compare against, a value, or an error
+SUBSET_TABLE = {
+    "max_matching_weight": (None, IndexError),
+    "max_weight_matching": (None, IndexError),
+    "itis_plus_check": (None, IndexError),
+    "tina_polytope": (ALL, IndexError),
+    "tina_polytope_cyclic": (ALL, IndexError),
+    "converse_g_bound": (ALL, IndexError),
+    "solve_power_hungarian": (SUPPORT, OFF),
+    "solve_power_auction": (SUPPORT, OFF),
+    "build_assignment_matrix": (SUPPORT, ()),
+    "max_weighted_gdof_lp": (ALL, [0.0, 0.0, 0.0]),
+    "gp_power_control": (ALL, ShapeError),
+    "decentralized_gp": (ALL, ShapeError),
+}
+SUBSET_CASES = [
+    (name, subset, expect)
+    for name, (on_none, on_empty) in SUBSET_TABLE.items()
+    for subset, expect in ((None, on_none), ((), on_empty), ((0, 0), IndexError),
+                           ((0, 3), IndexError), ((-1, 1), IndexError))
+    if expect is not None  # None for the matching functions is unspecified
+]
+
+
+@pytest.mark.parametrize("name, subset, expect", SUBSET_CASES,
+                         ids=[f"{n}-{s}".replace(" ", "") for n, s, _ in SUBSET_CASES])
+def test_bad_subset_rejected(name, subset, expect):
+    call = SUBSET_FUNCS[name]
+    if isinstance(expect, type):
+        with pytest.raises(expect):
+            call(subset)
+    elif subset is None:
+        assert call(None) == call(expect)
+    else:
+        assert call(subset) == expect
 
 
 def test_cyclic_partition_single_cycle_on_fixture_a():
@@ -74,7 +135,7 @@ def test_cyclic_partition_single_cycle_on_fixture_a():
 
 def test_cyclic_partition_identity_is_singletons():
     alpha = ChannelMatrix(np.array([[1.0, 0.2], [0.2, 1.0]]))
-    m = brute_force_matching(alpha, (0, 1))
+    m = max_weight_matching(alpha, (0, 1))
     # the identity matching has weight 0, worse than the swap; build it by
     # hand to check the decomposition of a non-optimal matching
     from tinq import Matching
@@ -137,7 +198,7 @@ def test_brute_force_agreement(k, seed):
     alpha = random_alpha(np.random.default_rng(seed), k)
     subset = tuple(range(k))
     assert max_weight_matching(alpha, subset).weight == pytest.approx(
-        brute_force_matching(alpha, subset).weight, abs=1e-9
+        brute_matching_weight(cross_only(alpha, subset)), abs=1e-9
     )
 
 

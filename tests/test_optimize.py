@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import gp_grid_best, random_alpha
 from tinq import (
     ChannelMatrix,
+    EmptyPolytope,
     GdofTuple,
     NETWORK_A,
     NETWORK_B,
@@ -26,7 +27,7 @@ from tinq import (
     realize_network,
     tina_polytope,
 )
-from tinq.exceptions import EmptyPolytope, SubsetTooLarge
+from tinq.exceptions import SubsetTooLarge
 from tinq.model import PhysicalNetwork
 from tinq.power import PowerAlloc
 
@@ -122,6 +123,11 @@ def test_dgp_single_user():
     r, d = decentralized_gp(ChannelMatrix(np.array([[1.3]])), iters=10)
     assert r.r[0] == pytest.approx(0.0, abs=1e-9)
     assert d.d[0] == pytest.approx(1.3, abs=1e-9)
+
+
+def test_dgp_rejects_zero_iterations():
+    with pytest.raises(ValueError):
+        decentralized_gp(NETWORK_A, iters=0)
 
 
 def test_dgp_reference_convergence():

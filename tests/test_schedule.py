@@ -198,7 +198,6 @@ def test_num_step_update_arithmetic():
     assert d.d == pytest.approx([0.5])
     assert a == pytest.approx([0.3])
     assert new.weights == pytest.approx([0.8])
-    assert new.history[-1] == ((0.5,), (0.3,))
 
 
 def test_arrival_closed_forms():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tinq.exceptions import DomainError, ShapeError
+import tinq.sim
+from tinq.exceptions import DomainError, InfeasibleGdof, ShapeError
 from tinq.sim import (
     Aggregate,
     ExperimentResult,
@@ -192,6 +193,55 @@ def test_runner_input_validation():
         run_experiment(scenario1(2), ("none",), 1, 0, power_mode="bar")
     with pytest.raises(ShapeError):
         run_experiment(scenario1(2), ("none",), 0, 0)
+
+
+def test_pool_size_clamped_to_drops_and_cpus(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        """ProcessPoolExecutor stand-in: records the requested pool size and
+        maps in-process, so no worker is ever started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(tinq.sim, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(tinq.sim.os, "cpu_count", lambda: 4)
+    serial = run_experiment(scenario1(3), ("none",), 3, 5)
+    assert run_experiment(scenario1(3), ("none",), 3, 5, jobs=64) == serial
+    assert sizes == [3]
+    run_experiment(scenario1(3), ("none",), 6, 5, jobs=64)
+    assert sizes == [3, 4]
+    run_experiment(scenario1(3), ("none",), 1, 5, jobs=64)  # one drop: no pool
+    assert sizes == [3, 4]
+
+
+def test_only_typed_verdicts_exclude_a_drop(monkeypatch):
+    def raising(exc):
+        def gp_then_assignment(*args, **kwargs):
+            raise exc
+        return gp_then_assignment
+
+    monkeypatch.setattr(tinq.sim, "gp_then_assignment",
+                        raising(InfeasibleGdof("no feasible power")))
+    res = run_experiment(scenario1(3), ("none",), 1, 0, power_mode="gp+assignment")
+    assert res.excluded == 1 and res.rows == []
+    assert run_synthetic_experiment(3, 1, 0, snr_db=30.0).excluded == 1
+    monkeypatch.setattr(tinq.sim, "gp_then_assignment",
+                        raising(RuntimeError("label updates exceeded the n^2 bound")))
+    with pytest.raises(RuntimeError, match="n\\^2 bound"):
+        run_experiment(scenario1(3), ("none",), 1, 0, power_mode="gp+assignment")
+    with pytest.raises(RuntimeError, match="n\\^2 bound"):
+        run_synthetic_experiment(3, 1, 0, snr_db=30.0)
 
 
 def test_exclusion_budget_flag():
