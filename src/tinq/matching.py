@@ -89,7 +89,9 @@ def max_weight_matching(alpha: ChannelMatrix, subset) -> Matching:
                 fixed += w[row, col]
                 free_cols = rest
                 break
-        assert sigma[row] >= 0
+        if sigma[row] < 0:
+            raise RuntimeError(f"no receiver for transmitter {idx[row]} completes "
+                               f"a matching of weight {total}")
 
     pairs = frozenset((idx[i], idx[sigma[i]]) for i in range(n))
     weight = float(sum(w[i, sigma[i]] for i in range(n)))

@@ -117,8 +117,7 @@ def build_assignment_matrix(alpha: ChannelMatrix, d, subset=None) -> AssignmentM
 
 def _full_power(alpha: ChannelMatrix, subset, y_u) -> PowerAlloc:
     r = np.full(alpha.K, -np.inf)
-    for p, k in enumerate(subset):
-        r[k] = -y_u[p]
+    r[list(subset)] = -y_u
     return PowerAlloc(r)
 
 
@@ -131,9 +130,12 @@ def solve_power_hungarian(alpha: ChannelMatrix, d, subset=None,
     diagonal is tight; then r_j = -y_{u_j}. Each augmentation round matches
     one more row, so at most |subset| rounds occur; if they complete without
     the diagonal going tight, the diagonal is not an optimal assignment and
-    the target is infeasible.
+    the target is infeasible. Every choice takes the lowest index: greedy
+    matching row by row to the first free tight column, trees grown from the
+    first unmatched row, and the first tight non-tree column joins next.
 
-    Returns (PowerAlloc, LabelPair), plus a KmTrace when ``return_trace``.
+    Returns (PowerAlloc, LabelPair), plus a KmTrace when ``return_trace``;
+    the label states are only recorded then.
     """
     am = build_assignment_matrix(alpha, d, subset)
     n, A = am.n, am.A
@@ -145,32 +147,36 @@ def solve_power_hungarian(alpha: ChannelMatrix, d, subset=None,
 
     y_u = A.max(axis=1).astype(float)
     y_v = np.zeros(n)
+    diag = np.diag(A)
     match_of_col = [-1] * n
     match_of_row = [-1] * n
 
+    rounds = 0
     trace_alpha, trace_yu, trace_yv = [], [], []
     initial_y_u, initial_y_v = y_u.copy(), y_v.copy()
 
     def diag_tight() -> bool:
-        return bool(np.all(y_u + y_v - np.diag(A) <= TOL))
+        return bool((y_u + y_v - diag <= TOL).all())
 
-    # deterministic greedy matching inside the equality subgraph
-    for i in range(n):
-        for j in range(n):
-            if match_of_col[j] < 0 and y_u[i] + y_v[j] - A[i, j] <= TOL:
-                match_of_col[j] = i
-                match_of_row[i] = j
-                break
+    # deterministic greedy matching inside the equality subgraph: row by row,
+    # each row takes its first free tight column
+    rows, cols = np.nonzero(y_u[:, None] + y_v - A <= TOL)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if match_of_row[i] < 0 and match_of_col[j] < 0:
+            match_of_col[j] = i
+            match_of_row[i] = j
 
     def make_result():
         labels = LabelPair(y_u=y_u.copy(), y_v=y_v.copy())
+        r = _full_power(alpha, am.subset, y_u)
+        if not return_trace:
+            return r, labels
         trace = KmTrace(
             initial_y_u=initial_y_u, initial_y_v=initial_y_v,
             alpha_l=tuple(trace_alpha),
             y_u_after=tuple(trace_yu), y_v_after=tuple(trace_yv),
         )
-        r = _full_power(alpha, am.subset, y_u)
-        return (r, labels, trace) if return_trace else (r, labels)
+        return r, labels, trace
 
     while True:
         if diag_tight():
@@ -182,44 +188,37 @@ def solve_power_hungarian(alpha: ChannelMatrix, d, subset=None,
             # optimal assignment, so the target lies outside the region
             raise InfeasibleGdof("no feasible power allocation achieves d")
 
-        in_tree_row = [False] * n
-        in_tree_col = [False] * n
+        in_tree_row = np.zeros(n, dtype=bool)
+        in_tree_col = np.zeros(n, dtype=bool)
         in_tree_row[root] = True
         prev_col = [-1] * n  # tree row that discovered each column
         slack = y_u[root] + y_v - A[root]
-        slack_row = [root] * n
+        slack_row = np.full(n, root)
 
         augmented = False
         while not augmented:
-            j_tight = -1
-            for j in range(n):
-                if not in_tree_col[j] and slack[j] <= TOL:
-                    j_tight = j
-                    break
-            if j_tight < 0:
-                candidates = [j for j in range(n) if not in_tree_col[j]]
-                alpha_l = min(slack[j] for j in candidates)
-                if len(trace_alpha) > n * n + n:
+            open_col = ~in_tree_col
+            tight = open_col & (slack <= TOL)
+            j = int(tight.argmax())
+            if not tight[j]:
+                alpha_l = slack.min(where=open_col, initial=np.inf)
+                if rounds > n * n + n:
                     # each update adds a tight column to some tree, so this
                     # bound cannot be reached; guard against stalls anyway
                     raise RuntimeError("label updates exceeded the n^2 bound")
-                for i in range(n):
-                    if in_tree_row[i]:
-                        y_u[i] -= alpha_l
-                for j in range(n):
-                    if in_tree_col[j]:
-                        y_v[j] += alpha_l
-                    else:
-                        slack[j] -= alpha_l
-                trace_alpha.append(float(alpha_l))
-                trace_yu.append(y_u.copy())
-                trace_yv.append(y_v.copy())
+                np.subtract(y_u, alpha_l, out=y_u, where=in_tree_row)
+                np.add(y_v, alpha_l, out=y_v, where=in_tree_col)
+                np.subtract(slack, alpha_l, out=slack, where=open_col)
+                rounds += 1
+                if return_trace:
+                    trace_alpha.append(float(alpha_l))
+                    trace_yu.append(y_u.copy())
+                    trace_yv.append(y_v.copy())
                 if diag_tight():
                     return make_result()
                 continue
 
-            j = j_tight
-            prev_col[j] = slack_row[j]
+            prev_col[j] = int(slack_row[j])
             owner = match_of_col[j]
             if owner < 0:
                 # augmenting path found: flip matches back to the root
@@ -237,10 +236,8 @@ def solve_power_hungarian(alpha: ChannelMatrix, d, subset=None,
                 in_tree_row[owner] = True
                 new_slack = y_u[owner] + y_v - A[owner]
                 better = new_slack < slack
-                slack = np.where(better, new_slack, slack)
-                for jj in range(n):
-                    if better[jj]:
-                        slack_row[jj] = owner
+                np.copyto(slack, new_slack, where=better)
+                slack_row[better] = owner
 
 
 def solve_power_auction(alpha: ChannelMatrix, d, subset=None,

@@ -81,15 +81,6 @@ def _validate_levels(snr, inr):
     return snr, inr, n
 
 
-def _order(n: int, priority) -> list:
-    if priority is None:
-        return list(range(n))
-    order = [int(i) for i in priority]
-    if sorted(order) != list(range(n)):
-        raise ShapeError("priority must be a permutation of all links")
-    return order
-
-
 def itis_plus_check(alpha: ChannelMatrix, subset) -> bool:
     """Relaxed independent-set test on a subnetwork: each member's direct
     strength covers its worst incoming-plus-outgoing cross pair discounted by
@@ -115,32 +106,45 @@ def itlinq_plus_schedule(snr, inr, params: SchedulerParams | None = None) -> Sch
     if params is None:
         params = SchedulerParams()
     snr, inr, n = _validate_levels(snr, inr)
-    order = _order(n, params.priority)
     eta, gamma = params.eta, params.gamma
+    min_in, min_out = np.ones(n), np.ones(n)
+    # min**gamma per link, raised one scalar at a time whenever a minimum
+    # drops: numpy's array power may differ from the scalar one in the last bit
+    in_g, out_g = np.ones(n), np.ones(n)
 
-    selected: list = []
-    min_in = {}
-    min_out = {}
-    messages = 2 * n  # pilot rounds
-    for k in order:
+    def admit(k, s):
+        row, col = inr[k, s], inr[s, k]
         lhs = snr[k] ** eta
-        ok = all(
-            lhs >= inr[k, j] / min_in[j] ** gamma
-            and lhs >= inr[j, k] / min_out[j] ** gamma
-            for j in selected
-        )
-        if not ok:
-            continue
-        min_in[k] = 1.0
-        min_out[k] = 1.0
-        for j in selected:
-            min_in[j] = min(min_in[j], inr[k, j])
-            min_out[j] = min(min_out[j], inr[j, k])
-            min_in[k] = min(min_in[k], inr[j, k])
-            min_out[k] = min(min_out[k], inr[k, j])
-        selected.append(k)
-        messages += 1  # table broadcast
-    return ScheduleResult(tuple(selected), min_in, min_out, messages)
+        if not (np.all(lhs >= row / in_g[s]) and np.all(lhs >= col / out_g[s])):
+            return False
+        # per table: the levels k adds at the selected links, and theirs at k
+        for mins, g, at_sel, at_k in ((min_in, in_g, row, col), (min_out, out_g, col, row)):
+            drop = at_sel < mins[s]
+            mins[s[drop]] = at_sel[drop]
+            g[s[drop]] = [v ** gamma for v in at_sel[drop]]
+            mins[k] = at_k.min(initial=1.0)
+            g[k] = mins[k] ** gamma
+        return True
+
+    res = _greedy_pass(n, params.priority, admit)
+    return dataclasses.replace(res, min_in={k: float(min_in[k]) for k in res.selected},
+                               min_out={k: float(min_out[k]) for k in res.selected})
+
+
+def _greedy_pass(n: int, priority, admit) -> ScheduleResult:
+    """Admit links in priority order (None = index order): ``admit(k, s)``
+    tests candidate k against the index array s of the links admitted so far
+    and updates the scheme's tables when it admits k."""
+    order = range(n) if priority is None else [int(i) for i in priority]
+    if sorted(order) != list(range(n)):
+        raise ShapeError("priority must be a permutation of all links")
+    sel = np.empty(n, dtype=int)
+    m = 0
+    for k in order:
+        if admit(k, sel[:m]):
+            sel[m] = k
+            m += 1
+    return ScheduleResult(tuple(int(k) for k in sel[:m]), {}, {}, 2 * n + m)
 
 
 def itlinq_schedule(snr, inr, eta: float = 0.7, m_db: float = 25.0,
@@ -149,14 +153,13 @@ def itlinq_schedule(snr, inr, eta: float = 0.7, m_db: float = 25.0,
     admitted iff m * snr[k]**eta covers both cross interference levels
     against every already-selected link."""
     snr, inr, n = _validate_levels(snr, inr)
-    order = _order(n, priority)
     m = 10.0 ** (m_db / 10.0)
-    selected: list = []
-    for k in order:
+
+    def admit(k, s):
         lhs = m * snr[k] ** eta
-        if all(lhs >= inr[k, j] and lhs >= inr[j, k] for j in selected):
-            selected.append(k)
-    return ScheduleResult(tuple(selected), {}, {}, 2 * n + len(selected))
+        return np.all(lhs >= inr[k, s]) and np.all(lhs >= inr[s, k])
+
+    return _greedy_pass(n, priority, admit)
 
 
 def flashlinq_schedule(snr, inr, sir_db: float = 9.0, priority=None) -> ScheduleResult:
@@ -164,16 +167,12 @@ def flashlinq_schedule(snr, inr, sir_db: float = 9.0, priority=None) -> Schedule
     interference ratios against every already-selected link clear the
     threshold: snr[k]/inr[k, j] and snr[j]/inr[j, k]."""
     snr, inr, n = _validate_levels(snr, inr)
-    order = _order(n, priority)
     theta = 10.0 ** (sir_db / 10.0)
-    selected: list = []
-    for k in order:
-        if all(
-            snr[k] / inr[k, j] >= theta and snr[j] / inr[j, k] >= theta
-            for j in selected
-        ):
-            selected.append(k)
-    return ScheduleResult(tuple(selected), {}, {}, 2 * n + len(selected))
+
+    def admit(k, s):
+        return np.all(snr[k] / inr[k, s] >= theta) and np.all(snr[s] / inr[s, k] >= theta)
+
+    return _greedy_pass(n, priority, admit)
 
 
 @dataclass(frozen=True)

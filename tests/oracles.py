@@ -4,7 +4,9 @@ Everything here is deliberately written against a different code path than
 the library: scipy linprog for the dual labels and the matching relaxation,
 dense grid search for the power optimum, and direct formula evaluation for
 achieved GDoF. Tests freeze expected values through these functions instead
-of trusting the implementation under test.
+of trusting the implementation under test. The per-element loop versions of
+the Kuhn-Munkres label solver and the three greedy scheduler passes are the
+references that their array versions in the library must match bit for bit.
 """
 
 import itertools
@@ -13,6 +15,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from tinq import ChannelMatrix, PowerAlloc, achieved_gdof
+from tinq.exceptions import InfeasibleGdof
+from tinq.model import TOL
+from tinq.power import KmTrace, LabelPair, build_assignment_matrix
 
 
 def lp_dual_labels(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,3 +120,158 @@ def random_feasible_instance(rng: np.random.Generator, k: int):
     keep = d > 1e-9
     subset = tuple(int(i) for i in np.flatnonzero(keep))
     return alpha, np.where(keep, d, 0.0), subset
+
+
+def hungarian_loop(alpha: ChannelMatrix, d, subset=None):
+    """Kuhn-Munkres minimal-power solve, one matrix element at a time.
+
+    Same algorithm and tie rules as ``solve_power_hungarian``: greedy
+    equality-subgraph matching row by row taking the first free tight
+    column, trees grown from the first unmatched row, the first tight
+    non-tree column wins, and label updates by the minimum non-tree slack.
+    Returns (PowerAlloc, LabelPair, KmTrace).
+    """
+    am = build_assignment_matrix(alpha, d, subset)
+    n, A = am.n, am.A
+    r = np.full(alpha.K, -np.inf)
+    if n == 0:
+        trace = KmTrace(np.zeros(0), np.zeros(0), (), (), ())
+        return PowerAlloc(r), LabelPair(np.zeros(0), np.zeros(0)), trace
+
+    y_u = A.max(axis=1).astype(float)
+    y_v = np.zeros(n)
+    match_of_col = [-1] * n
+    match_of_row = [-1] * n
+    trace_alpha, trace_yu, trace_yv = [], [], []
+    initial_y_u, initial_y_v = y_u.copy(), y_v.copy()
+
+    def diag_tight() -> bool:
+        return bool(np.all(y_u + y_v - np.diag(A) <= TOL))
+
+    def result():
+        for p, k in enumerate(am.subset):
+            r[k] = -y_u[p]
+        trace = KmTrace(initial_y_u, initial_y_v, tuple(trace_alpha),
+                        tuple(trace_yu), tuple(trace_yv))
+        return PowerAlloc(r), LabelPair(y_u.copy(), y_v.copy()), trace
+
+    for i in range(n):
+        for j in range(n):
+            if match_of_col[j] < 0 and y_u[i] + y_v[j] - A[i, j] <= TOL:
+                match_of_col[j] = i
+                match_of_row[i] = j
+                break
+
+    while True:
+        if diag_tight():
+            return result()
+        if -1 not in match_of_row:
+            raise InfeasibleGdof("no feasible power allocation achieves d")
+        root = match_of_row.index(-1)
+        in_tree_row = [False] * n
+        in_tree_col = [False] * n
+        in_tree_row[root] = True
+        prev_col = [-1] * n
+        slack = y_u[root] + y_v - A[root]
+        slack_row = [root] * n
+
+        augmented = False
+        while not augmented:
+            j_tight = -1
+            for j in range(n):
+                if not in_tree_col[j] and slack[j] <= TOL:
+                    j_tight = j
+                    break
+            if j_tight < 0:
+                alpha_l = min(slack[j] for j in range(n) if not in_tree_col[j])
+                if len(trace_alpha) > n * n + n:
+                    raise RuntimeError("label updates exceeded the n^2 bound")
+                for i in range(n):
+                    if in_tree_row[i]:
+                        y_u[i] -= alpha_l
+                for j in range(n):
+                    if in_tree_col[j]:
+                        y_v[j] += alpha_l
+                    else:
+                        slack[j] -= alpha_l
+                trace_alpha.append(float(alpha_l))
+                trace_yu.append(y_u.copy())
+                trace_yv.append(y_v.copy())
+                if diag_tight():
+                    return result()
+                continue
+
+            j = j_tight
+            prev_col[j] = slack_row[j]
+            owner = match_of_col[j]
+            if owner < 0:
+                while True:
+                    row = prev_col[j]
+                    old = match_of_row[row]
+                    match_of_col[j] = row
+                    match_of_row[row] = j
+                    if old < 0:
+                        break
+                    j = old
+                augmented = True
+            else:
+                in_tree_col[j] = True
+                in_tree_row[owner] = True
+                new_slack = y_u[owner] + y_v - A[owner]
+                better = new_slack < slack
+                slack = np.where(better, new_slack, slack)
+                for jj in range(n):
+                    if better[jj]:
+                        slack_row[jj] = owner
+
+
+def _loop_order(n: int, priority) -> list:
+    return list(range(n)) if priority is None else [int(i) for i in priority]
+
+
+def itlinq_plus_loop(snr, inr, eta=0.9, gamma=0.1, priority=None):
+    """ITLinQ+ pass link by link: (selected, min_in, min_out, messages)."""
+    snr = np.asarray(snr, dtype=float)
+    inr = np.asarray(inr, dtype=float)
+    n = snr.size
+    selected, min_in, min_out = [], {}, {}
+    for k in _loop_order(n, priority):
+        lhs = snr[k] ** eta
+        if not all(lhs >= inr[k, j] / min_in[j] ** gamma
+                   and lhs >= inr[j, k] / min_out[j] ** gamma for j in selected):
+            continue
+        min_in[k] = 1.0
+        min_out[k] = 1.0
+        for j in selected:
+            min_in[j] = min(min_in[j], inr[k, j])
+            min_out[j] = min(min_out[j], inr[j, k])
+            min_in[k] = min(min_in[k], inr[j, k])
+            min_out[k] = min(min_out[k], inr[k, j])
+        selected.append(k)
+    return tuple(selected), min_in, min_out, 2 * n + len(selected)
+
+
+def itlinq_loop(snr, inr, eta=0.7, m_db=25.0, priority=None) -> tuple:
+    """ITLinQ fixed-margin pass link by link: the selected links."""
+    snr = np.asarray(snr, dtype=float)
+    inr = np.asarray(inr, dtype=float)
+    m = 10.0 ** (m_db / 10.0)
+    selected = []
+    for k in _loop_order(snr.size, priority):
+        lhs = m * snr[k] ** eta
+        if all(lhs >= inr[k, j] and lhs >= inr[j, k] for j in selected):
+            selected.append(k)
+    return tuple(selected)
+
+
+def flashlinq_loop(snr, inr, sir_db=9.0, priority=None) -> tuple:
+    """FlashLinQ SIR-threshold pass link by link: the selected links."""
+    snr = np.asarray(snr, dtype=float)
+    inr = np.asarray(inr, dtype=float)
+    theta = 10.0 ** (sir_db / 10.0)
+    selected = []
+    for k in _loop_order(snr.size, priority):
+        if all(snr[k] / inr[k, j] >= theta and snr[j] / inr[j, k] >= theta
+               for j in selected):
+            selected.append(k)
+    return tuple(selected)

@@ -28,6 +28,7 @@ from tinq import (
     tina_polytope,
     tina_polytope_cyclic,
 )
+from tinq import matching
 from tinq.exceptions import ShapeError
 
 
@@ -212,3 +213,18 @@ def test_cyclic_partition_covers_subset(k, seed):
     seen = sorted(i for c in part.cycles for i in c)
     assert seen == list(subset)
     assert part.is_best
+
+
+def test_max_weight_matching_raises_when_no_completion_fits(monkeypatch):
+    # a total no completion can reach: the row scan finds no receiver, which
+    # must raise even under python -O, where an assert would vanish
+    sizes = []
+
+    def lsa_max(w):
+        sizes.append(w.shape[0])
+        return 1e9 if len(sizes) == 1 else 0.0
+
+    monkeypatch.setattr(matching, "_lsa_max", lsa_max)
+    with pytest.raises(RuntimeError, match="transmitter 0"):
+        max_weight_matching(NETWORK_A, (0, 1, 2))
+    assert sizes == [3, 2, 2, 2]

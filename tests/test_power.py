@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import lp_dual_labels, random_alpha
+from oracles import hungarian_loop, lp_dual_labels, random_alpha
 from tinq import (
     ChannelMatrix,
     GdofTuple,
@@ -17,7 +17,7 @@ from tinq import (
     solve_power_auction,
     solve_power_hungarian,
 )
-from tinq.exceptions import Infeasible
+from tinq.exceptions import ImmediatelyInfeasible, Infeasible
 from tinq.power import InfeasibleGdof, PowerAlloc
 
 D_REF = GdofTuple([0.5, 0.6, 0.7])
@@ -175,3 +175,86 @@ def test_feasibility_matches_solver(k, seed):
     assert not is_feasible(alpha, bad_d)
     with pytest.raises(Infeasible):
         solve_power_hungarian(alpha, bad_d)
+
+
+# ---------------------------------------------------------------------------
+# the array solver against the per-element loop reference
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except Infeasible as e:
+        return type(e), str(e)
+
+
+def assert_matches_loop(alpha, d, subset=None):
+    """Powers, labels and every trace field bit for bit, or the same
+    infeasibility verdict; returns the reference outcome."""
+    want = _outcome(lambda: hungarian_loop(alpha, d, subset))
+    got = _outcome(lambda: solve_power_hungarian(alpha, d, subset, return_trace=True))
+    plain = _outcome(lambda: solve_power_hungarian(alpha, d, subset))
+    if isinstance(want[0], type):
+        assert got == want and plain == want
+        return want
+    (r, labels, trace), (r0, labels0, trace0) = got, want
+    assert len(plain) == 2
+    for a, a0 in ((r.r, r0.r), (labels.y_u, labels0.y_u), (labels.y_v, labels0.y_v),
+                  (plain[0].r, r0.r), (plain[1].y_u, labels0.y_u),
+                  (plain[1].y_v, labels0.y_v),
+                  (trace.initial_y_u, trace0.initial_y_u),
+                  (trace.initial_y_v, trace0.initial_y_v),
+                  (trace.alpha_l, trace0.alpha_l)):
+        assert _bits(a) == _bits(a0)
+    for after, after0 in ((trace.y_u_after, trace0.y_u_after),
+                          (trace.y_v_after, trace0.y_v_after)):
+        assert len(after) == len(after0) == trace0.rounds
+        assert [_bits(a) for a in after] == [_bits(a) for a in after0]
+    return want
+
+
+@given(st.integers(1, 9), st.floats(0.5, 1.4), st.booleans(), st.integers(0, 2**31 - 1))
+def test_hungarian_matches_loop_reference(k, scale, coarse, seed):
+    # scale > 1 pushes many targets out of the region (InfeasibleGdof) and
+    # some past their direct strength (ImmediatelyInfeasible); a coarse grid
+    # of strengths and targets makes tight cells and slacks tie, so the
+    # first-index choices are exercised
+    rng = np.random.default_rng(seed)
+    alpha = random_alpha(rng, k)
+    _, d = feasible_target(rng, alpha)
+    d = d.d * scale
+    if coarse:
+        alpha = ChannelMatrix(np.round(alpha.alpha * 4) / 4)
+        d = np.round(d * 4) / 4
+    assert_matches_loop(alpha, np.round(d, 9))
+
+
+def test_hungarian_loop_reference_covers_every_outcome():
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(300):
+        k = int(rng.integers(1, 8))
+        alpha = random_alpha(rng, k)
+        _, d = feasible_target(rng, alpha)
+        want = assert_matches_loop(alpha, np.round(d.d * rng.uniform(0.5, 1.4), 9))
+        seen.add(want[0] if isinstance(want[0], type) else "solved")
+    assert seen == {"solved", InfeasibleGdof, ImmediatelyInfeasible}
+
+
+def test_hungarian_matches_loop_reference_edge_cases():
+    # diagonal tight at the start: dominant direct links and small targets
+    # make every diagonal entry its row maximum, so no label round runs
+    alpha = random_alpha(np.random.default_rng(3), 6,
+                         diag_lo=2.5, diag_hi=3.0, cross_hi=1.0)
+    assert assert_matches_loop(alpha, np.full(6, 0.1))[2].rounds == 0
+    # one link (its diagonal is its row maximum), and subsets that leave
+    # links out
+    assert assert_matches_loop(ChannelMatrix([[1.3]]), [0.7])[2].rounds == 0
+    assert_matches_loop(NETWORK_A, [1.0, 0.5, 0.0], (0, 1))
+    assert_matches_loop(NETWORK_A, [0.0, 0.0, 0.0])
+    assert assert_matches_loop(NETWORK_A, D_REF)[2].alpha_l == pytest.approx((0.2, 0.1))

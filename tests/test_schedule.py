@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import flashlinq_loop, itlinq_loop, itlinq_plus_loop
 from tinq.exceptions import ShapeError
 from tinq.model import ChannelMatrix
 from tinq.region import check_conditions
@@ -186,6 +187,41 @@ def test_link_removal_keeps_higher_priority_selections():
             sel2 = scheme(snr[keep], inr[np.ix_(keep, keep)]).selected
             back = {keep[p] for p in sel2}
             assert {s for s in sel1 if s < m} == {s for s in back if s < m}
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 40), st.booleans(), st.booleans(), st.integers(0, 2**31 - 1))
+def test_passes_match_loop_references(n, tied, permuted, seed):
+    # tied: SNR and INR levels on one integer-dB grid, with unit margins and
+    # exponents, so many entries, running minima and admission tests tie
+    # exactly; permuted: an explicit priority order
+    rng = np.random.default_rng(seed)
+    if tied:
+        snr = 10.0 ** rng.integers(3, 7, n).astype(float)
+        inr = 10.0 ** rng.integers(-1, 7, (n, n)).astype(float)
+        eta, gamma, m_db, sir_db = 1.0, float(rng.choice([0.0, 0.1])), 0.0, 0.0
+    else:
+        snr = 10.0 ** rng.uniform(3.0, 7.0, n)
+        inr = 10.0 ** rng.uniform(-1.0, 6.0, (n, n))
+        eta, gamma, m_db, sir_db = float(rng.uniform(0.5, 1.0)), float(rng.uniform()), 25.0, 9.0
+    np.fill_diagonal(inr, rng.choice([0.0, 1.0]))
+    priority = tuple(rng.permutation(n).tolist()) if permuted else None
+
+    res = itlinq_plus_schedule(snr, inr, SchedulerParams(eta=eta, gamma=gamma,
+                                                         priority=priority))
+    selected, min_in, min_out, messages = itlinq_plus_loop(snr, inr, eta, gamma, priority)
+    assert res.selected == selected
+    assert list(res.min_in.items()) == list(min_in.items())
+    assert list(res.min_out.items()) == list(min_out.items())
+    assert res.messages == messages
+
+    for res, want in ((itlinq_schedule(snr, inr, eta, m_db, priority),
+                       itlinq_loop(snr, inr, eta, m_db, priority)),
+                      (flashlinq_schedule(snr, inr, sir_db, priority),
+                       flashlinq_loop(snr, inr, sir_db, priority))):
+        assert res.selected == want
+        assert (res.min_in, res.min_out) == ({}, {})
+        assert res.messages == 2 * n + len(want)
 
 
 # ---------------------------------------------------------------------------
