@@ -8,6 +8,7 @@ from .exceptions import (
     DivergenceDetected,
     DomainError,
     EmptyPolytope,
+    EpsilonTooSmall,
     ImmediatelyInfeasible,
     Infeasible,
     InfeasibleGdof,

@@ -29,6 +29,10 @@ class SubsetTooLarge(TinqError, ValueError):
     """Subset exceeds the configured cap for explicit constraint enumeration."""
 
 
+class EpsilonTooSmall(TinqError, ValueError):
+    """Auction epsilon so small that its bid cap exceeds the fixed ceiling."""
+
+
 class Infeasible(TinqError):
     """Base class for infeasibility verdicts (CLI maps these to exit code 3)."""
 

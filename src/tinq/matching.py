@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .exceptions import NotPerfect
 from .model import TOL, ChannelMatrix, check_subset
@@ -46,6 +45,9 @@ class CyclicPartition:
 
 def _lsa_max(w: np.ndarray) -> float:
     """Maximum-weight perfect assignment value of a square weight matrix."""
+    # imported on first use: scipy.optimize is most of a cold CLI start
+    from scipy.optimize import linear_sum_assignment
+
     if w.size == 0:
         return 0.0
     rows, cols = linear_sum_assignment(w, maximize=True)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .exceptions import (
     ConvergenceFailure,
@@ -108,6 +107,9 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[Gdo
     best served silent for this objective). Materializes all 2^n - 1
     constraints, so the effective subset is capped at 16 users.
     """
+    # imported on first use: scipy.optimize is most of a cold CLI start
+    from scipy.optimize import linprog
+
     wv = _as_weights(w, alpha.K)
     idx = tuple(k for k in check_subset(alpha.K, subset, allow_empty=True) if wv[k] > 0)
     if len(idx) == 0:
@@ -179,6 +181,9 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None,
     Solved in log-power coordinates, where the objective is smooth and convex,
     with an analytic gradient under box bounds.
     """
+    # imported on first use: scipy.optimize is most of a cold CLI start
+    from scipy.optimize import minimize
+
     wv = _as_weights(w, net.K)
     idx = tuple(k for k in check_subset(net.K, subset, allow_empty=True) if wv[k] > 0)
     if len(idx) == 0:
@@ -260,28 +265,42 @@ def gp_gdof_equivalence_gap(net: PhysicalNetwork, subset=None, w=None) -> float:
     return abs(gp_obj - lp_obj)
 
 
-def _local_estimate_solve(w_i, gamma_col, lower, upper):
-    """Exact minimizer of w_i*max{0, max_j v_j} + sum_j gamma_j v_j over a box.
+def _local_estimate_solves(w, g, lower, upper):
+    """Exact minimizers of w_p*max{0, max_j v_pj} + sum_j g_pj v_pj over the
+    boxes lower_p <= v_p <= upper_p, one per row p.
 
     Positive-dual coordinates sit at their lower bound; the rest share a cap m
-    chosen at a breakpoint of the convex piecewise-linear cost.
+    chosen at a breakpoint of the convex piecewise-linear cost. Each row scans
+    its breakpoints in ascending order and a later one wins only when it
+    lowers the cost by more than 1e-15, so a repeated breakpoint never wins.
+    Rows are grouped by their number of nonpositive duals so that every cost
+    is one dot product over exactly those coordinates, in index order.
     """
+    neg = g <= 0
+    count = neg.sum(axis=1)
+    base = lower.max(axis=1, where=~neg, initial=0.0)
+    m_lo = np.maximum(base, lower.max(axis=1, where=neg, initial=-np.inf))
+    above = neg & (upper > m_lo[:, None])
+    width = 1 + int(above.sum(axis=1).max())
+    breaks = np.where(above, upper, np.inf)
+    breaks.sort(axis=1)
+    cand = np.concatenate([m_lo[:, None], breaks[:, :width - 1]], axis=1)
+
+    # cost of every candidate cap: inf past a row's last breakpoint, NaN on
+    # rows with no nonpositive dual, so neither is ever taken
+    cost = np.full(cand.shape, np.nan)
+    lin = w[:, None] * np.maximum(cand, base[:, None])
+    for k in set(count.tolist()) - {0}:
+        rows = count == k
+        caps = np.minimum(upper[rows][neg[rows]].reshape(-1, 1, 1, k), cand[rows][:, :, None, None])
+        cost[rows] = lin[rows] + (caps @ g[rows][neg[rows]].reshape(-1, 1, k, 1))[:, :, 0, 0]
+    # best[0]: the cost a later candidate must undercut; best[1]: the cap
+    best = np.stack([np.full(len(w), np.inf), m_lo])
+    steps = np.stack([cost - 1e-15, cand])
+    for c in range(width):
+        np.copyto(best, steps[:, :, c], where=cost[:, c] < best[0])
     v = lower.copy()
-    neg = gamma_col <= 0
-    if not np.any(neg):
-        return v
-    base = 0.0
-    if np.any(~neg):
-        base = max(base, float(lower[~neg].max()))
-    m_lo = max(base, float(lower[neg].max()))
-    candidates = [m_lo] + [float(u) for u in upper[neg] if u > m_lo]
-    best_m, best_val = None, np.inf
-    for m in sorted(set(candidates)):
-        caps = np.minimum(upper[neg], m)
-        val = w_i * max(base, m, 0.0) + float(gamma_col[neg] @ caps)
-        if val < best_val - 1e-15:
-            best_val, best_m = val, m
-    v[neg] = np.minimum(upper[neg], best_m)
+    np.minimum(upper, best[1][:, None], out=v, where=neg)
     return v
 
 
@@ -324,8 +343,10 @@ def decentralized_gp(alpha: ChannelMatrix, subset=None, w=None, step=None,
     upper = a.copy()          # r'_ji <= alpha_ji (r_j <= 0)
     lower = a - r_box         # r'_ji >= alpha_ji - r_box
     gamma = np.zeros((n, n))  # gamma[j, i] prices r'_ji = alpha_ji + r_j
+    # row i of a ``.T[off]`` view holds column i without its diagonal entry
+    upper_cols = upper.T[off].reshape(n, n - 1)
+    lower_cols = lower.T[off].reshape(n, n - 1)
 
-    r = np.zeros(n)
     rp = upper.copy()
     r_avg = np.zeros(n)
     rp_avg = np.zeros((n, n))
@@ -334,13 +355,12 @@ def decentralized_gp(alpha: ChannelMatrix, subset=None, w=None, step=None,
     grow = 0
     for t in range(1, iters + 1):
         delta = float(step(t))
-        for p in range(n):
-            others = off[:, p]
-            coef = -ww[p] - float(gamma[p, others].sum())
-            r[p] = -r_box if coef > 0 else 0.0
-            rp[others, p] = _local_estimate_solve(
-                ww[p], gamma[others, p], lower[others, p], upper[others, p]
-            )
+        # every user's local solve reads only last iteration's duals
+        coef = -ww - gamma[off].reshape(n, n - 1).sum(axis=1)
+        r = np.where(coef > 0, -r_box, 0.0)
+        rp.T[off] = _local_estimate_solves(
+            ww, gamma.T[off].reshape(n, n - 1), lower_cols, upper_cols
+        ).ravel()
         target = a + r[:, None]  # alpha_ji + r_j at (j, i)
         gamma[off] += delta * (rp[off] - target[off])
 

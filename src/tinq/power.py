@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (
+    EpsilonTooSmall,
     ImmediatelyInfeasible,
     Infeasible,
     InfeasibleGdof,
@@ -41,6 +42,10 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON = 1e-5
+# Largest auction bid cap accepted: an epsilon whose cap is higher is refused
+# before the first bid instead of bidding for minutes. The default epsilon on
+# up to 22 active users of strength <= 2 stays below it.
+BID_CEILING = 10**9
 
 
 @dataclass(frozen=True)
@@ -256,7 +261,8 @@ def solve_power_auction(alpha: ChannelMatrix, d, subset=None,
     ``snap`` re-derives exact labels with a centralized solve of the same
     instance after the auction terminates. The bid count is capped at
     ceil(10 n^2 max(A)/epsilon) + n, beyond which the target is declared
-    infeasible (or epsilon too large to resolve it).
+    infeasible (or epsilon too large to resolve it). A cap above
+    ``BID_CEILING`` raises EpsilonTooSmall before any bid.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -268,6 +274,11 @@ def solve_power_auction(alpha: ChannelMatrix, d, subset=None,
         return solve_power_hungarian(alpha, d, subset)
 
     bid_cap = int(math.ceil(10.0 * n * n * float(A.max()) / epsilon)) + n
+    if bid_cap > BID_CEILING:
+        raise EpsilonTooSmall(
+            f"epsilon {epsilon:g} needs a cap of {bid_cap} bids on {n} users, "
+            f"above the ceiling of {BID_CEILING}"
+        )
 
     prices = np.zeros(n)
     owner = [-1] * n

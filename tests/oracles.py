@@ -6,17 +6,20 @@ dense grid search for the power optimum, and direct formula evaluation for
 achieved GDoF. Tests freeze expected values through these functions instead
 of trusting the implementation under test. The per-element loop versions of
 the Kuhn-Munkres label solver and the three greedy scheduler passes are the
-references that their array versions in the library must match bit for bit.
+references that their array versions in the library must match bit for bit,
+and so is the user-by-user loop of the decentralized GP.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog
 
 from tinq import ChannelMatrix, PowerAlloc, achieved_gdof
-from tinq.exceptions import InfeasibleGdof
-from tinq.model import TOL
+from tinq.exceptions import DivergenceDetected, InfeasibleGdof, ShapeError
+from tinq.model import TOL, check_subset
+from tinq.optimize import _as_weights
 from tinq.power import KmTrace, LabelPair, build_assignment_matrix
 
 
@@ -275,3 +278,94 @@ def flashlinq_loop(snr, inr, sir_db=9.0, priority=None) -> tuple:
                for j in selected):
             selected.append(k)
     return tuple(selected)
+
+
+def _local_estimate_solve(w_i, gamma_col, lower, upper):
+    """Exact minimizer of w_i*max{0, max_j v_j} + sum_j gamma_j v_j over a box,
+    by a scan of the breakpoints of the convex piecewise-linear cost."""
+    v = lower.copy()
+    neg = gamma_col <= 0
+    if not np.any(neg):
+        return v
+    base = 0.0
+    if np.any(~neg):
+        base = max(base, float(lower[~neg].max()))
+    m_lo = max(base, float(lower[neg].max()))
+    candidates = [m_lo] + [float(u) for u in upper[neg] if u > m_lo]
+    best_m, best_val = None, np.inf
+    for m in sorted(set(candidates)):
+        caps = np.minimum(upper[neg], m)
+        val = w_i * max(base, m, 0.0) + float(gamma_col[neg] @ caps)
+        if val < best_val - 1e-15:
+            best_val, best_m = val, m
+    v[neg] = np.minimum(upper[neg], best_m)
+    return v
+
+
+def dgp_loop(alpha: ChannelMatrix, subset=None, w=None, step=None, iters: int = 5000):
+    """``decentralized_gp`` with one local solve per user per iteration.
+
+    Returns (PowerAlloc, GdofTuple, residuals) and raises the same errors.
+    """
+    if iters < 1:
+        raise ValueError(f"need at least one iteration, got {iters}")
+    wv = _as_weights(w, alpha.K)
+    idx = tuple(k for k in check_subset(alpha.K, subset, allow_empty=True) if wv[k] > 0)
+    if len(idx) == 0:
+        raise ShapeError("no positively weighted users in subset")
+    if step is None:
+        step = lambda t: 0.5 / math.sqrt(t)
+    n = len(idx)
+    a = alpha.alpha[np.ix_(idx, idx)]
+    ww = wv[list(idx)]
+    r_box = float(alpha.alpha.max()) + 1.0
+
+    if n == 1:
+        r = np.full(alpha.K, -np.inf)
+        r[idx[0]] = 0.0
+        pa = PowerAlloc(r)
+        return pa, achieved_gdof(alpha, pa, clamp=True), [0.0]
+
+    off = ~np.eye(n, dtype=bool)
+    upper = a.copy()
+    lower = a - r_box
+    gamma = np.zeros((n, n))
+
+    r = np.zeros(n)
+    rp = upper.copy()
+    r_avg = np.zeros(n)
+    rp_avg = np.zeros((n, n))
+    wsum = 0.0
+    residuals = []
+    grow = 0
+    for t in range(1, iters + 1):
+        delta = float(step(t))
+        for p in range(n):
+            others = off[:, p]
+            coef = -ww[p] - float(gamma[p, others].sum())
+            r[p] = -r_box if coef > 0 else 0.0
+            rp[others, p] = _local_estimate_solve(
+                ww[p], gamma[others, p], lower[others, p], upper[others, p]
+            )
+        target = a + r[:, None]
+        gamma[off] += delta * (rp[off] - target[off])
+
+        wsum += delta
+        r_avg += delta * (r - r_avg) / wsum
+        rp_avg += delta * (rp - rp_avg) / wsum
+        avg_target = a + r_avg[:, None]
+        res = float(np.abs(rp_avg[off] - avg_target[off]).sum())
+        residuals.append(res)
+        if len(residuals) >= 2 and res > residuals[-2] + 1e-12:
+            grow += 1
+            if grow >= 100:
+                raise DivergenceDetected(
+                    f"consistency residual grew for {grow} consecutive steps"
+                )
+        else:
+            grow = 0
+
+    r_full = np.full(alpha.K, -np.inf)
+    r_full[list(idx)] = np.minimum(r_avg, 0.0)
+    pa = PowerAlloc(r_full)
+    return pa, achieved_gdof(alpha, pa, clamp=True), residuals

@@ -286,3 +286,54 @@ def test_subprocess_byte_determinism(tmp_path, net_b):
             for _ in range(2)
         ]
         assert outs[0] == outs[1] and outs[0]
+
+
+# Runs a CLI call in a fresh interpreter, then prints whether it loaded the
+# scipy solvers.
+SCIPY_PROBE = """
+import sys
+if len(sys.argv) > 1:
+    import tinq.cli
+    try:
+        tinq.cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+else:
+    import tinq
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def loads_scipy(argv) -> bool:
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--version"],
+    ["power", "--network", "{a}", "--gdof", "0.5,0.6,0.7"],
+    ["power", "--network", "{a}", "--gdof", "0.5,0.6,0.7", "--solver", "auction"],
+    ["feasible", "--network", "{a}", "--gdof", "0.5,0.6,0.7"],
+    ["schedule", "--network", "{a}", "--scheme", "itlinq+"],
+    ["simulate", "--links", "16", "--drops", "2"],
+], ids=["import", "version", "power", "power-auction", "feasible", "schedule",
+        "simulate"])
+def test_scipy_solvers_load_only_when_called(net_a, argv):
+    assert not loads_scipy([arg.format(a=net_a) for arg in argv])
+
+
+def test_lp_call_loads_scipy(net_a):
+    assert loads_scipy(["sumgdof", "--network", net_a, "--weights", "1,1,1",
+                        "--method", "lp"])
+
+
+def test_power_auction_rejects_unreachable_epsilon(net_a):
+    # the bid cap for epsilon 1e-9 is about 1.35e11 bids: refused before the
+    # first bid as a usage error
+    proc = subprocess.run([sys.executable, "-m", "tinq.cli", "power", "--network", net_a,
+                           "--gdof", "0.5,0.6,0.7", "--solver", "auction",
+                           "--epsilon", "1e-9"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: epsilon 1e-09 needs a cap of 135000000003 bids")

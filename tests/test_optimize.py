@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import gp_grid_best, random_alpha
+from oracles import dgp_loop, gp_grid_best, random_alpha
 from tinq import (
     ChannelMatrix,
     EmptyPolytope,
@@ -27,7 +27,7 @@ from tinq import (
     realize_network,
     tina_polytope,
 )
-from tinq.exceptions import SubsetTooLarge
+from tinq.exceptions import DivergenceDetected, ShapeError, SubsetTooLarge
 from tinq.model import PhysicalNetwork
 from tinq.power import PowerAlloc
 
@@ -145,6 +145,74 @@ def test_dgp_residual_trends_down():
     _, _, info = decentralized_gp(NETWORK_B, iters=300, return_info=True)
     res = info["residuals"]
     assert res[-1] < 0.25 * res[0]
+
+
+def _dgp_outcome(solve, alpha, w, step, iters):
+    """The bytes of r, d and the residuals, or the error type and text."""
+    try:
+        r, d, residuals = solve(alpha, w=w, step=step, iters=iters)
+    except (DivergenceDetected, ShapeError) as e:
+        return type(e), str(e)
+    return r.r.tobytes(), d.d.tobytes(), np.array(residuals).tobytes()
+
+
+def _batched_dgp(alpha, **kw):
+    r, d, info = decentralized_gp(alpha, return_info=True, **kw)
+    return r, d, info["residuals"]
+
+
+STEPS = {
+    "default": None,
+    "harmonic": lambda t: 0.7 / t,
+    "constant": lambda t: 0.05,
+    "uphill": lambda t: -0.5 / math.sqrt(t),
+}
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=80)
+def test_dgp_matches_loop_reference(seed):
+    # the batched local solves must reproduce the user-by-user loop bit for
+    # bit: a 0.25 grid makes duals, breakpoints and costs tie, a zero weight
+    # shrinks the solved subset, and the uphill step diverges
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 9))
+    a = random_alpha(rng, k).alpha
+    w = np.round(rng.uniform(0.2, 2.0, size=k), 3)
+    if rng.random() < 0.5:
+        a = np.round(a * 4.0) / 4.0
+        w = np.round(w * 2.0) / 2.0 + 0.5
+    if k > 1 and rng.random() < 0.3:
+        w[rng.integers(0, k)] = 0.0
+    step = STEPS[sorted(STEPS)[rng.integers(0, len(STEPS))]]
+    iters = int(rng.integers(1, 250))
+    alpha = ChannelMatrix(a)
+    want = _dgp_outcome(dgp_loop, alpha, w, step, iters)
+    assert _dgp_outcome(_batched_dgp, alpha, w, step, iters) == want
+
+
+@pytest.mark.parametrize("k", [17, 24])
+def test_dgp_matches_loop_reference_on_long_columns(k):
+    # columns of 16 or more nonpositive duals, where a dot product's
+    # rounding depends on its length
+    rng = np.random.default_rng(k)
+    alpha = random_alpha(rng, k)
+    w = np.round(rng.uniform(0.2, 2.0, size=k), 3)
+    want = _dgp_outcome(dgp_loop, alpha, w, None, 40)
+    assert _dgp_outcome(_batched_dgp, alpha, w, None, 40) == want
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_dgp_divergence_matches_loop_reference(seed):
+    rng = np.random.default_rng(seed)
+    alpha = random_alpha(rng, 5)
+    step = STEPS["uphill"]
+    with pytest.raises(DivergenceDetected) as loop_err:
+        dgp_loop(alpha, step=step, iters=400)
+    with pytest.raises(DivergenceDetected) as err:
+        decentralized_gp(alpha, step=step, iters=400)
+    assert str(err.value) == str(loop_err.value)
+    assert str(err.value) == "consistency residual grew for 100 consecutive steps"
 
 
 def test_pipeline_single_user():

@@ -17,7 +17,8 @@ from tinq import (
     solve_power_auction,
     solve_power_hungarian,
 )
-from tinq.exceptions import ImmediatelyInfeasible, Infeasible
+from tinq import power
+from tinq.exceptions import EpsilonTooSmall, ImmediatelyInfeasible, Infeasible, TinqError
 from tinq.power import InfeasibleGdof, PowerAlloc
 
 D_REF = GdofTuple([0.5, 0.6, 0.7])
@@ -90,6 +91,20 @@ def test_auction_reference_values():
     np.testing.assert_allclose(r.r, [-0.39999, -0.59999, -0.59999], atol=1e-8)
     r_snap, _ = solve_power_auction(NETWORK_B, d, epsilon=1e-5, snap=True)
     np.testing.assert_allclose(r_snap.r, [-0.4, -0.6, -0.6], atol=1e-12)
+
+
+def test_auction_refuses_bid_cap_above_ceiling(monkeypatch):
+    # max(A) = 1.5 on three users: epsilon 1e-5 needs a cap of
+    # ceil(10 * 9 * 1.5 / 1e-5) + 3 = 13500003 bids
+    with pytest.raises(EpsilonTooSmall, match="cap of 135000000003 bids") as err:
+        solve_power_auction(NETWORK_A, D_REF, epsilon=1e-9)
+    assert isinstance(err.value, TinqError) and isinstance(err.value, ValueError)
+    monkeypatch.setattr(power, "BID_CEILING", 13500003)
+    r, _ = solve_power_auction(NETWORK_A, D_REF, epsilon=1e-5)
+    np.testing.assert_allclose(r.r, [-1.2, -0.4, -0.7], atol=3e-5)
+    monkeypatch.setattr(power, "BID_CEILING", 13500002)
+    with pytest.raises(EpsilonTooSmall):
+        solve_power_auction(NETWORK_A, D_REF, epsilon=1e-5)
 
 
 def feasible_target(rng: np.random.Generator, alpha: ChannelMatrix):
