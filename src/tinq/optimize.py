@@ -32,7 +32,7 @@ from .model import (
     strength_from_physical,
 )
 from .power import solve_power_auction, solve_power_hungarian
-from .region import tina_polytope
+from .region import halfspaces
 
 __all__ = [
     "WeightVector",
@@ -82,7 +82,6 @@ class GpSolution:
     sinr: np.ndarray
     objective: float
     t: np.ndarray
-    sum_w_log2_sinr: float
     subset: tuple
 
 
@@ -104,8 +103,10 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[Gdo
     """Maximize sum w_k d_k over one subset's achievable polytope.
 
     Zero-weight users are dropped from the subset before solving (they are
-    best served silent for this objective). Materializes all 2^n - 1
-    constraints, so the effective subset is capped at 16 users.
+    best served silent for this objective). Hands linprog all 2^n - 1
+    constraints, so the effective subset is capped at 16 users; they are
+    built once per network and subset (``region.halfspaces``), so repeated
+    calls on one network only re-solve the LP.
     """
     # imported on first use: scipy.optimize is most of a cold CLI start
     from scipy.optimize import linprog
@@ -117,24 +118,17 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[Gdo
     if len(idx) > LP_SUBSET_MAX:
         raise SubsetTooLarge(f"LP subset size {len(idx)} exceeds cap {LP_SUBSET_MAX}")
 
-    poly = tina_polytope(alpha, idx)
-    pos = {k: p for p, k in enumerate(idx)}
-    rows, bounds = [], []
-    for users, bound in poly.constraints.items():
-        row = np.zeros(len(idx))
-        for u in users:
-            row[pos[u]] = 1.0
-        rows.append(row)
-        bounds.append(bound)
-    if min(bounds) < 0:
+    rows, bounds = halfspaces(alpha, idx)
+    lowest = float(bounds.min())
+    if lowest < 0:
         # some sum bound went negative, which cannot happen while every cross
         # strength stays below the direct strength it interferes with
         raise EmptyPolytope(
-            f"subset {idx} has a negative sum bound {min(bounds):.6g}"
+            f"subset {idx} has a negative sum bound {lowest:.6g}"
         )
     res = linprog(
         c=-wv[list(idx)],
-        A_ub=np.array(rows), b_ub=np.array(bounds),
+        A_ub=rows, b_ub=bounds,
         bounds=[(0, None)] * len(idx),
         method="highs",
     )
@@ -203,7 +197,7 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None,
         f = float(np.sum(ww * (np.log1p(interference) - log_gdiag - z)))
         denom = 1.0 + interference
         # d/dz_k: -w_k + x_k * sum_i w_i g_ki / denom_i
-        grad = -ww + np.exp(z) * (cross @ (ww / denom))
+        grad = -ww + x * (cross @ (ww / denom))
         return f, grad
 
     # deterministic restarts: the demanding ftol can abort the line search on
@@ -244,7 +238,6 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None,
         sinr=sinr_full,
         objective=float(np.sum(ww * np.log2(1.0 + sinr_sub))),
         t=t_full,
-        sum_w_log2_sinr=float(np.sum(ww * np.log2(sinr_sub))),
         subset=idx,
     )
 

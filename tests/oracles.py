@@ -7,7 +7,9 @@ achieved GDoF. Tests freeze expected values through these functions instead
 of trusting the implementation under test. The per-element loop versions of
 the Kuhn-Munkres label solver and the three greedy scheduler passes are the
 references that their array versions in the library must match bit for bit,
-and so is the user-by-user loop of the decentralized GP.
+and so is the user-by-user loop of the decentralized GP. The per-call polytope
+and LP builds are the references for the library's per-network memo of
+subset bounds.
 """
 
 import itertools
@@ -16,11 +18,19 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from tinq import ChannelMatrix, PowerAlloc, achieved_gdof
-from tinq.exceptions import DivergenceDetected, InfeasibleGdof, ShapeError
+from tinq import ChannelMatrix, GdofTuple, PowerAlloc, TinaPolytope, achieved_gdof
+from tinq.exceptions import (
+    DivergenceDetected,
+    EmptyPolytope,
+    InfeasibleGdof,
+    ShapeError,
+    SubsetTooLarge,
+)
+from tinq.matching import max_matching_weight
 from tinq.model import TOL, check_subset
-from tinq.optimize import _as_weights
+from tinq.optimize import EXACT_K_MAX, LP_SUBSET_MAX, _as_weights
 from tinq.power import KmTrace, LabelPair, build_assignment_matrix
+from tinq.region import POLYTOPE_MAX
 
 
 def lp_dual_labels(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,3 +379,75 @@ def dgp_loop(alpha: ChannelMatrix, subset=None, w=None, step=None, iters: int = 
     r_full[list(idx)] = np.minimum(r_avg, 0.0)
     pa = PowerAlloc(r_full)
     return pa, achieved_gdof(alpha, pa, clamp=True), residuals
+
+
+def tina_polytope_fresh(alpha: ChannelMatrix, subset=None) -> TinaPolytope:
+    """``tina_polytope`` with every bound solved again on every call, one
+    matching per subset, in (size, lexicographic) order."""
+    idx = check_subset(alpha.K, subset)
+    if len(idx) > POLYTOPE_MAX:
+        raise SubsetTooLarge(f"subset size {len(idx)} exceeds cap {POLYTOPE_MAX}")
+    diag = np.diag(alpha.alpha)
+    constraints = {}
+    for size in range(1, len(idx) + 1):
+        for sub in itertools.combinations(idx, size):
+            bound = float(diag[list(sub)].sum()) - max_matching_weight(alpha, sub)
+            constraints[frozenset(sub)] = bound
+    return TinaPolytope(K=alpha.K, subset=idx, constraints=constraints)
+
+
+def polytope_lp_fresh(alpha: ChannelMatrix, subset=None, w=None):
+    """``max_weighted_gdof_lp`` on a fresh polytope with its rows built one
+    constraint at a time on every call."""
+    wv = _as_weights(w, alpha.K)
+    idx = tuple(k for k in check_subset(alpha.K, subset, allow_empty=True) if wv[k] > 0)
+    if len(idx) == 0:
+        return GdofTuple(np.zeros(alpha.K)), 0.0
+    if len(idx) > LP_SUBSET_MAX:
+        raise SubsetTooLarge(f"LP subset size {len(idx)} exceeds cap {LP_SUBSET_MAX}")
+
+    poly = tina_polytope_fresh(alpha, idx)
+    pos = {k: p for p, k in enumerate(idx)}
+    rows, bounds = [], []
+    for users, bound in poly.constraints.items():
+        row = np.zeros(len(idx))
+        for u in users:
+            row[pos[u]] = 1.0
+        rows.append(row)
+        bounds.append(bound)
+    if min(bounds) < 0:
+        raise EmptyPolytope(
+            f"subset {idx} has a negative sum bound {min(bounds):.6g}"
+        )
+    res = linprog(
+        c=-wv[list(idx)],
+        A_ub=np.array(rows), b_ub=np.array(bounds),
+        bounds=[(0, None)] * len(idx),
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"LP solve failed: {res.message}")
+    d = np.zeros(alpha.K)
+    d[list(idx)] = np.maximum(res.x, 0.0)
+    return GdofTuple(d), float(-res.fun)
+
+
+def exact_fresh(alpha: ChannelMatrix, w=None):
+    """``max_weighted_gdof_exact`` over ``polytope_lp_fresh``."""
+    wv = _as_weights(w, alpha.K)
+    if alpha.K > EXACT_K_MAX:
+        raise SubsetTooLarge(
+            f"exact search capped at {EXACT_K_MAX} users (got {alpha.K}); "
+            "use a scheduling pipeline for larger networks"
+        )
+    support = [k for k in range(alpha.K) if wv[k] > 0]
+    best = (GdofTuple(np.zeros(alpha.K)), (), 0.0)
+    for size in range(1, len(support) + 1):
+        for sub in itertools.combinations(support, size):
+            try:
+                d, obj = polytope_lp_fresh(alpha, sub, wv)
+            except EmptyPolytope:
+                continue
+            if obj > best[2] + 1e-12:
+                best = (d, sub, obj)
+    return best

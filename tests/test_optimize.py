@@ -1,14 +1,24 @@
 """Weighted sum-GDoF solvers: LP, subset enumeration, GP, and the dual
 decomposition, plus the GP-then-minimal-power pipeline."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import dgp_loop, gp_grid_best, random_alpha
+import oracles
+from oracles import (
+    dgp_loop,
+    exact_fresh,
+    gp_grid_best,
+    polytope_lp_fresh,
+    random_alpha,
+    tina_polytope_fresh,
+)
 from tinq import (
     ChannelMatrix,
     EmptyPolytope,
@@ -93,7 +103,7 @@ def test_gp_two_user_matches_grid_oracle():
     )
     sol = gp_power_control(net)
     assert np.all(sol.powers > 0.9)
-    got = sol.sum_w_log2_sinr * math.log(2.0)
+    got = np.sum(np.log2(sol.sinr[list(sol.subset)])) * math.log(2.0)
     assert got == pytest.approx(gp_grid_best(g, np.ones(2)), rel=0.01)
 
 
@@ -282,6 +292,98 @@ def test_strong_cross_empty_polytope():
     assert len(subset) == 1
 
 
+@contextlib.contextmanager
+def recorded_linprog(module):
+    """Record the keyword arguments of every ``module.linprog`` call."""
+    calls = []
+    orig = module.linprog
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        return orig(**kwargs)
+
+    module.linprog = record
+    try:
+        yield calls
+    finally:
+        module.linprog = orig
+
+
+def outcome(fn, *args):
+    """The bytes of every returned array and the exact floats and tuples, or
+    the raised type and message."""
+    try:
+        out = fn(*args)
+    except Exception as e:  # the type and message are what get compared
+        return type(e), str(e)
+    return tuple(v.d.tobytes() if isinstance(v, GdofTuple) else v for v in out)
+
+
+def same_linprog_inputs(got, want) -> bool:
+    def key(kw):
+        return (kw["c"].tobytes(), kw["A_ub"].shape, kw["A_ub"].tobytes(),
+                kw["b_ub"].tobytes(), kw["bounds"], kw["method"])
+    return [key(kw) for kw in got] == [key(kw) for kw in want]
+
+
+def assert_memo_matches_fresh(alpha, calls, exact_w=None):
+    """Run the (subset, w) calls in order on one network, through the memo and
+    through the per-call reference, and require bitwise-equal results and
+    linprog inputs; then the same for the exact search and the polytopes."""
+    with recorded_linprog(scipy.optimize) as got_lp, recorded_linprog(oracles) as want_lp:
+        for subset, w in calls:
+            assert outcome(max_weighted_gdof_lp, alpha, subset, w) == \
+                outcome(polytope_lp_fresh, alpha, subset, w)
+            poly, want = tina_polytope(alpha, subset), tina_polytope_fresh(alpha, subset)
+            assert poly.subset == want.subset
+            assert list(poly.constraints) == list(want.constraints)
+            assert [b.hex() for b in poly.constraints.values()] == \
+                [b.hex() for b in want.constraints.values()]
+        if exact_w is not None:
+            assert outcome(max_weighted_gdof_exact, alpha, exact_w) == \
+                outcome(exact_fresh, alpha, exact_w)
+    assert same_linprog_inputs(got_lp, want_lp)
+
+
+@given(st.integers(1, 8), st.integers(0, 2**31 - 1))
+@settings(max_examples=60)
+def test_memoized_lp_matches_fresh_reference(k, seed):
+    # cross strengths up to 2 against direct ones from 0.5 leave many
+    # polytopes empty; on the 0.25 grid bounds and weights tie exactly
+    rng = np.random.default_rng(seed)
+    grid = seed % 2 == 0
+    snap = (lambda x: np.round(x * 4) / 4) if grid else (lambda x: x)
+    a = rng.uniform(0.0, 2.0, size=(k, k))
+    a[np.diag_indices(k)] = rng.uniform(0.5, 2.5, size=k)
+    alpha = ChannelMatrix(snap(a))
+    calls = []
+    for _ in range(4):
+        w = snap(rng.uniform(0.0, 2.0, size=k))
+        w[rng.random(k) < 0.3] = 0.0  # zero weights shrink the subset
+        if not np.any(w > 0):
+            w[rng.integers(k)] = 1.0
+        size = int(rng.integers(1, k + 1))
+        subset = None if rng.random() < 0.3 else tuple(rng.permutation(k)[:size].tolist())
+        calls.append((subset, w))
+    assert_memo_matches_fresh(alpha, calls, exact_w=calls[0][1] if k <= 6 else None)
+
+
+@pytest.mark.parametrize("a, calls", [
+    # empty polytope on the pair, a singleton that is not
+    ([[1.0, 1.5], [1.5, 1.0]], [(None, [1, 1]), ((0,), [1, 1]), (None, [1, 1])]),
+    # tied weights on both reference networks, then a zero-weight user
+    (NETWORK_A.alpha, [(None, [1, 1, 1]), (None, [1, 0, 1]), ((0, 2), [1, 1, 1])]),
+    (NETWORK_B.alpha, [(None, [1, 1, 1]), ((2, 0), [0.5, 0.5, 0.5]), (None, [0, 1, 0])]),
+    # every weight in the subset zero: nothing to solve
+    (NETWORK_A.alpha, [((1,), [1, 0, 1]), (None, [1, 1, 1])]),
+    ([[1.7]], [(None, [1.0]), (None, [2.0])]),
+])
+def test_memoized_lp_matches_fresh_reference_edge_cases(a, calls):
+    alpha = ChannelMatrix(np.array(a, dtype=float))
+    assert_memo_matches_fresh(alpha, [(s, np.array(w, dtype=float)) for s, w in calls],
+                              exact_w=np.array(calls[0][1], dtype=float))
+
+
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=25)
 def test_gp_agrees_with_grid_on_random_pairs(seed):
@@ -294,7 +396,7 @@ def test_gp_agrees_with_grid_on_random_pairs(seed):
         gains=g, max_tx_power=np.ones(2), noise_power=1.0, reference_power=1e4
     )
     sol = gp_power_control(net)
-    got = sol.sum_w_log2_sinr * math.log(2.0)
+    got = np.sum(np.log2(sol.sinr[list(sol.subset)])) * math.log(2.0)
     oracle = gp_grid_best(g, np.ones(2))
     # grid points are feasible, so the solver can only do better up to its
     # own tolerance; the grid pitch caps how far above it can sit

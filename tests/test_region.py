@@ -1,20 +1,28 @@
 """Achievable-region builders, optimality conditions, and the outer bound."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_alpha
+from oracles import random_alpha, tina_polytope_fresh
 from tinq import (
     ChannelMatrix,
     GdofTuple,
     NETWORK_A,
     NETWORK_B,
+    NumState,
     check_conditions,
     contains,
     converse_g_bound,
     max_matching_weight,
+    max_weighted_gdof_exact,
+    max_weighted_gdof_lp,
+    num_step,
+    region,
     tina_polytope,
     tina_polytope_cyclic,
     union_membership,
@@ -312,3 +320,70 @@ def test_converse_tight_one_direction_class(k, seed):
         assert converse_g_bound(alpha, sub) == pytest.approx(
             c[frozenset(subset)], abs=1e-9
         )
+
+
+@pytest.fixture
+def matchings(monkeypatch):
+    """The subsets handed to ``max_matching_weight`` by the polytope memo."""
+    calls = []
+    solve = region.max_matching_weight
+
+    def counted(alpha, subset):
+        calls.append(tuple(subset))
+        return solve(alpha, subset)
+
+    monkeypatch.setattr(region, "max_matching_weight", counted)
+    return calls
+
+
+def weak_six(seed: int = 7) -> ChannelMatrix:
+    return random_alpha(np.random.default_rng(seed), 6, diag_lo=1.0, cross_hi=1.0)
+
+
+def test_exact_search_solves_each_subset_bound_once(matchings):
+    max_weighted_gdof_exact(weak_six())
+    assert len(matchings) == 63
+    assert len(set(matchings)) == 63
+
+
+def test_num_slots_reuse_the_network_bounds(matchings):
+    net = weak_six()
+    state = NumState(np.ones(6), v=10.0, a_max=1.0)
+    d1, _, state = num_step(state, net, "lp")
+    assert len(matchings) == 63
+    num_step(state, net, "lp")
+    assert len(matchings) == 63
+    # the memo is keyed by object, not by value
+    twin = ChannelMatrix(net.alpha)
+    d2, _, _ = num_step(NumState(np.ones(6), v=10.0, a_max=1.0), twin, "lp")
+    assert len(matchings) == 126
+    assert d1.d.tobytes() == d2.d.tobytes()
+
+
+def test_mutating_a_polytope_leaves_the_memo_intact():
+    net = weak_six()
+    lp_before = max_weighted_gdof_lp(net)
+    poly = tina_polytope(net)
+    poly.constraints[frozenset({0})] = -1.0
+    del poly.constraints[frozenset(range(6))]
+    again = tina_polytope(net)
+    assert again.constraints is not poly.constraints
+    assert again.constraints == tina_polytope_fresh(net).constraints
+    lp_after = max_weighted_gdof_lp(net)
+    assert lp_after[0].d.tobytes() == lp_before[0].d.tobytes()
+    assert lp_after[1] == lp_before[1]
+    rows, bounds = region.halfspaces(net, tuple(range(6)))
+    assert not rows.flags.writeable and not bounds.flags.writeable
+
+
+def test_memo_entry_dies_with_the_network():
+    entries = len(region._MEMO)
+    net = weak_six()
+    max_weighted_gdof_lp(net)
+    union_membership(net, GdofTuple(np.full(6, 0.1)))
+    assert len(region._MEMO) == entries + 1
+    ref = weakref.ref(net)
+    del net
+    gc.collect()
+    assert ref() is None
+    assert len(region._MEMO) == entries
