@@ -46,9 +46,7 @@ from .model import (
 )
 from .optimize import (
     GpSolution,
-    WeightVector,
     decentralized_gp,
-    gp_gdof_equivalence_gap,
     gp_power_control,
     gp_then_assignment,
     max_weighted_gdof_exact,

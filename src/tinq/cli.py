@@ -164,8 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     required=True)
     sp.add_argument("--eta", type=float, default=0.9)
     sp.add_argument("--gamma", type=float, default=0.1)
-    sp.add_argument("--m-db", type=float, default=25.0)
-    sp.add_argument("--sir-db", type=float, default=9.0)
+    sp.add_argument("--m-db", type=float, default=25.0, help="itlinq margin (dB)")
+    sp.add_argument("--sir-db", type=float, default=9.0, help="flashlinq SIR threshold (dB)")
     sp.add_argument("--priority", default="rr",
                     help="'rr', 'weights', or a comma-separated permutation")
     sp.add_argument("--snr-db", type=float, default=40.0)
@@ -193,7 +193,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--csv", help="also write per-drop rows to this CSV file")
     sp.add_argument("--synthetic", action="store_true",
-                    help="random-exponent setup instead of geometric drops")
+                    help="random-exponent setup instead of geometric drops: all "
+                         "links scheduled under full, gp and gp+assignment power, "
+                         "serially; --schemes, --power-mode, --jobs, --scenario "
+                         "and --config are ignored")
     sp.add_argument("--snr-db", type=float, default=30.0,
                     help="synthetic mode reference SNR")
     return p
@@ -296,8 +299,6 @@ def _cmd_schedule(args) -> int:
         priority = _csv_ints(args.priority)
     if args.scheme == "itlinq+":
         params = SchedulerParams(eta=args.eta, gamma=args.gamma,
-                                 itlinq_m_db=args.m_db,
-                                 flashlinq_sir_db=args.sir_db,
                                  priority=tuple(priority) if priority else None)
         res = itlinq_plus_schedule(snr, snr_tab, params)
     elif args.scheme == "itlinq":

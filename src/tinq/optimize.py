@@ -35,12 +35,10 @@ from .power import solve_power_auction, solve_power_hungarian
 from .region import halfspaces
 
 __all__ = [
-    "WeightVector",
     "GpSolution",
     "max_weighted_gdof_lp",
     "max_weighted_gdof_exact",
     "gp_power_control",
-    "gp_gdof_equivalence_gap",
     "decentralized_gp",
     "gp_then_assignment",
 ]
@@ -48,27 +46,7 @@ __all__ = [
 LP_SUBSET_MAX = 16
 EXACT_K_MAX = 10
 Z_FLOOR = -80.0  # log-power box: e^-80 is numerically silent
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Nonnegative user priorities with at least one positive entry."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.w, dtype=float).reshape(-1)
-        if v.size < 1 or not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ShapeError("weights must be finite and nonnegative")
-        if not np.any(v > 0):
-            raise ShapeError("at least one weight must be positive")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "w", v)
-
-    @property
-    def K(self) -> int:
-        return self.w.size
+GP_MAX_ITER = 1000  # L-BFGS-B iterations per GP start
 
 
 @dataclass(frozen=True)
@@ -88,10 +66,7 @@ class GpSolution:
 def _as_weights(w, K: int) -> np.ndarray:
     if w is None:
         return np.ones(K)
-    if isinstance(w, WeightVector):
-        v = w.w
-    else:
-        v = np.asarray(w, dtype=float).reshape(-1)
+    v = np.asarray(w, dtype=float).reshape(-1)
     if v.size != K:
         raise ShapeError(f"got {v.size} weights for {K} users")
     if np.any(v < 0) or not np.all(np.isfinite(v)):
@@ -167,8 +142,7 @@ def max_weighted_gdof_exact(alpha: ChannelMatrix, w=None) -> tuple[GdofTuple, tu
     return best
 
 
-def gp_power_control(net: PhysicalNetwork, subset=None, w=None,
-                     max_iter: int = 1000) -> GpSolution:
+def gp_power_control(net: PhysicalNetwork, subset=None, w=None) -> GpSolution:
     """Minimize prod t_i^{w_i} with t_i = (1 + sum_{j!=i} g_ji P_j)/(g_ii P_i)
     over power fractions 0 < P_i <= 1, i.e. maximize sum w_i log SINR_i.
 
@@ -209,7 +183,7 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None,
         cand = minimize(
             objective, z0, jac=True, method="L-BFGS-B",
             bounds=[(Z_FLOOR, 0.0)] * n,
-            options={"maxiter": max_iter, "ftol": ftol, "gtol": 1e-10},
+            options={"maxiter": GP_MAX_ITER, "ftol": ftol, "gtol": 1e-10},
         )
         if res is None or cand.fun < res.fun:
             res = cand
@@ -240,22 +214,6 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None,
         t=t_full,
         subset=idx,
     )
-
-
-def gp_gdof_equivalence_gap(net: PhysicalNetwork, subset=None, w=None) -> float:
-    """|GP objective on the log-P scale - LP optimum|.
-
-    The GP value sum w_i log(SINR_i)/log(P) matches the polytope LP optimum up
-    to sum w_i log|subset|/log P, shrinking as the reference power grows.
-    """
-    wv = _as_weights(w, net.K)
-    alpha = strength_from_physical(net)
-    _, lp_obj = max_weighted_gdof_lp(alpha, subset, wv)
-    sol = gp_power_control(net, subset, wv)
-    idx = list(sol.subset)
-    log_p = math.log(net.reference_power)
-    gp_obj = float(np.sum(wv[idx] * np.log(sol.sinr[idx]))) / log_p
-    return abs(gp_obj - lp_obj)
 
 
 def _local_estimate_solves(w, g, lower, upper):
@@ -386,6 +344,25 @@ def decentralized_gp(alpha: ChannelMatrix, subset=None, w=None, step=None,
     return pa, d
 
 
+def _target_powers(alpha: ChannelMatrix, target, subset, solver: str = "hungarian",
+                   epsilon: float = 1e-5) -> tuple[PowerAlloc, GdofTuple]:
+    """Minimal power exponents that achieve ``target`` on ``subset``: users
+    whose target is at most 1e-12 are switched off (all of them when none is
+    left), the rest go to the Hungarian or auction solver."""
+    active = tuple(k for k in subset if target[k] > 1e-12)
+    d_target = np.zeros(alpha.K)
+    d_target[list(active)] = target[list(active)]
+    if not active:
+        return PowerAlloc(np.full(alpha.K, -np.inf)), GdofTuple(d_target)
+    if solver == "hungarian":
+        r_min, _ = solve_power_hungarian(alpha, d_target, subset=active)
+    elif solver == "auction":
+        r_min, _ = solve_power_auction(alpha, d_target, subset=active, epsilon=epsilon)
+    else:
+        raise ValueError(f"unknown solver {solver!r}")
+    return r_min, GdofTuple(d_target)
+
+
 def gp_then_assignment(net: PhysicalNetwork, subset=None, w=None,
                        solver: str = "hungarian", epsilon: float = 1e-5,
                        ) -> tuple[PowerAlloc, GdofTuple]:
@@ -404,17 +381,4 @@ def gp_then_assignment(net: PhysicalNetwork, subset=None, w=None,
     for k in sol.subset:
         r_gp[k] = math.log(sol.powers[k]) / log_p
     d_gp = achieved_gdof(alpha, PowerAlloc(r_gp), clamp=True)
-
-    active = tuple(k for k in sol.subset if d_gp.d[k] > 1e-12)
-    d_target = np.zeros(net.K)
-    for k in active:
-        d_target[k] = d_gp.d[k]
-    if not active:
-        return PowerAlloc(np.full(net.K, -np.inf)), GdofTuple(d_target)
-    if solver == "hungarian":
-        r_min, _ = solve_power_hungarian(alpha, d_target, subset=active)
-    elif solver == "auction":
-        r_min, _ = solve_power_auction(alpha, d_target, subset=active, epsilon=epsilon)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-    return r_min, GdofTuple(d_target)
+    return _target_powers(alpha, d_gp.d, sol.subset, solver, epsilon)

@@ -71,16 +71,6 @@ class ConditionReport:
     c2_witness: tuple | None = None
     c2_skipped: bool = False
 
-    def violation_triples(self) -> tuple:
-        """(i, j, k) per violated per-user condition, merged over both."""
-        out = []
-        for k, (i, j) in sorted(self.c1_witnesses.items()):
-            out.append((i, j, k))
-        for k, (i, j) in sorted(self.gnaj_witnesses.items()):
-            if k not in self.c1_witnesses:
-                out.append((i, j, k))
-        return tuple(out)
-
 
 def _nonempty_subsets(idx):
     for size in range(1, len(idx) + 1):

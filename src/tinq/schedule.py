@@ -33,24 +33,27 @@ __all__ = [
     "num_run",
 ]
 
+
+def _require_finite(**knobs) -> None:
+    """Reject a non-finite scheduler exponent or threshold by name."""
+    for name, value in knobs.items():
+        if not math.isfinite(value):
+            raise ShapeError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SchedulerParams:
-    """Scheduler knobs: exponents for the normalized-interference tests, the
-    margin for the simpler level test (dB), the SIR acceptance threshold of
-    the baseline (dB), and an optional priority permutation (None = index
-    order)."""
+    """ITLinQ+ knobs: the exponents of its normalized-interference tests and
+    an optional priority permutation (None = index order)."""
 
     eta: float = 0.9
     gamma: float = 0.1
-    itlinq_m_db: float = 25.0
-    flashlinq_sir_db: float = 9.0
     priority: tuple | None = None
 
     def __post_init__(self):
+        _require_finite(eta=self.eta, gamma=self.gamma)
         if not (0.0 <= self.eta <= 1.0 and 0.0 <= self.gamma <= 1.0):
             raise ShapeError("exponents must lie in [0, 1]")
-        if not (math.isfinite(self.itlinq_m_db) and math.isfinite(self.flashlinq_sir_db)):
-            raise ShapeError("thresholds must be finite")
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,7 @@ def itlinq_schedule(snr, inr, eta: float = 0.7, m_db: float = 25.0,
     """Greedy priority pass with a fixed-margin level test: candidate k is
     admitted iff m * snr[k]**eta covers both cross interference levels
     against every already-selected link."""
+    _require_finite(eta=eta, m_db=m_db)
     snr, inr, n = _validate_levels(snr, inr)
     m = 10.0 ** (m_db / 10.0)
 
@@ -166,6 +170,7 @@ def flashlinq_schedule(snr, inr, sir_db: float = 9.0, priority=None) -> Schedule
     """Greedy priority pass admitting a candidate iff both signal-to-single-
     interference ratios against every already-selected link clear the
     threshold: snr[k]/inr[k, j] and snr[j]/inr[j, k]."""
+    _require_finite(sir_db=sir_db)
     snr, inr, n = _validate_levels(snr, inr)
     theta = 10.0 ** (sir_db / 10.0)
 
@@ -204,16 +209,16 @@ def _arrivals(state: NumState) -> np.ndarray:
     """Closed-form maximizer of v*U(a) - w.a over [0, a_max]^K for the
     fairness family U(a) = sum a^(1-f)/(1-f) (f=1: log, f=0: linear)."""
     w, v, cap, f = state.weights, state.v, state.a_max, state.fairness
-    a = np.empty_like(w)
-    for k, wk in enumerate(w):
-        if wk == 0:
-            a[k] = cap
-        elif f == 0:
-            a[k] = cap if v >= wk else 0.0
-        elif f == 1:
-            a[k] = min(max(v / wk, 0.0), cap)
-        else:
-            a[k] = min(max((v / wk) ** (1.0 / f), 0.0), cap)
+    a = np.full_like(w, cap)  # a zero weight admits the cap
+    pos = w > 0
+    if f == 0:
+        a[pos] = np.where(v >= w[pos], cap, 0.0)
+    elif f == 1:
+        a[pos] = np.minimum(v / w[pos], cap)
+    else:
+        # one scalar power per user: numpy's array power may differ from the
+        # scalar one in the last bit
+        a[pos] = np.minimum([x ** (1.0 / f) for x in v / w[pos]], cap)
     return a
 
 

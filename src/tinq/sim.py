@@ -14,20 +14,15 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .exceptions import (ConvergenceFailure, DomainError, Infeasible, RegionTooTight,
                          ShapeError)
-from .model import (
-    ChannelMatrix,
-    PhysicalNetwork,
-    PowerAlloc,
-    realize_network,
-    strength_from_physical,
-)
-from .optimize import gp_power_control, gp_then_assignment, max_weighted_gdof_lp
-from .power import solve_power_hungarian
+from .model import ChannelMatrix, PhysicalNetwork, realize_network, strength_from_physical
+from .optimize import (_target_powers, gp_power_control, gp_then_assignment,
+                       max_weighted_gdof_lp)
 from .schedule import (
     SchedulerParams,
     flashlinq_schedule,
@@ -54,6 +49,7 @@ SPEED_OF_LIGHT = 299792458.0
 RESAMPLE_CAP = 10_000
 SCHEMES = ("none", "flashlinq", "itlinq", "itlinq+")
 POWER_MODES = ("full", "gp", "gp+assignment", "lp+assignment")
+SYNTHETIC_MODES = ("full", "gp", "gp+assignment")
 CSV_COLUMNS = (
     "scheme", "power_mode", "n_links", "drop_seed",
     "sum_tput_bps_hz", "energy_bits_per_joule", "active_links",
@@ -242,21 +238,14 @@ def _allocate(net: PhysicalNetwork, alpha: ChannelMatrix, selected: tuple,
         return gp_power_control(net, subset=selected).powers
     if power_mode == "gp+assignment":
         r, _ = gp_then_assignment(net, subset=selected)
-        live = np.isfinite(r.r)
-        frac[live] = net.reference_power ** r.r[live]
-        return frac
-    if power_mode == "lp+assignment":
+    elif power_mode == "lp+assignment":
         d, _ = max_weighted_gdof_lp(alpha, selected)
-        target = np.minimum(d.d, np.diag(alpha.alpha))
-        live = tuple(k for k in selected if target[k] > 1e-12)
-        if not live:
-            return frac
-        r, _ = solve_power_hungarian(alpha, np.where(target > 1e-12, target, 0.0),
-                                     subset=live)
-        fin = np.isfinite(r.r)
-        frac[fin] = net.reference_power ** r.r[fin]
-        return frac
-    raise ValueError(f"unknown power mode {power_mode!r}")
+        r, _ = _target_powers(alpha, np.minimum(d.d, np.diag(alpha.alpha)), selected)
+    else:
+        raise ValueError(f"unknown power mode {power_mode!r}")
+    live = np.isfinite(r.r)
+    frac[live] = net.reference_power ** r.r[live]
+    return frac
 
 
 def _throughput(net: PhysicalNetwork, frac: np.ndarray) -> tuple[float, int]:
@@ -272,24 +261,63 @@ def _throughput(net: PhysicalNetwork, frac: np.ndarray) -> tuple[float, int]:
     return tput, int(active.sum())
 
 
-def _drop_rows(scenario: Scenario, schemes: tuple, power_mode: str,
-               master_seed: int, index: int) -> list:
+def _geometric_drop(scenario: Scenario, seed: int) -> tuple:
+    """A scenario drop: its network, strengths, bandwidth (Hz) and the
+    transmit power (W) spent at given power fractions."""
+    net = generate_drop(scenario, seed).net
+    watts = lambda frac: float(frac @ net.max_tx_power) / 1000.0  # caps are mW
+    return net, strength_from_physical(net), scenario.bandwidth_hz, watts
+
+
+def _synthetic_drop(n_links: int, p_ref: float, seed: int) -> tuple:
+    """A random-exponent drop realized at reference power p_ref, with unit
+    bandwidth and unit power caps."""
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    a = rng.uniform(0.0, 1.0, size=(n_links, n_links))
+    np.fill_diagonal(a, rng.uniform(1.0, 2.0, size=n_links))
+    alpha = ChannelMatrix(a)
+    return realize_network(alpha, p_ref), alpha, 1.0, lambda frac: float(frac.sum())
+
+
+# Typed per-drop verdicts; any other exception is a bug and propagates.
+_DROP_VERDICTS = (Infeasible, RegionTooTight, ConvergenceFailure)
+
+
+def _drop_rows(make_drop, pairs: tuple, master_seed: int, index: int):
+    """Metric rows and power-fraction vectors of drop ``index``, one per
+    (scheme, power mode) pair, or None when a solver gives a typed verdict."""
     seed = int(np.random.SeedSequence([int(master_seed), index]).generate_state(1)[0])
-    drop = generate_drop(scenario, seed)
-    net = drop.net
-    alpha = strength_from_physical(net)
-    snr_tab = net.nominal_snr()
-    snr = np.diag(snr_tab).copy()
-    rows = []
-    for scheme in schemes:
-        selected = _select(scheme, snr, snr_tab)
-        frac = _allocate(net, alpha, selected, power_mode)
-        tput, active = _throughput(net, frac)
-        power_w = float(frac @ net.max_tx_power) / 1000.0  # caps are mW
-        energy = tput * scenario.bandwidth_hz / power_w if power_w > 0 else 0.0
-        rows.append(MetricRow(scheme, power_mode, scenario.n_links, seed,
-                              tput, energy, active))
-    return rows
+    try:
+        net, alpha, bandwidth, watts = make_drop(seed)
+        snr_tab = net.nominal_snr()
+        snr = np.diag(snr_tab).copy()
+        rows, fracs = [], []
+        for scheme, power_mode in pairs:
+            frac = _allocate(net, alpha, _select(scheme, snr, snr_tab), power_mode)
+            tput, active = _throughput(net, frac)
+            power_w = watts(frac)
+            energy = tput * bandwidth / power_w if power_w > 0 else 0.0
+            rows.append(MetricRow(scheme, power_mode, net.K, seed, tput, energy, active))
+            fracs.append(frac)
+        return rows, fracs
+    except _DROP_VERDICTS:
+        return None
+
+
+def _run_drops(make_drop, pairs, n_drops: int, master_seed: int, jobs: int = 1):
+    """Rows, per-drop power fractions and the excluded-drop count over seeded
+    drops, on at most min(jobs, n_drops, CPU count) worker processes."""
+    rows, fracs, excluded = [], [], 0
+    work = partial(_drop_rows, make_drop, tuple(pairs), master_seed)
+    workers = min(jobs, n_drops, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for drop in (pool.map if pool else map)(work, range(n_drops)):
+            if drop is None:
+                excluded += 1
+            else:
+                rows.extend(drop[0])
+                fracs.append(drop[1])
+    return rows, fracs, excluded
 
 
 def _aggregate(rows: list) -> list:
@@ -331,63 +359,22 @@ def run_experiment(scenario: Scenario, schemes, n_drops: int, master_seed: int,
         raise ValueError(f"unknown power mode {power_mode!r}")
     if n_drops < 1:
         raise ShapeError("need at least one drop")
-
-    rows: list = []
-    excluded = 0
-    args = [(scenario, schemes, power_mode, master_seed, i) for i in range(n_drops)]
-    workers = min(jobs, n_drops, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for drop_rows in (pool.map if pool else map)(_drop_rows_safe, args):
-            if drop_rows is None:
-                excluded += 1
-            else:
-                rows.extend(drop_rows)
+    rows, _, excluded = _run_drops(partial(_geometric_drop, scenario),
+                                   [(s, power_mode) for s in schemes],
+                                   n_drops, master_seed, jobs)
     return ExperimentResult(rows, _aggregate(rows), n_drops, excluded)
 
 
-# Typed per-drop verdicts; any other exception is a bug and propagates.
-_DROP_VERDICTS = (Infeasible, RegionTooTight, ConvergenceFailure)
-
-
-def _drop_rows_safe(packed):
-    scenario, schemes, power_mode, master_seed, index = packed
-    try:
-        return _drop_rows(scenario, schemes, power_mode, master_seed, index)
-    except _DROP_VERDICTS:
-        return None
-
-
 def run_synthetic_experiment(n_links: int, n_drops: int, master_seed: int,
-                             snr_db: float, modes=("full", "gp", "gp+assignment"),
-                             ) -> ExperimentResult:
+                             snr_db: float) -> ExperimentResult:
     """Small random-exponent networks (direct strengths uniform in [1, 2],
     cross strengths uniform in [0, 1]) realized at reference power
-    10^(snr_db/10), compared across power-control modes with all links
-    scheduled and unit bandwidth."""
-    p_ref = 10.0 ** (snr_db / 10.0)
-    rows: list = []
-    fractions: dict = {m: [] for m in modes}
-    excluded = 0
-    for i in range(n_drops):
-        seed = int(np.random.SeedSequence([int(master_seed), i]).generate_state(1)[0])
-        rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-        a = rng.uniform(0.0, 1.0, size=(n_links, n_links))
-        np.fill_diagonal(a, rng.uniform(1.0, 2.0, size=n_links))
-        alpha = ChannelMatrix(a)
-        net = realize_network(alpha, p_ref)
-        selected = tuple(range(n_links))
-        try:
-            per_mode = {m: _allocate(net, alpha, selected, m) for m in modes}
-        except _DROP_VERDICTS:
-            excluded += 1
-            continue
-        for m in modes:
-            frac = per_mode[m]
-            tput, active = _throughput(net, frac)
-            power = float(frac.sum())  # unit caps
-            energy = tput / power if power > 0 else 0.0
-            rows.append(MetricRow("none", m, n_links, seed, tput, energy, active))
-            fractions[m].append(frac)
+    10^(snr_db/10), compared across the full, gp and gp+assignment power
+    modes with all links scheduled and unit bandwidth."""
+    make_drop = partial(_synthetic_drop, n_links, 10.0 ** (snr_db / 10.0))
+    rows, fracs, excluded = _run_drops(make_drop, [("none", m) for m in SYNTHETIC_MODES],
+                                       n_drops, master_seed)
+    fractions = {m: [f[i] for f in fracs] for i, m in enumerate(SYNTHETIC_MODES)}
     return ExperimentResult(rows, _aggregate(rows), n_drops, excluded, fractions)
 
 

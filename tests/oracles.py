@@ -9,7 +9,10 @@ the Kuhn-Munkres label solver and the three greedy scheduler passes are the
 references that their array versions in the library must match bit for bit,
 and so is the user-by-user loop of the decentralized GP. The per-call polytope
 and LP builds are the references for the library's per-network memo of
-subset bounds.
+subset bounds. The per-user arrival loop is the reference for the NUM
+arrivals, and the two separate drop loops (geometric scenarios and synthetic
+exponent networks, each with its own target-to-power step) are the
+references for the simulator's single drop pipeline.
 """
 
 import itertools
@@ -20,17 +23,34 @@ from scipy.optimize import linprog
 
 from tinq import ChannelMatrix, GdofTuple, PowerAlloc, TinaPolytope, achieved_gdof
 from tinq.exceptions import (
+    ConvergenceFailure,
     DivergenceDetected,
     EmptyPolytope,
+    Infeasible,
     InfeasibleGdof,
+    RegionTooTight,
     ShapeError,
     SubsetTooLarge,
 )
 from tinq.matching import max_matching_weight
-from tinq.model import TOL, check_subset
-from tinq.optimize import EXACT_K_MAX, LP_SUBSET_MAX, _as_weights
-from tinq.power import KmTrace, LabelPair, build_assignment_matrix
+from tinq.model import TOL, check_subset, realize_network, strength_from_physical
+from tinq.optimize import (
+    EXACT_K_MAX,
+    LP_SUBSET_MAX,
+    _as_weights,
+    gp_power_control,
+    max_weighted_gdof_lp,
+)
+from tinq.power import KmTrace, LabelPair, build_assignment_matrix, solve_power_hungarian
 from tinq.region import POLYTOPE_MAX
+from tinq.sim import (
+    ExperimentResult,
+    MetricRow,
+    _aggregate,
+    _select,
+    _throughput,
+    generate_drop,
+)
 
 
 def lp_dual_labels(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -451,3 +471,150 @@ def exact_fresh(alpha: ChannelMatrix, w=None):
             if obj > best[2] + 1e-12:
                 best = (d, sub, obj)
     return best
+
+
+def gp_gdof_equivalence_gap(net, subset=None, w=None) -> float:
+    """|GP objective on the log-P scale - LP optimum|.
+
+    The GP value sum w_i log(SINR_i)/log(P) matches the polytope LP optimum up
+    to sum w_i log|subset|/log P, shrinking as the reference power grows.
+    """
+    wv = _as_weights(w, net.K)
+    alpha = strength_from_physical(net)
+    _, lp_obj = max_weighted_gdof_lp(alpha, subset, wv)
+    sol = gp_power_control(net, subset, wv)
+    idx = list(sol.subset)
+    log_p = math.log(net.reference_power)
+    gp_obj = float(np.sum(wv[idx] * np.log(sol.sinr[idx]))) / log_p
+    return abs(gp_obj - lp_obj)
+
+
+def arrivals_loop(state) -> np.ndarray:
+    """NUM arrivals user by user: the cap for a zero weight, else the
+    closed-form maximizer of v*U(a) - w*a over [0, a_max]."""
+    w, v, cap, f = state.weights, state.v, state.a_max, state.fairness
+    a = np.empty_like(w)
+    for k, wk in enumerate(w):
+        if wk == 0:
+            a[k] = cap
+        elif f == 0:
+            a[k] = cap if v >= wk else 0.0
+        elif f == 1:
+            a[k] = min(max(v / wk, 0.0), cap)
+        else:
+            a[k] = min(max((v / wk) ** (1.0 / f), 0.0), cap)
+    return a
+
+
+def gp_then_assignment_loop(net, subset):
+    """GP power control, then the minimal powers for its achieved GDoF,
+    with the target built user by user; returns the PowerAlloc."""
+    sol = gp_power_control(net, subset)
+    alpha = strength_from_physical(net)
+    log_p = math.log(net.reference_power)
+    r_gp = np.full(net.K, -np.inf)
+    for k in sol.subset:
+        r_gp[k] = math.log(sol.powers[k]) / log_p
+    d_gp = achieved_gdof(alpha, PowerAlloc(r_gp), clamp=True)
+    active = tuple(k for k in sol.subset if d_gp.d[k] > 1e-12)
+    d_target = np.zeros(net.K)
+    for k in active:
+        d_target[k] = d_gp.d[k]
+    if not active:
+        return PowerAlloc(np.full(net.K, -np.inf))
+    r_min, _ = solve_power_hungarian(alpha, d_target, subset=active)
+    return r_min
+
+
+def allocate_loop(net, alpha, selected, power_mode):
+    """Linear power fractions of one power mode, each mode with its own
+    exponent-to-fraction step."""
+    frac = np.zeros(net.K)
+    if not selected:
+        return frac
+    if power_mode == "full":
+        frac[list(selected)] = 1.0
+        return frac
+    if power_mode == "gp":
+        return gp_power_control(net, subset=selected).powers
+    if power_mode == "gp+assignment":
+        r = gp_then_assignment_loop(net, selected)
+        live = np.isfinite(r.r)
+        frac[live] = net.reference_power ** r.r[live]
+        return frac
+    if power_mode == "lp+assignment":
+        d, _ = max_weighted_gdof_lp(alpha, selected)
+        target = np.minimum(d.d, np.diag(alpha.alpha))
+        live = tuple(k for k in selected if target[k] > 1e-12)
+        if not live:
+            return frac
+        r, _ = solve_power_hungarian(alpha, np.where(target > 1e-12, target, 0.0),
+                                     subset=live)
+        fin = np.isfinite(r.r)
+        frac[fin] = net.reference_power ** r.r[fin]
+        return frac
+    raise ValueError(f"unknown power mode {power_mode!r}")
+
+
+DROP_VERDICTS = (Infeasible, RegionTooTight, ConvergenceFailure)
+
+
+def _drop_seed(master_seed: int, index: int) -> int:
+    return int(np.random.SeedSequence([int(master_seed), index]).generate_state(1)[0])
+
+
+def experiment_loop(scenario, schemes, n_drops: int, master_seed: int,
+                    power_mode: str = "full") -> ExperimentResult:
+    """``run_experiment`` serially, drop by drop and scheme by scheme."""
+    rows, excluded = [], 0
+    for index in range(n_drops):
+        seed = _drop_seed(master_seed, index)
+        try:
+            net = generate_drop(scenario, seed).net
+            alpha = strength_from_physical(net)
+            snr_tab = net.nominal_snr()
+            snr = np.diag(snr_tab).copy()
+            drop_rows = []
+            for scheme in schemes:
+                selected = _select(scheme, snr, snr_tab)
+                frac = allocate_loop(net, alpha, selected, power_mode)
+                tput, active = _throughput(net, frac)
+                power_w = float(frac @ net.max_tx_power) / 1000.0  # caps are mW
+                energy = tput * scenario.bandwidth_hz / power_w if power_w > 0 else 0.0
+                drop_rows.append(MetricRow(scheme, power_mode, scenario.n_links, seed,
+                                           tput, energy, active))
+        except DROP_VERDICTS:
+            excluded += 1
+            continue
+        rows.extend(drop_rows)
+    return ExperimentResult(rows, _aggregate(rows), n_drops, excluded)
+
+
+def synthetic_loop(n_links: int, n_drops: int, master_seed: int, snr_db: float,
+                   modes=("full", "gp", "gp+assignment")) -> ExperimentResult:
+    """``run_synthetic_experiment`` drop by drop, every mode allocated before
+    any throughput is evaluated."""
+    p_ref = 10.0 ** (snr_db / 10.0)
+    rows, excluded = [], 0
+    fractions = {m: [] for m in modes}
+    for index in range(n_drops):
+        seed = _drop_seed(master_seed, index)
+        rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+        a = rng.uniform(0.0, 1.0, size=(n_links, n_links))
+        np.fill_diagonal(a, rng.uniform(1.0, 2.0, size=n_links))
+        alpha = ChannelMatrix(a)
+        net = realize_network(alpha, p_ref)
+        selected = tuple(range(n_links))
+        try:
+            per_mode = {m: allocate_loop(net, alpha, selected, m) for m in modes}
+        except DROP_VERDICTS:
+            excluded += 1
+            continue
+        for m in modes:
+            frac = per_mode[m]
+            tput, active = _throughput(net, frac)
+            power = float(frac.sum())  # unit caps
+            energy = tput / power if power > 0 else 0.0
+            rows.append(MetricRow("none", m, n_links, seed, tput, energy, active))
+            fractions[m].append(frac)
+    return ExperimentResult(rows, _aggregate(rows), n_drops, excluded, fractions)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from oracles import lp_dual_labels, random_alpha
+from oracles import gp_gdof_equivalence_gap, lp_dual_labels, random_alpha
 from tinq import (
     NETWORK_A,
     NETWORK_B,
@@ -33,7 +33,6 @@ from tinq import (
 )
 from tinq.matching import max_matching_weight
 from tinq.model import realize_network
-from tinq.optimize import gp_gdof_equivalence_gap
 from tinq.region import converse_g_bound
 from tinq.schedule import num_run
 from tinq.sim import run_experiment, run_synthetic_experiment, scenario1

@@ -194,6 +194,18 @@ def test_schedule_schemes(capsys, tmp_path, net_a):
     assert code == 2
 
 
+def test_schedule_rejects_non_finite_thresholds(capsys, net_a):
+    # each pass validates the knobs it reads; itlinq+ reads neither threshold
+    for scheme, flag in (("itlinq", "--m-db"), ("itlinq", "--eta"),
+                         ("flashlinq", "--sir-db"), ("itlinq+", "--eta")):
+        code = dispatch(["schedule", "--network", net_a, "--scheme", scheme, flag, "nan"])
+        assert code == 2, (scheme, flag)
+        assert capsys.readouterr().err == f"error: {flag[2:].replace('-', '_')} must be finite, got nan\n"
+    code, out = run(capsys, ["schedule", "--network", net_a, "--scheme", "itlinq+",
+                             "--m-db", "nan", "--sir-db", "nan"])
+    assert code == 0 and out["scheme"] == "itlinq+"
+
+
 def test_num_linear(capsys, net_b):
     code, out = run(capsys, ["num", "--network", net_b, "--fairness", "0",
                              "--slots", "200", "--solver", "lp"])
@@ -278,14 +290,20 @@ def test_subprocess_byte_determinism(tmp_path, net_b):
         ["sumgdof", "--network", net_b, "--weights", "1,1,1"],
         ["simulate", "--links", "4", "--drops", "3", "--seed", "9",
          "--schemes", "itlinq,itlinq+"],
+        ["simulate", "--synthetic", "--links", "6", "--drops", "4", "--seed", "3",
+         "--snr-db", "25", "--csv", "{csv}"],
+        ["simulate", "--power-mode", "lp+assignment", "--links", "8", "--drops", "2",
+         "--seed", "4", "--csv", "{csv}"],
     ]
     for argv in cases:
-        outs = [
-            subprocess.run([sys.executable, "-m", "tinq.cli", *argv],
-                           capture_output=True, check=True).stdout
-            for _ in range(2)
-        ]
-        assert outs[0] == outs[1] and outs[0]
+        outs = []
+        for i in range(2):
+            csv = tmp_path / f"rows{i}.csv"
+            proc = subprocess.run([sys.executable, "-m", "tinq.cli",
+                                   *(a.format(csv=csv) for a in argv)],
+                                  capture_output=True, check=True)
+            outs.append((proc.stdout, csv.read_bytes() if csv.exists() else None))
+        assert outs[0] == outs[1] and outs[0][0]
 
 
 # Runs a CLI call in a fresh interpreter, then prints whether it loaded the

@@ -14,6 +14,7 @@ import oracles
 from oracles import (
     dgp_loop,
     exact_fresh,
+    gp_gdof_equivalence_gap,
     gp_grid_best,
     polytope_lp_fresh,
     random_alpha,
@@ -29,7 +30,6 @@ from tinq import (
     check_conditions,
     contains,
     decentralized_gp,
-    gp_gdof_equivalence_gap,
     gp_power_control,
     gp_then_assignment,
     max_weighted_gdof_exact,
@@ -39,7 +39,8 @@ from tinq import (
 )
 from tinq.exceptions import DivergenceDetected, ShapeError, SubsetTooLarge
 from tinq.model import PhysicalNetwork
-from tinq.power import PowerAlloc
+from tinq.optimize import _target_powers
+from tinq.power import PowerAlloc, solve_power_auction, solve_power_hungarian
 
 
 def test_lp_reference_objectives():
@@ -422,6 +423,23 @@ def test_pipeline_minimality(k, seed):
     assume(np.any(on))
     np.testing.assert_allclose(achieved_gdof(alpha, r_min).d, d.d, atol=1e-8)
     assert np.all(r_min.r[on] <= r_gp[on] + 1e-8)
+
+
+def test_target_powers_switch_off_negligible_targets():
+    # targets at or below 1e-12 are zeroed and their users left off
+    r, d = _target_powers(NETWORK_A, np.array([0.5, 1e-12, 0.7]), (0, 1, 2))
+    r_ref, _ = solve_power_hungarian(NETWORK_A, [0.5, 0.0, 0.7], subset=(0, 2))
+    assert r.r.tobytes() == r_ref.r.tobytes() and r.r[1] == -np.inf
+    assert d.d.tolist() == [0.5, 0.0, 0.7]
+    # users outside the subset stay off whatever their target
+    r, d = _target_powers(NETWORK_A, np.array([0.5, 0.6, 0.7]), (0, 2), "auction", 1e-5)
+    r_ref, _ = solve_power_auction(NETWORK_A, [0.5, 0.0, 0.7], subset=(0, 2), epsilon=1e-5)
+    assert r.r.tobytes() == r_ref.r.tobytes()
+    assert d.d.tolist() == [0.5, 0.0, 0.7]
+    r, d = _target_powers(NETWORK_A, np.array([1e-12, 0.0, 0.7]), (0, 1), "bogus")
+    assert np.all(r.r == -np.inf) and d.d.tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="unknown solver"):
+        _target_powers(NETWORK_A, np.array([0.5, 0.6, 0.7]), (0,), "bogus")
 
 
 def test_pipeline_auction_matches_hungarian():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import flashlinq_loop, itlinq_loop, itlinq_plus_loop
+from oracles import arrivals_loop, flashlinq_loop, itlinq_loop, itlinq_plus_loop
 from tinq.exceptions import ShapeError
 from tinq.model import ChannelMatrix
 from tinq.region import check_conditions
@@ -17,6 +17,7 @@ from tinq.schedule import (
     itlinq_plus_schedule,
     itlinq_schedule,
     num_run,
+    _arrivals,
     num_step,
     utility_value,
 )
@@ -224,8 +225,37 @@ def test_passes_match_loop_references(n, tied, permuted, seed):
         assert res.messages == 2 * n + len(want)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_passes_reject_non_finite_knobs(bad):
+    snr, inr = np.array([1e4, 1e4]), np.full((2, 2), 10.0)
+    for call in (lambda: itlinq_schedule(snr, inr, eta=bad),
+                 lambda: itlinq_schedule(snr, inr, m_db=bad),
+                 lambda: flashlinq_schedule(snr, inr, sir_db=bad),
+                 lambda: SchedulerParams(eta=bad),
+                 lambda: SchedulerParams(gamma=bad)):
+        with pytest.raises(ShapeError, match="must be finite"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # utility-driven weight updates
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 12), st.sampled_from(["0", "1", "other"]), st.integers(0, 2**31 - 1))
+def test_arrivals_match_loop_reference(k, family, seed):
+    # fairness 0, 1 or a random other exponent; weights from 1e-4 to 1e3 so
+    # the cap and the zero floor both bind, with a random share of exact zeros
+    rng = np.random.default_rng(seed)
+    v, a_max = 10.0 ** rng.uniform(-1.0, 2.0), rng.uniform(0.05, 4.0)
+    f = {"0": 0.0, "1": 1.0, "other": rng.uniform(0.05, 5.0)}[family]
+    w = 10.0 ** rng.uniform(-4.0, 3.0, k)
+    w[rng.uniform(size=k) < rng.uniform()] = 0.0
+    if family == "0":
+        w[rng.integers(k)] = v  # the v >= w boundary
+    state = NumState(w, v=v, a_max=a_max, fairness=f)
+    got, want = _arrivals(state), arrivals_loop(state)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_num_step_update_arithmetic():

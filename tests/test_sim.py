@@ -7,8 +7,11 @@ import pytest
 from scipy import stats
 
 import tinq.sim
+from oracles import experiment_loop, synthetic_loop
 from tinq.exceptions import DomainError, InfeasibleGdof, ShapeError
 from tinq.sim import (
+    POWER_MODES,
+    SCHEMES,
     Aggregate,
     ExperimentResult,
     MetricRow,
@@ -248,6 +251,33 @@ def test_exclusion_budget_flag():
     good = ExperimentResult([], [], n_drops=200, excluded=2)
     bad = ExperimentResult([], [], n_drops=200, excluded=3)
     assert good.valid and not bad.valid
+
+
+def _bits(res: ExperimentResult) -> tuple:
+    """Rows with every float as its hex form, the exclusion count, and every
+    power-fraction vector as bytes."""
+    rows = [tuple(v.hex() if isinstance(v, float) else v for v in vars(r).values())
+            for r in res.rows]
+    fracs = {m: [f.tobytes() for f in fs] for m, fs in res.fractions.items()}
+    return rows, res.excluded, fracs, res.n_drops
+
+
+@pytest.mark.parametrize("mode", POWER_MODES)
+@pytest.mark.parametrize("scenario", [scenario1(8), scenario2(6)], ids=["s1", "s2"])
+def test_drop_pipeline_matches_loop_reference(scenario, mode):
+    res = run_experiment(scenario, SCHEMES, 6, 3, power_mode=mode)
+    want = experiment_loop(scenario, SCHEMES, 6, 3, mode)
+    assert _bits(res) == _bits(want)
+    assert res.aggregates == want.aggregates
+
+
+@pytest.mark.parametrize("snr_db", [20.0, 40.0])
+def test_synthetic_pipeline_matches_loop_reference(snr_db):
+    res = run_synthetic_experiment(8, 40, 5, snr_db=snr_db)
+    want = synthetic_loop(8, 40, 5, snr_db)
+    assert list(res.fractions) == list(want.fractions)
+    assert _bits(res) == _bits(want)
+    assert res.aggregates == want.aggregates
 
 
 # ---------------------------------------------------------------------------
