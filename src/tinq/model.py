@@ -174,14 +174,18 @@ class PhysicalNetwork:
         object.__setattr__(self, "max_tx_power", _readonly(p))
         object.__setattr__(self, "noise_power", float(self.noise_power))
         object.__setattr__(self, "reference_power", float(self.reference_power))
+        snr = self.gains * self.max_tx_power[:, None] / self.noise_power
+        snr.setflags(write=False)
+        object.__setattr__(self, "_nominal_snr", snr)
 
     @property
     def K(self) -> int:
         return self.gains.shape[0]
 
     def nominal_snr(self) -> np.ndarray:
-        """Full-power received SNR matrix: G_ij * P_i / noise."""
-        return self.gains * self.max_tx_power[:, None] / self.noise_power
+        """Full-power received SNR matrix: G_ij * P_i / noise (read-only,
+        computed once per network)."""
+        return self._nominal_snr
 
 
 def strength_from_physical(net: PhysicalNetwork) -> ChannelMatrix:

@@ -31,7 +31,7 @@ from .model import (
     check_subset,
     strength_from_physical,
 )
-from .power import solve_power_auction, solve_power_hungarian
+from .power import solve_power_auction, solve_power_potentials
 from .region import halfspaces
 
 __all__ = [
@@ -150,7 +150,7 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None) -> GpSolution:
     with an analytic gradient under box bounds.
     """
     # imported on first use: scipy.optimize is most of a cold CLI start
-    from scipy.optimize import minimize
+    from scipy.optimize import Bounds, minimize
 
     wv = _as_weights(w, net.K)
     idx = tuple(k for k in check_subset(net.K, subset, allow_empty=True) if wv[k] > 0)
@@ -177,12 +177,13 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None) -> GpSolution:
     # deterministic restarts: the demanding ftol can abort the line search on
     # ill-conditioned instances, so fall back to a shifted start and then to a
     # looser (still tight) tolerance before declaring failure
+    box = Bounds(np.full(n, Z_FLOOR), np.zeros(n))
     res = None
     for z0, ftol in ((np.zeros(n), 1e-15), (np.full(n, -2.0), 1e-15),
                      (np.zeros(n), 1e-12)):
         cand = minimize(
             objective, z0, jac=True, method="L-BFGS-B",
-            bounds=[(Z_FLOOR, 0.0)] * n,
+            bounds=box,
             options={"maxiter": GP_MAX_ITER, "ftol": ftol, "gtol": 1e-10},
         )
         if res is None or cand.fun < res.fun:
@@ -348,14 +349,17 @@ def _target_powers(alpha: ChannelMatrix, target, subset, solver: str = "hungaria
                    epsilon: float = 1e-5) -> tuple[PowerAlloc, GdofTuple]:
     """Minimal power exponents that achieve ``target`` on ``subset``: users
     whose target is at most 1e-12 are switched off (all of them when none is
-    left), the rest go to the Hungarian or auction solver."""
+    left), the rest go to the exact or the auction solver. ``"hungarian"``
+    gives the exact minimal labels of the Kuhn-Munkres solver, computed as
+    the least potentials of the TIN constraints
+    (``power.solve_power_potentials``)."""
     active = tuple(k for k in subset if target[k] > 1e-12)
     d_target = np.zeros(alpha.K)
     d_target[list(active)] = target[list(active)]
     if not active:
         return PowerAlloc(np.full(alpha.K, -np.inf)), GdofTuple(d_target)
     if solver == "hungarian":
-        r_min, _ = solve_power_hungarian(alpha, d_target, subset=active)
+        r_min, _ = solve_power_potentials(alpha, d_target, subset=active)
     elif solver == "auction":
         r_min, _ = solve_power_auction(alpha, d_target, subset=active, epsilon=epsilon)
     else:
@@ -371,7 +375,10 @@ def gp_then_assignment(net: PhysicalNetwork, subset=None, w=None,
     achieve exactly that tuple.
 
     The achieved GDoF is preserved and no link's power increases; links whose
-    GP-implied GDoF is nonpositive are switched off before the solve.
+    GP-implied GDoF is nonpositive are switched off before the solve. The
+    default ``"hungarian"`` solver returns the exact minimal powers, found by
+    the array relaxation ``power.solve_power_potentials`` rather than by
+    Kuhn-Munkres label rounds; ``"auction"`` runs the decentralized auction.
     """
     sol = gp_power_control(net, subset, w)
     alpha = strength_from_physical(net)

@@ -6,11 +6,13 @@ The target d on an active subset defines the square input matrix
 
 whose assignment-problem dual labels (y_u, y_v) encode power: the
 componentwise-maximal left labels over all dual optima with a tight diagonal
-give the componentwise-minimal feasible powers r_j = -y_{u_j}. Two solvers are
-provided: a centralized Kuhn-Munkres label algorithm whose intermediate states
-(initial labels, per-round label decrements, round count) are observable, and
-a decentralized fixed-increment auction that reaches the same labels up to a
-documented |subset|*epsilon gap.
+give the componentwise-minimal feasible powers r_j = -y_{u_j}. Three solvers
+are provided: a centralized Kuhn-Munkres label algorithm whose intermediate
+states (initial labels, per-round label decrements, round count) are
+observable, an array relaxation of the same labels as least potentials of the
+TIN difference constraints (what the pipelines and the feasibility test run),
+and a decentralized fixed-increment auction that reaches the same labels up to
+a documented |subset|*epsilon gap.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "KmTrace",
     "build_assignment_matrix",
     "solve_power_hungarian",
+    "solve_power_potentials",
     "solve_power_auction",
     "is_feasible",
 ]
@@ -245,6 +248,43 @@ def solve_power_hungarian(alpha: ChannelMatrix, d, subset=None,
                 slack_row[better] = owner
 
 
+def solve_power_potentials(alpha: ChannelMatrix, d, subset=None):
+    """Minimal powers for d as the least solution of the TIN constraints
+
+        r_j >= (d_j - alpha_jj) + max(0, max_{i != j} alpha_ij + r_i),
+
+    the potentials whose labels y_u = -r, y_v = diag(A) - y_u are the
+    Kuhn-Munkres labels of the same assignment matrix A (a feasible target
+    makes the diagonal an optimal assignment). Label-correcting rounds start
+    from r = d - diag(alpha) and apply the right-hand side to all users at
+    once, one masked n x n maximum per round. Powers only rise, so any r above
+    TOL is infeasible at once; otherwise the rounds settle, no entry rising by
+    more than TOL, within n + 1 rounds counting the start, as Bellman-Ford
+    does over the n users and a zero-power source. Rounds that do not settle
+    by then follow a positive cycle, which no powers satisfy. Infeasible
+    targets raise the same errors as ``solve_power_hungarian``.
+
+    Returns (PowerAlloc, LabelPair).
+    """
+    am = build_assignment_matrix(alpha, d, subset)
+    n, A = am.n, am.A
+    if n == 0:
+        return PowerAlloc(np.full(alpha.K, -np.inf)), LabelPair(np.zeros(0), np.zeros(0))
+    base = -np.diag(A)
+    cross = A.copy()
+    np.fill_diagonal(cross, -np.inf)  # (i, j): interference of Tx-i at Rx-j
+    r = base
+    for _ in range(n):
+        new = base + np.maximum(0.0, (cross + r[:, None]).max(axis=0))
+        if np.any(new > TOL):
+            break
+        if not np.any(new > r + TOL):
+            labels = LabelPair(y_u=-new, y_v=new - base)
+            return _full_power(alpha, am.subset, labels.y_u), labels
+        r = new
+    raise InfeasibleGdof("no feasible power allocation achieves d")
+
+
 def solve_power_auction(alpha: ChannelMatrix, d, subset=None,
                         epsilon: float = DEFAULT_EPSILON, snap: bool = False):
     """Decentralized auction solve for the minimum-power allocation.
@@ -319,8 +359,9 @@ def is_feasible(alpha: ChannelMatrix, d) -> bool:
     """Whether the target tuple is TIN-achievable, by assignment solvability.
 
     Zero-target users are removed first; a target above its direct strength or
-    a Kuhn-Munkres run that cannot make the diagonal tight is infeasible. The
-    verdict agrees with membership in the achievable region.
+    potentials that do not settle at or below zero power
+    (``solve_power_potentials``) are infeasible. The verdict agrees with
+    ``solve_power_hungarian``'s and with membership in the achievable region.
     """
     dv = _as_gdof(d)
     if dv.size != alpha.K:
@@ -329,7 +370,7 @@ def is_feasible(alpha: ChannelMatrix, d) -> bool:
         return False
     support = tuple(int(k) for k in np.nonzero(dv > TOL)[0])
     try:
-        solve_power_hungarian(alpha, np.maximum(dv, 0.0), subset=support)
+        solve_power_potentials(alpha, np.maximum(dv, 0.0), subset=support)
     except Infeasible:
         return False
     return True

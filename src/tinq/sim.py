@@ -307,6 +307,8 @@ def _drop_rows(make_drop, pairs: tuple, master_seed: int, index: int):
 def _run_drops(make_drop, pairs, n_drops: int, master_seed: int, jobs: int = 1):
     """Rows, per-drop power fractions and the excluded-drop count over seeded
     drops, on at most min(jobs, n_drops, CPU count) worker processes."""
+    if n_drops < 1:
+        raise ShapeError("need at least one drop")
     rows, fracs, excluded = [], [], 0
     work = partial(_drop_rows, make_drop, tuple(pairs), master_seed)
     workers = min(jobs, n_drops, os.cpu_count() or 1)
@@ -357,8 +359,6 @@ def run_experiment(scenario: Scenario, schemes, n_drops: int, master_seed: int,
             raise ValueError(f"unknown scheme {s!r}")
     if power_mode not in POWER_MODES:
         raise ValueError(f"unknown power mode {power_mode!r}")
-    if n_drops < 1:
-        raise ShapeError("need at least one drop")
     rows, _, excluded = _run_drops(partial(_geometric_drop, scenario),
                                    [(s, power_mode) for s in schemes],
                                    n_drops, master_seed, jobs)

@@ -12,7 +12,9 @@ and LP builds are the references for the library's per-network memo of
 subset bounds. The per-user arrival loop is the reference for the NUM
 arrivals, and the two separate drop loops (geometric scenarios and synthetic
 exponent networks, each with its own target-to-power step) are the
-references for the simulator's single drop pipeline.
+references for the simulator's single drop pipeline. Those loops solve for
+minimal powers with the same solver as the pipeline; the pipeline's agreement
+with the Kuhn-Munkres solver is checked separately, to a tolerance.
 """
 
 import itertools
@@ -41,7 +43,8 @@ from tinq.optimize import (
     gp_power_control,
     max_weighted_gdof_lp,
 )
-from tinq.power import KmTrace, LabelPair, build_assignment_matrix, solve_power_hungarian
+from tinq.power import (KmTrace, LabelPair, build_assignment_matrix, solve_power_hungarian,
+                        solve_power_potentials)
 from tinq.region import POLYTOPE_MAX
 from tinq.sim import (
     ExperimentResult,
@@ -522,7 +525,7 @@ def gp_then_assignment_loop(net, subset):
         d_target[k] = d_gp.d[k]
     if not active:
         return PowerAlloc(np.full(net.K, -np.inf))
-    r_min, _ = solve_power_hungarian(alpha, d_target, subset=active)
+    r_min, _ = solve_power_potentials(alpha, d_target, subset=active)
     return r_min
 
 
@@ -548,8 +551,8 @@ def allocate_loop(net, alpha, selected, power_mode):
         live = tuple(k for k in selected if target[k] > 1e-12)
         if not live:
             return frac
-        r, _ = solve_power_hungarian(alpha, np.where(target > 1e-12, target, 0.0),
-                                     subset=live)
+        r, _ = solve_power_potentials(alpha, np.where(target > 1e-12, target, 0.0),
+                                      subset=live)
         fin = np.isfinite(r.r)
         frac[fin] = net.reference_power ** r.r[fin]
         return frac

@@ -259,6 +259,14 @@ def test_simulate_synthetic(capsys):
         "full", "gp", "gp+assignment"]
 
 
+def test_simulate_zero_drops_exits_2(capsys):
+    for mode in ([], ["--synthetic"]):
+        assert dispatch(["simulate", *mode, "--drops", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: need at least one drop" in captured.err
+
+
 def test_out_flag_writes_file(capsys, tmp_path, net_a):
     out_path = tmp_path / "result.json"
     code = dispatch(["region", "--network", net_a, "--out", str(out_path)])

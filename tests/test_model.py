@@ -51,6 +51,15 @@ def test_strength_orientation_row_is_transmitter():
     assert alpha.alpha[1, 0] == 0.0  # 0.8 < 1 floors to exponent zero
 
 
+def test_nominal_snr_is_one_read_only_table():
+    gains = np.array([[100.0, 25.0], [0.2, 100.0]])
+    net = PhysicalNetwork(gains=gains, max_tx_power=np.array([4.0, 3.0]),
+                          noise_power=0.7, reference_power=400.0)
+    snr = net.nominal_snr()
+    assert snr is net.nominal_snr() and not snr.flags.writeable
+    assert snr.tobytes() == (gains * np.array([[4.0], [3.0]]) / 0.7).tobytes()
+
+
 def test_achieved_gdof_example_allocation():
     r = PowerAlloc(np.array([-1.2, -0.4, -0.7]))
     d = achieved_gdof(NETWORK_A, r)

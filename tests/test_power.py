@@ -17,9 +17,13 @@ from tinq import (
     solve_power_auction,
     solve_power_hungarian,
 )
+import tinq.optimize
 from tinq import power
 from tinq.exceptions import EpsilonTooSmall, ImmediatelyInfeasible, Infeasible, TinqError
-from tinq.power import InfeasibleGdof, PowerAlloc
+from tinq.model import TOL
+from tinq.power import InfeasibleGdof, PowerAlloc, solve_power_potentials
+from tinq.region import contains, tina_polytope
+from tinq.sim import SCHEMES, run_experiment, scenario1
 
 D_REF = GdofTuple([0.5, 0.6, 0.7])
 
@@ -273,3 +277,126 @@ def test_hungarian_matches_loop_reference_edge_cases():
     assert_matches_loop(NETWORK_A, [1.0, 0.5, 0.0], (0, 1))
     assert_matches_loop(NETWORK_A, [0.0, 0.0, 0.0])
     assert assert_matches_loop(NETWORK_A, D_REF)[2].alpha_l == pytest.approx((0.2, 0.1))
+
+
+# ---------------------------------------------------------------------------
+# the potentials relaxation against the Kuhn-Munkres solver it replaces in
+# the pipelines and the feasibility test
+
+
+def assert_potentials_match_hungarian(alpha, d, subset=None):
+    """The same verdict and message, or powers within 1e-12 of the
+    Hungarian's and dual-feasible labels with a tight diagonal; returns the
+    Hungarian's outcome."""
+    want = _outcome(lambda: solve_power_hungarian(alpha, d, subset))
+    got = _outcome(lambda: solve_power_potentials(alpha, d, subset))
+    if isinstance(want[0], type) or isinstance(got[0], type):
+        assert got == want
+        return want
+    (r, labels), (r0, _) = got, want
+    live = np.isfinite(r0.r)
+    np.testing.assert_array_equal(np.isfinite(r.r), live)
+    assert np.abs(r.r[live] - r0.r[live]).max(initial=0.0) <= 1e-12
+    a = build_assignment_matrix(alpha, d, subset).A
+    slack = labels.y_u[:, None] + labels.y_v - a
+    assert slack.min(initial=0.0) >= -1e-12
+    assert np.abs(np.diag(slack)).max(initial=0.0) <= 1e-12
+    assert min(labels.y_u.min(initial=0.0), labels.y_v.min(initial=0.0)) >= -1e-12
+    return want
+
+
+@given(st.integers(1, 12), st.floats(0.5, 1.4), st.booleans(), st.integers(0, 2**31 - 1))
+def test_potentials_match_hungarian(k, scale, coarse, seed):
+    # targets are achieved GDoF scaled in and out of the region; the coarse
+    # grid puts many targets exactly on its boundary; the explicit subset
+    # leaves some users with positive targets out
+    rng = np.random.default_rng(seed)
+    alpha = random_alpha(rng, k)
+    _, d = feasible_target(rng, alpha)
+    d = d.d * scale
+    if coarse:
+        alpha = ChannelMatrix(np.round(alpha.alpha * 4) / 4)
+        d = np.round(d * 4) / 4
+    subset = tuple(int(j) for j in np.flatnonzero(d > 0) if rng.random() < 0.8)
+    assert_potentials_match_hungarian(alpha, d, subset)
+
+
+def test_potentials_match_hungarian_on_drop_instances(monkeypatch):
+    # every minimal-power solve of gp+assignment on 12 scenario1(256) drops,
+    # 101 to 214 active links each
+    outcomes = []
+
+    def both(alpha, d, subset):
+        outcomes.append(assert_potentials_match_hungarian(alpha, d, subset))
+        return solve_power_potentials(alpha, d, subset)
+
+    monkeypatch.setattr(tinq.optimize, "solve_power_potentials", both)
+    res = run_experiment(scenario1(256), SCHEMES, 12, 0, power_mode="gp+assignment")
+    assert res.excluded == 0 and len(outcomes) == 48
+    assert all(not isinstance(o[0], type) for o in outcomes)
+
+
+def test_potentials_edge_cases():
+    # one link, and an empty subset
+    r, labels = assert_potentials_match_hungarian(ChannelMatrix([[1.3]]), [0.7])
+    assert r.r.tolist() == pytest.approx([-0.6]) and labels.y_v.tolist() == [0.0]
+    r, labels = assert_potentials_match_hungarian(NETWORK_A, [0.5, 0.6, 0.7], ())
+    assert np.all(r.r == -np.inf) and labels.y_u.size == labels.y_v.size == 0
+    # a target above its direct strength, and a zero target kept in the subset
+    want = assert_potentials_match_hungarian(NETWORK_A, [2.5, 0.1, 0.1])
+    assert want[0] is ImmediatelyInfeasible
+    for solve in (solve_power_hungarian, solve_power_potentials):
+        with pytest.raises(ValueError, match="zero-GDoF users"):
+            solve(NETWORK_A, [0.5, 0.0, 0.7], (0, 1, 2))
+
+
+def test_potentials_settle_a_longest_chain_on_the_last_round():
+    # Tx-i interferes only at Rx-(i+1), so user i's power is set through the
+    # whole chain 0 -> 1 -> ... -> i: the longest path has n - 1 hops, each
+    # round settles one more user, and the last allowed round is the first
+    # that sees no rise
+    n = 12
+    a = np.full((n, n), 0.0)
+    np.fill_diagonal(a, 2.0)
+    a[np.arange(n - 1), np.arange(1, n)] = 1.0
+    d = np.r_[1.5, np.ones(n - 1)]
+    r, _ = assert_potentials_match_hungarian(ChannelMatrix(a), d)
+    assert r.r.tolist() == [-0.5] * n
+
+
+def test_potentials_reject_a_positive_cycle_at_the_round_bound():
+    # the two links gain 1e-8 per round around their cycle: growth alone
+    # would pass TOL only after 1e8 rounds, so only the round bound stops it
+    alpha = ChannelMatrix([[2.0, 1.0 + 1e-8], [1.0 + 1e-8, 2.0]])
+    want = assert_potentials_match_hungarian(alpha, [1.0, 1.0])
+    assert want == (InfeasibleGdof, "no feasible power allocation achieves d")
+
+
+def test_is_feasible_matches_region_membership():
+    # 600 draws with K <= 6, half on a 0.25 grid and a fifth exactly on the
+    # boundary of the region. 52 round to all-zero targets. 3 sit in the
+    # tolerance band, where the region's verdict differs between tolerance 0
+    # and 2 * TOL, and are skipped; the other 545 (474 feasible) are compared
+    rng = np.random.default_rng(11)
+    verdicts, band = [], 0
+    for _ in range(600):
+        k = int(rng.integers(1, 7))
+        alpha = random_alpha(rng, k)
+        d = achieved_gdof(alpha, PowerAlloc(rng.uniform(-1.5, 0.0, size=k))).d
+        d = d * (1.0 if rng.random() < 0.2 else rng.uniform(0.5, 1.4))
+        if rng.random() < 0.5:
+            alpha = ChannelMatrix(np.round(alpha.alpha * 4) / 4)
+            d = np.round(d * 4) / 4
+        d = GdofTuple(d)
+        support = d.support(TOL)
+        if not support:
+            assert is_feasible(alpha, d)  # all users off
+            continue
+        poly = tina_polytope(alpha, support)
+        want = contains(poly, d, tol=0.0)
+        if want != contains(poly, d, tol=2 * TOL):
+            band += 1
+            continue
+        assert is_feasible(alpha, d) == want
+        verdicts.append(want)
+    assert band == 3 and (len(verdicts), sum(verdicts)) == (545, 474)

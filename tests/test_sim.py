@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import tinq.optimize
 import tinq.sim
 from oracles import experiment_loop, synthetic_loop
 from tinq.exceptions import DomainError, InfeasibleGdof, ShapeError
+from tinq.power import solve_power_hungarian
 from tinq.sim import (
     POWER_MODES,
     SCHEMES,
@@ -196,6 +198,9 @@ def test_runner_input_validation():
         run_experiment(scenario1(2), ("none",), 1, 0, power_mode="bar")
     with pytest.raises(ShapeError):
         run_experiment(scenario1(2), ("none",), 0, 0)
+    for n_drops in (0, -1):
+        with pytest.raises(ShapeError, match="need at least one drop"):
+            run_synthetic_experiment(3, n_drops, 0, snr_db=30.0)
 
 
 def test_pool_size_clamped_to_drops_and_cpus(monkeypatch):
@@ -278,6 +283,33 @@ def test_synthetic_pipeline_matches_loop_reference(snr_db):
     assert list(res.fractions) == list(want.fractions)
     assert _bits(res) == _bits(want)
     assert res.aggregates == want.aggregates
+
+
+def _assert_rows_close(res: ExperimentResult, want: ExperimentResult) -> None:
+    assert res.excluded == want.excluded and len(res.rows) == len(want.rows)
+    for row, ref in zip(res.rows, want.rows):
+        assert (row.scheme, row.power_mode, row.n_links, row.drop_seed, row.active_links) \
+            == (ref.scheme, ref.power_mode, ref.n_links, ref.drop_seed, ref.active_links)
+        assert row.sum_tput_bps_hz == pytest.approx(ref.sum_tput_bps_hz, rel=1e-12, abs=0)
+        assert row.energy_bits_per_joule == pytest.approx(
+            ref.energy_bits_per_joule, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("mode", ["gp+assignment", "lp+assignment"])
+@pytest.mark.parametrize("scenario", [scenario1(8), scenario2(6)], ids=["s1", "s2"])
+def test_assignment_modes_match_hungarian_pipeline(monkeypatch, scenario, mode):
+    # the pipeline's minimal powers come from the potentials relaxation; the
+    # Kuhn-Munkres labels must give the same drops and links, to rounding
+    res = run_experiment(scenario, SCHEMES, 6, 3, power_mode=mode)
+    monkeypatch.setattr(tinq.optimize, "solve_power_potentials", solve_power_hungarian)
+    _assert_rows_close(res, run_experiment(scenario, SCHEMES, 6, 3, power_mode=mode))
+
+
+@pytest.mark.parametrize("snr_db", [20.0, 40.0])
+def test_synthetic_experiment_matches_hungarian_pipeline(monkeypatch, snr_db):
+    res = run_synthetic_experiment(8, 40, 5, snr_db=snr_db)
+    monkeypatch.setattr(tinq.optimize, "solve_power_potentials", solve_power_hungarian)
+    _assert_rows_close(res, run_synthetic_experiment(8, 40, 5, snr_db=snr_db))
 
 
 # ---------------------------------------------------------------------------
