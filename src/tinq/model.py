@@ -192,13 +192,15 @@ def strength_from_physical(net: PhysicalNetwork) -> ChannelMatrix:
     """Channel strength levels alpha_ij = log(max{1, G_ij*P_i/noise}) / log P.
 
     Entries are 0 whenever the full-power received SNR is at or below 1.
+    Built on the first call and kept on the network: every later call
+    returns the same read-only ChannelMatrix.
     """
-    if not (net.reference_power > 1):
-        raise InvalidReferencePower(
-            f"reference power must exceed 1, got {net.reference_power}"
-        )
-    snr = np.maximum(1.0, net.nominal_snr())
-    return ChannelMatrix(np.log(snr) / math.log(net.reference_power))
+    alpha = getattr(net, "_strength", None)
+    if alpha is None:
+        snr = np.maximum(1.0, net.nominal_snr())
+        alpha = ChannelMatrix(np.log(snr) / math.log(net.reference_power))
+        object.__setattr__(net, "_strength", alpha)
+    return alpha
 
 
 def realize_network(alpha: ChannelMatrix, reference_power: float) -> PhysicalNetwork:

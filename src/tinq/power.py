@@ -108,18 +108,20 @@ def build_assignment_matrix(alpha: ChannelMatrix, d, subset=None) -> AssignmentM
         raise ValueError("GDoF targets must be nonnegative")
     support = np.flatnonzero(dv > 0) if subset is None else subset
     idx = check_subset(alpha.K, support, allow_empty=True)
-    for k in idx:
+    ix = np.array(idx, dtype=int)
+    direct = alpha.alpha[ix, ix]
+    bad = (dv[ix] <= 0) | (dv[ix] > direct)
+    if bad.any():
+        k = idx[int(bad.argmax())]  # the first offender in subset order
         if dv[k] <= 0:
             raise ValueError(
                 f"user {k} has target {dv[k]}; zero-GDoF users must be removed first"
             )
-        if dv[k] > alpha.alpha[k, k]:
-            raise ImmediatelyInfeasible(
-                f"target d_{k}={dv[k]} exceeds direct strength {alpha.alpha[k, k]}"
-            )
-    a = alpha.alpha[np.ix_(idx, idx)].copy()
-    for p, k in enumerate(idx):
-        a[p, p] = alpha.alpha[k, k] - dv[k]
+        raise ImmediatelyInfeasible(
+            f"target d_{k}={dv[k]} exceeds direct strength {alpha.alpha[k, k]}"
+        )
+    a = alpha.alpha[np.ix_(ix, ix)]
+    np.fill_diagonal(a, direct - dv[ix])
     return AssignmentMatrix(A=a, subset=idx)
 
 
@@ -257,12 +259,17 @@ def solve_power_potentials(alpha: ChannelMatrix, d, subset=None):
     Kuhn-Munkres labels of the same assignment matrix A (a feasible target
     makes the diagonal an optimal assignment). Label-correcting rounds start
     from r = d - diag(alpha) and apply the right-hand side to all users at
-    once, one masked n x n maximum per round. Powers only rise, so any r above
-    TOL is infeasible at once; otherwise the rounds settle, no entry rising by
-    more than TOL, within n + 1 rounds counting the start, as Bellman-Ford
-    does over the n users and a zero-power source. Rounds that do not settle
-    by then follow a positive cycle, which no powers satisfy. Infeasible
-    targets raise the same errors as ``solve_power_hungarian``.
+    once. Powers only rise, so any r above TOL is infeasible at once;
+    otherwise the rounds settle, no entry rising by more than TOL, within
+    n + 1 rounds counting the start, as Bellman-Ford does over the n users
+    and a zero-power source. Rounds that do not settle by then follow a
+    positive cycle, which no powers satisfy. Infeasible targets raise the
+    same errors as ``solve_power_hungarian``.
+
+    The first round takes the inner maxima over all n x n terms; later
+    rounds fold in only the rows whose r changed. As r only rises, an
+    unchanged row's terms are already in the old maxima and a changed row's
+    new terms dominate its old ones, so the maxima stay exact.
 
     Returns (PowerAlloc, LabelPair).
     """
@@ -274,13 +281,18 @@ def solve_power_potentials(alpha: ChannelMatrix, d, subset=None):
     cross = A.copy()
     np.fill_diagonal(cross, -np.inf)  # (i, j): interference of Tx-i at Rx-j
     r = base
+    inner = (cross + r[:, None]).max(axis=0)
     for _ in range(n):
-        new = base + np.maximum(0.0, (cross + r[:, None]).max(axis=0))
+        new = base + np.maximum(0.0, inner)
         if np.any(new > TOL):
             break
         if not np.any(new > r + TOL):
             labels = LabelPair(y_u=-new, y_v=new - base)
             return _full_power(alpha, am.subset, labels.y_u), labels
+        # exact: r only rises, so the maxima over all rows are the old ones
+        # raised by the changed rows' new terms
+        changed = new != r
+        np.maximum(inner, (cross[changed] + new[changed, None]).max(axis=0), out=inner)
         r = new
     raise InfeasibleGdof("no feasible power allocation achieves d")
 

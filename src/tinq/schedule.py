@@ -78,8 +78,10 @@ def _validate_levels(snr, inr):
         raise ShapeError(f"interference table {inr.shape} does not match {n} links")
     if np.any(snr <= 0) or not np.all(np.isfinite(snr)):
         raise ShapeError("link SNRs must be positive and finite")
-    off = ~np.eye(n, dtype=bool)
-    if np.any(inr[off] <= 0) or not np.all(np.isfinite(inr[off])):
+    # NaN fails both comparisons; the diagonal is not checked
+    valid = (inr > 0) & (inr < np.inf)
+    np.fill_diagonal(valid, True)
+    if not valid.all():
         raise ShapeError("cross INRs must be positive and finite")
     return snr, inr, n
 
@@ -105,79 +107,110 @@ def itlinq_plus_schedule(snr, inr, params: SchedulerParams | None = None) -> Sch
     where min_in[j] / min_out[j] track the smallest cross interference into
     j's receiver / caused by j's transmitter among selected links, start at 1,
     and are re-broadcast after every admission.
+
+    The tables are kept by admission position p, and each admission copies
+    its link's column and row of ``inr`` into column p of an n x 2 x n
+    buffer, so a candidate's test is one quotient of its own buffer row by
+    the tables, with no gather. Each quotient, comparison and minimum is the
+    same float operation as in the per-link loop, so the selections and
+    tables are bitwise the loop's.
     """
     if params is None:
         params = SchedulerParams()
     snr, inr, n = _validate_levels(snr, inr)
     eta, gamma = params.eta, params.gamma
-    min_in, min_out = np.ones(n), np.ones(n)
-    # min**gamma per link, raised one scalar at a time whenever a minimum
-    # drops: numpy's array power may differ from the scalar one in the last bit
-    in_g, out_g = np.ones(n), np.ones(n)
+    # levels[k, 0, p] = inr[k, s_p]: k at the p-th selected link's receiver;
+    # levels[k, 1, p] = inr[s_p, k]: that link's transmitter at k
+    levels = np.empty((n, 2, n))
+    # mins[0] / mins[1]: min_in / min_out by position; g holds mins**gamma,
+    # raised one scalar at a time whenever a minimum drops: numpy's array
+    # power may differ from the scalar one in the last bit
+    mins, g = np.ones((2, n)), np.ones((2, n))
 
-    def admit(k, s):
-        row, col = inr[k, s], inr[s, k]
-        lhs = snr[k] ** eta
-        if not (np.all(lhs >= row / in_g[s]) and np.all(lhs >= col / out_g[s])):
-            return False
-        # per table: the levels k adds at the selected links, and theirs at k
-        for mins, g, at_sel, at_k in ((min_in, in_g, row, col), (min_out, out_g, col, row)):
-            drop = at_sel < mins[s]
-            mins[s[drop]] = at_sel[drop]
-            g[s[drop]] = [v ** gamma for v in at_sel[drop]]
-            mins[k] = at_k.min(initial=1.0)
-            g[k] = mins[k] ** gamma
-        return True
+    def admits(k, m):
+        return bool((snr[k] ** eta >= levels[k, :, :m] / g[:, :m]).all())
 
-    res = _greedy_pass(n, params.priority, admit)
-    return dataclasses.replace(res, min_in={k: float(min_in[k]) for k in res.selected},
-                               min_out={k: float(min_out[k]) for k in res.selected})
+    def admit(k, m):
+        new = levels[k, :, :m]
+        drop = new < mins[:, :m]
+        lower = new[drop]
+        mins[:, :m][drop] = lower
+        g[:, :m][drop] = [v ** gamma for v in lower]
+        # min_in of k is the least level at k, min_out the least k causes
+        mins[:, m] = new[::-1].min(axis=1, initial=1.0)
+        g[:, m] = [v ** gamma for v in mins[:, m]]
+        levels[:, 0, m] = inr[:, k]
+        levels[:, 1, m] = inr[k]
+
+    res = _greedy_pass(n, params.priority, admits, admit)
+    return dataclasses.replace(
+        res, min_in={k: float(v) for k, v in zip(res.selected, mins[0])},
+        min_out={k: float(v) for k, v in zip(res.selected, mins[1])})
 
 
-def _greedy_pass(n: int, priority, admit) -> ScheduleResult:
-    """Admit links in priority order (None = index order): ``admit(k, s)``
-    tests candidate k against the index array s of the links admitted so far
-    and updates the scheme's tables when it admits k."""
+def _greedy_pass(n: int, priority, admits, admit) -> ScheduleResult:
+    """Admit links in priority order (None = index order): the first one
+    outright, each later candidate k iff ``admits(k, m)`` against the m links
+    admitted so far. ``admit(k, m)`` records k as admission m in the scheme's
+    running state."""
     order = range(n) if priority is None else [int(i) for i in priority]
     if sorted(order) != list(range(n)):
         raise ShapeError("priority must be a permutation of all links")
-    sel = np.empty(n, dtype=int)
-    m = 0
+    sel = []
     for k in order:
-        if admit(k, sel[:m]):
-            sel[m] = k
-            m += 1
-    return ScheduleResult(tuple(int(k) for k in sel[:m]), {}, {}, 2 * n + m)
+        if not sel or admits(k, len(sel)):
+            admit(k, len(sel))
+            sel.append(k)
+    return ScheduleResult(tuple(sel), {}, {}, 2 * n + len(sel))
 
 
 def itlinq_schedule(snr, inr, eta: float = 0.7, m_db: float = 25.0,
                     priority=None) -> ScheduleResult:
     """Greedy priority pass with a fixed-margin level test: candidate k is
     admitted iff m * snr[k]**eta covers both cross interference levels
-    against every already-selected link."""
+    against every already-selected link.
+
+    worst[k] keeps the largest of inr[k, j] and inr[j, k] over the admitted
+    links j, raised once per admission. Covering every level is covering
+    their maximum, and a maximum of floats is exact, so the single
+    comparison decides as the per-link tests do.
+    """
     _require_finite(eta=eta, m_db=m_db)
     snr, inr, n = _validate_levels(snr, inr)
     m = 10.0 ** (m_db / 10.0)
+    worst = np.full(n, -np.inf)
 
-    def admit(k, s):
-        lhs = m * snr[k] ** eta
-        return np.all(lhs >= inr[k, s]) and np.all(lhs >= inr[s, k])
+    def admit(k, _):
+        # the unvalidated diagonal entry only reaches the admitted link k
+        np.maximum(worst, inr[:, k], out=worst)
+        np.maximum(worst, inr[k], out=worst)
 
-    return _greedy_pass(n, priority, admit)
+    return _greedy_pass(n, priority, lambda k, _: bool(m * snr[k] ** eta >= worst[k]),
+                        admit)
 
 
 def flashlinq_schedule(snr, inr, sir_db: float = 9.0, priority=None) -> ScheduleResult:
     """Greedy priority pass admitting a candidate iff both signal-to-single-
     interference ratios against every already-selected link clear the
-    threshold: snr[k]/inr[k, j] and snr[j]/inr[j, k]."""
+    threshold: snr[k]/inr[k, j] and snr[j]/inr[j, k].
+
+    ok[k] holds whether k clears both ratios against every admitted link,
+    and each admission j ands in its column and row of ratios: the same
+    quotients and comparisons as the per-link tests.
+    """
     _require_finite(sir_db=sir_db)
     snr, inr, n = _validate_levels(snr, inr)
     theta = 10.0 ** (sir_db / 10.0)
+    ok = np.ones(n, dtype=bool)
 
-    def admit(k, s):
-        return np.all(snr[k] / inr[k, s] >= theta) and np.all(snr[s] / inr[s, k] >= theta)
+    def admit(k, _):
+        clear = (snr / inr[:, k] >= theta) & (snr[k] / inr[k] >= theta)
+        np.logical_and(ok, clear, out=ok)
 
-    return _greedy_pass(n, priority, admit)
+    # the unvalidated diagonal entry (0 or NaN) only reaches the admitted
+    # link, so its divide warnings carry nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _greedy_pass(n, priority, lambda k, _: bool(ok[k]), admit)
 
 
 @dataclass(frozen=True)

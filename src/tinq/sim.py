@@ -8,11 +8,10 @@ can be regenerated in isolation and runs are byte-identical.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -162,40 +161,97 @@ def pathloss_itu1411_los(distance_m, carrier_hz: float, h_m: float):
     r_bp = 4.0 * h_m * h_m / lam
     l_bp = abs(20.0 * math.log10(lam * lam / (8.0 * math.pi * h_m * h_m)))
     ratio = d / r_bp
-    loss = l_bp + np.where(ratio <= 1.0,
-                           20.0 * np.log10(ratio),
-                           40.0 * np.log10(ratio))
+    lg = np.log10(ratio)
+    loss = l_bp + np.where(ratio <= 1.0, 20.0 * lg, 40.0 * lg)
     return float(loss) if np.isscalar(distance_m) else loss
+
+
+def _place_receivers(rng: np.random.Generator, tx: np.ndarray, side: float,
+                     lo: float, hi: float) -> np.ndarray:
+    """Receiver coordinates from the stream walk of ``generate_drop``.
+
+    Stream position p holds one uniform draw, read as a distance U[lo, hi]
+    or an angle U[0, 2 pi] by the walk. Both readings of a block come from
+    numpy's own ``uniform`` at the same stream state (the angles from a copy
+    of ``rng``), so every value is the one a draw-by-draw walk would get.
+    """
+    n = len(tx)
+    angle_rng = copy.deepcopy(rng)
+    dist = cos = sin = np.empty(0)
+
+    def draw(need: int) -> None:
+        # extend the blocks to at least ``need`` positions, at least doubling
+        nonlocal dist, cos, sin
+        size = max(need, 2 * dist.size) - dist.size
+        theta = angle_rng.uniform(0.0, 2.0 * math.pi, size=size).tolist()
+        dist = np.concatenate([dist, rng.uniform(lo, hi, size=size)])
+        cos = np.concatenate([cos, [math.cos(t) for t in theta]])
+        sin = np.concatenate([sin, [math.sin(t) for t in theta]])
+
+    def inside(x, y):
+        return (0.0 <= x) & (x <= side) & (0.0 <= y) & (y <= side)
+
+    rx = np.empty((n, 2))
+    i = p = 0  # the next link and the stream position of its distance
+    while True:
+        # every remaining link takes the angle right after its distance...
+        m = n - i
+        if dist.size < p + 2 * m:
+            draw(p + 2 * m)
+        d = dist[p:p + 2 * m:2]
+        x = tx[i:, 0] + d * cos[p + 1:p + 2 * m:2]
+        y = tx[i:, 1] + d * sin[p + 1:p + 2 * m:2]
+        ok = inside(x, y)
+        f = m if ok.all() else int(ok.argmin())
+        rx[i:i + f, 0], rx[i:i + f, 1] = x[:f], y[:f]
+        i, p = i + f, p + 2 * f
+        if i == n:
+            return rx
+        # ...up to the first that lands outside: it keeps its distance and
+        # redraws the angle from the next positions on
+        q, last = p + 1, p + RESAMPLE_CAP
+        while True:
+            if q >= dist.size:
+                draw(q + 1)
+            x = tx[i, 0] + dist[p] * cos[q:last + 1]
+            y = tx[i, 1] + dist[p] * sin[q:last + 1]
+            ok = inside(x, y)
+            if ok.any():
+                break
+            q += ok.size
+            if q > last:
+                raise RegionTooTight(
+                    f"receiver placement failed after {RESAMPLE_CAP} angle draws"
+                )
+        hit = int(ok.argmax())
+        rx[i] = x[hit], y[hit]
+        i, p = i + 1, q + hit + 1
 
 
 def generate_drop(scenario: Scenario, seed: int) -> DropRecord:
     """Drop transmitters uniformly in the square; place each receiver at a
     uniform distance from its transmitter along a uniform angle, resampling
     the angle only (the distance marginal stays exactly uniform) until the
-    receiver lands inside the area."""
+    receiver lands inside the area.
+
+    Stream contract: the seed's generator draws the n x 2 transmitter
+    coordinates, then per link one distance and angles until one lands
+    inside, up to ``RESAMPLE_CAP`` (else ``RegionTooTight``). The draws are
+    made in blocks, but each value is numpy's ``uniform`` at the same stream
+    position, so a seed gives bitwise the same drop as a draw-by-draw walk.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     n = scenario.n_links
     side = scenario.area_m
     lo, hi = scenario.dist_range_m
     tx = rng.uniform(0.0, side, size=(n, 2))
-    rx = np.empty((n, 2))
-    for i in range(n):
-        dist = rng.uniform(lo, hi)
-        for _ in range(RESAMPLE_CAP):
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            cand = tx[i] + dist * np.array([math.cos(theta), math.sin(theta)])
-            if 0.0 <= cand[0] <= side and 0.0 <= cand[1] <= side:
-                rx[i] = cand
-                break
-        else:
-            raise RegionTooTight(
-                f"receiver placement failed after {RESAMPLE_CAP} angle draws"
-            )
+    rx = _place_receivers(rng, tx, side, lo, hi)
 
     # Tx i -> Rx j distances; cross paths shorter than 1 m are clamped so the
     # path loss model stays in its valid range.
-    diff = tx[:, None, :] - rx[None, :, :]
-    dist_m = np.maximum(np.hypot(diff[..., 0], diff[..., 1]), 1.0)
+    dx = np.subtract.outer(tx[:, 0], rx[:, 0])
+    dy = np.subtract.outer(tx[:, 1], rx[:, 1])
+    dist_m = np.maximum(np.hypot(dx, dy), 1.0)
     loss_db = pathloss_itu1411_los(dist_m, scenario.carrier_hz,
                                    scenario.antenna_height_m)
     gain_db = 2.0 * scenario.antenna_gain_db - loss_db
@@ -312,13 +368,19 @@ def _run_drops(make_drop, pairs, n_drops: int, master_seed: int, jobs: int = 1):
     rows, fracs, excluded = [], [], 0
     work = partial(_drop_rows, make_drop, tuple(pairs), master_seed)
     workers = min(jobs, n_drops, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for drop in (pool.map if pool else map)(work, range(n_drops)):
-            if drop is None:
-                excluded += 1
-            else:
-                rows.extend(drop[0])
-                fracs.append(drop[1])
+    if workers > 1:
+        # imported on first use: a serial run never loads concurrent.futures
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            drops = list(pool.map(work, range(n_drops)))
+    else:
+        drops = map(work, range(n_drops))
+    for drop in drops:
+        if drop is None:
+            excluded += 1
+        else:
+            rows.extend(drop[0])
+            fracs.append(drop[1])
     return rows, fracs, excluded
 
 

@@ -7,14 +7,17 @@ achieved GDoF. Tests freeze expected values through these functions instead
 of trusting the implementation under test. The per-element loop versions of
 the Kuhn-Munkres label solver and the three greedy scheduler passes are the
 references that their array versions in the library must match bit for bit,
-and so is the user-by-user loop of the decentralized GP. The per-call polytope
-and LP builds are the references for the library's per-network memo of
-subset bounds. The per-user arrival loop is the reference for the NUM
-arrivals, and the two separate drop loops (geometric scenarios and synthetic
-exponent networks, each with its own target-to-power step) are the
-references for the simulator's single drop pipeline. Those loops solve for
-minimal powers with the same solver as the pipeline; the pipeline's agreement
-with the Kuhn-Munkres solver is checked separately, to a tolerance.
+and so are the user-by-user loop of the decentralized GP, the draw-by-draw
+drop generator, the user-by-user assignment matrix and the potentials solve
+that takes every row in every round. The per-call polytope and LP builds are
+the references for the library's per-network memo of subset bounds. The
+per-user arrival loop is the reference for the NUM arrivals, and the two
+separate drop loops (geometric scenarios and synthetic exponent networks,
+each with its own target-to-power step) are the references for the
+simulator's single drop pipeline. Those loops run on the references above:
+the draw-by-draw drop, strengths built anew per call, the per-link scheduler
+loops and the full-round potentials. The pipeline's agreement with the
+Kuhn-Munkres solver is checked separately, to a tolerance.
 """
 
 import itertools
@@ -28,6 +31,7 @@ from tinq.exceptions import (
     ConvergenceFailure,
     DivergenceDetected,
     EmptyPolytope,
+    ImmediatelyInfeasible,
     Infeasible,
     InfeasibleGdof,
     RegionTooTight,
@@ -35,7 +39,8 @@ from tinq.exceptions import (
     SubsetTooLarge,
 )
 from tinq.matching import max_matching_weight
-from tinq.model import TOL, check_subset, realize_network, strength_from_physical
+from tinq.model import (TOL, PhysicalNetwork, check_subset, realize_network,
+                        strength_from_physical)
 from tinq.optimize import (
     EXACT_K_MAX,
     LP_SUBSET_MAX,
@@ -43,16 +48,15 @@ from tinq.optimize import (
     gp_power_control,
     max_weighted_gdof_lp,
 )
-from tinq.power import (KmTrace, LabelPair, build_assignment_matrix, solve_power_hungarian,
-                        solve_power_potentials)
+from tinq.power import KmTrace, LabelPair, build_assignment_matrix, solve_power_hungarian
 from tinq.region import POLYTOPE_MAX
 from tinq.sim import (
+    RESAMPLE_CAP,
+    SPEED_OF_LIGHT,
     ExperimentResult,
     MetricRow,
     _aggregate,
-    _select,
     _throughput,
-    generate_drop,
 )
 
 
@@ -261,6 +265,54 @@ def hungarian_loop(alpha: ChannelMatrix, d, subset=None):
                         slack_row[jj] = owner
 
 
+def assignment_matrix_loop(alpha: ChannelMatrix, d, subset=None):
+    """``build_assignment_matrix`` user by user: (A, subset), with the same
+    errors raised for the first offending user in subset order."""
+    dv = d.d if isinstance(d, GdofTuple) else np.asarray(d, dtype=float).reshape(-1)
+    if dv.size != alpha.K:
+        raise ShapeError(f"d has {dv.size} entries for a {alpha.K}-user network")
+    if np.any(np.isnan(dv)) or np.any(dv < 0):
+        raise ValueError("GDoF targets must be nonnegative")
+    support = np.flatnonzero(dv > 0) if subset is None else subset
+    idx = check_subset(alpha.K, support, allow_empty=True)
+    for k in idx:
+        if dv[k] <= 0:
+            raise ValueError(
+                f"user {k} has target {dv[k]}; zero-GDoF users must be removed first"
+            )
+        if dv[k] > alpha.alpha[k, k]:
+            raise ImmediatelyInfeasible(
+                f"target d_{k}={dv[k]} exceeds direct strength {alpha.alpha[k, k]}"
+            )
+    a = alpha.alpha[np.ix_(idx, idx)].copy()
+    for p, k in enumerate(idx):
+        a[p, p] = alpha.alpha[k, k] - dv[k]
+    return a, idx
+
+
+def potentials_full_rounds(alpha: ChannelMatrix, d, subset=None):
+    """``solve_power_potentials`` with the inner maximum taken over every
+    row in every round. Returns (PowerAlloc, LabelPair)."""
+    a, idx = assignment_matrix_loop(alpha, d, subset)
+    n = len(idx)
+    r_full = np.full(alpha.K, -np.inf)
+    if n == 0:
+        return PowerAlloc(r_full), LabelPair(np.zeros(0), np.zeros(0))
+    base = -np.diag(a)
+    cross = a.copy()
+    np.fill_diagonal(cross, -np.inf)
+    r = base
+    for _ in range(n):
+        new = base + np.maximum(0.0, (cross + r[:, None]).max(axis=0))
+        if np.any(new > TOL):
+            break
+        if not np.any(new > r + TOL):
+            r_full[list(idx)] = new
+            return PowerAlloc(r_full), LabelPair(y_u=-new, y_v=new - base)
+        r = new
+    raise InfeasibleGdof("no feasible power allocation achieves d")
+
+
 def _loop_order(n: int, priority) -> list:
     return list(range(n)) if priority is None else [int(i) for i in priority]
 
@@ -311,6 +363,46 @@ def flashlinq_loop(snr, inr, sir_db=9.0, priority=None) -> tuple:
                for j in selected):
             selected.append(k)
     return tuple(selected)
+
+
+def drop_loop(scenario, seed: int):
+    """``generate_drop`` one draw at a time: a scalar ``uniform`` for every
+    distance and every angle, the candidate receiver as a 2-vector, the
+    (n, n, 2) offset array and both log10 branches of the path loss.
+
+    Returns (tx, rx, gains) and raises the same ``RegionTooTight``.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    n = scenario.n_links
+    side = scenario.area_m
+    lo, hi = scenario.dist_range_m
+    tx = rng.uniform(0.0, side, size=(n, 2))
+    rx = np.empty((n, 2))
+    for i in range(n):
+        dist = rng.uniform(lo, hi)
+        for _ in range(RESAMPLE_CAP):
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            cand = tx[i] + dist * np.array([math.cos(theta), math.sin(theta)])
+            if 0.0 <= cand[0] <= side and 0.0 <= cand[1] <= side:
+                rx[i] = cand
+                break
+        else:
+            raise RegionTooTight(
+                f"receiver placement failed after {RESAMPLE_CAP} angle draws"
+            )
+
+    diff = tx[:, None, :] - rx[None, :, :]
+    dist_m = np.maximum(np.hypot(diff[..., 0], diff[..., 1]), 1.0)
+    lam = SPEED_OF_LIGHT / scenario.carrier_hz
+    h = scenario.antenna_height_m
+    r_bp = 4.0 * h * h / lam
+    l_bp = abs(20.0 * math.log10(lam * lam / (8.0 * math.pi * h * h)))
+    ratio = dist_m / r_bp
+    loss_db = l_bp + np.where(ratio <= 1.0,
+                              20.0 * np.log10(ratio),
+                              40.0 * np.log10(ratio))
+    gain_db = 2.0 * scenario.antenna_gain_db - loss_db
+    return tx, rx, 10.0 ** (gain_db / 10.0)
 
 
 def _local_estimate_solve(w_i, gamma_col, lower, upper):
@@ -509,11 +601,17 @@ def arrivals_loop(state) -> np.ndarray:
     return a
 
 
+def strength_fresh(net) -> ChannelMatrix:
+    """``strength_from_physical`` built anew on every call."""
+    snr = np.maximum(1.0, net.nominal_snr())
+    return ChannelMatrix(np.log(snr) / math.log(net.reference_power))
+
+
 def gp_then_assignment_loop(net, subset):
     """GP power control, then the minimal powers for its achieved GDoF,
     with the target built user by user; returns the PowerAlloc."""
     sol = gp_power_control(net, subset)
-    alpha = strength_from_physical(net)
+    alpha = strength_fresh(net)
     log_p = math.log(net.reference_power)
     r_gp = np.full(net.K, -np.inf)
     for k in sol.subset:
@@ -525,7 +623,7 @@ def gp_then_assignment_loop(net, subset):
         d_target[k] = d_gp.d[k]
     if not active:
         return PowerAlloc(np.full(net.K, -np.inf))
-    r_min, _ = solve_power_potentials(alpha, d_target, subset=active)
+    r_min, _ = potentials_full_rounds(alpha, d_target, subset=active)
     return r_min
 
 
@@ -551,7 +649,7 @@ def allocate_loop(net, alpha, selected, power_mode):
         live = tuple(k for k in selected if target[k] > 1e-12)
         if not live:
             return frac
-        r, _ = solve_power_potentials(alpha, np.where(target > 1e-12, target, 0.0),
+        r, _ = potentials_full_rounds(alpha, np.where(target > 1e-12, target, 0.0),
                                       subset=live)
         fin = np.isfinite(r.r)
         frac[fin] = net.reference_power ** r.r[fin]
@@ -566,20 +664,38 @@ def _drop_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([int(master_seed), index]).generate_state(1)[0])
 
 
+def select_loop(scheme: str, snr, inr) -> tuple:
+    """The links one scheme selects, by its per-link loop."""
+    if scheme == "none":
+        return tuple(range(len(snr)))
+    if scheme == "flashlinq":
+        return flashlinq_loop(snr, inr)
+    if scheme == "itlinq":
+        return itlinq_loop(snr, inr)
+    if scheme == "itlinq+":
+        return itlinq_plus_loop(snr, inr)[0]
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def experiment_loop(scenario, schemes, n_drops: int, master_seed: int,
                     power_mode: str = "full") -> ExperimentResult:
-    """``run_experiment`` serially, drop by drop and scheme by scheme."""
+    """``run_experiment`` serially, drop by drop and scheme by scheme, on
+    the draw-by-draw drop and the per-link scheduler loops."""
     rows, excluded = [], 0
     for index in range(n_drops):
         seed = _drop_seed(master_seed, index)
         try:
-            net = generate_drop(scenario, seed).net
-            alpha = strength_from_physical(net)
+            _, _, gains = drop_loop(scenario, seed)
+            p_mw = 10.0 ** (scenario.tx_power_dbm / 10.0)
+            noise_mw = 10.0 ** (scenario.noise_dbm / 10.0)
+            net = PhysicalNetwork(gains, np.full(scenario.n_links, p_mw), noise_mw,
+                                  float(np.max(np.diag(gains)) * p_mw / noise_mw))
+            alpha = strength_fresh(net)
             snr_tab = net.nominal_snr()
             snr = np.diag(snr_tab).copy()
             drop_rows = []
             for scheme in schemes:
-                selected = _select(scheme, snr, snr_tab)
+                selected = select_loop(scheme, snr, snr_tab)
                 frac = allocate_loop(net, alpha, selected, power_mode)
                 tput, active = _throughput(net, frac)
                 power_w = float(frac @ net.max_tx_power) / 1000.0  # caps are mW

@@ -314,9 +314,10 @@ def test_subprocess_byte_determinism(tmp_path, net_b):
         assert outs[0] == outs[1] and outs[0][0]
 
 
-# Runs a CLI call in a fresh interpreter, then prints whether it loaded the
-# scipy solvers.
-SCIPY_PROBE = """
+# Runs a CLI call in a fresh interpreter, then prints which of the lazily
+# loaded modules it loaded.
+LAZY_MODULES = ("scipy.optimize", "concurrent.futures")
+MODULE_PROBE = f"""
 import sys
 if len(sys.argv) > 1:
     import tinq.cli
@@ -326,14 +327,15 @@ if len(sys.argv) > 1:
         pass
 else:
     import tinq
-print("scipy.optimize" in sys.modules)
+print(*(m in sys.modules for m in {LAZY_MODULES!r}))
 """
 
 
-def loads_scipy(argv) -> bool:
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
+def loaded_modules(argv) -> set:
+    proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, *argv],
                           capture_output=True, text=True, check=True)
-    return proc.stdout.splitlines()[-1] == "True"
+    flags = proc.stdout.splitlines()[-1].split()
+    return {m for m, flag in zip(LAZY_MODULES, flags) if flag == "True"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -347,12 +349,14 @@ def loads_scipy(argv) -> bool:
 ], ids=["import", "version", "power", "power-auction", "feasible", "schedule",
         "simulate"])
 def test_scipy_solvers_load_only_when_called(net_a, argv):
-    assert not loads_scipy([arg.format(a=net_a) for arg in argv])
+    # no call here solves an LP or a GP, and none starts a worker pool
+    # (simulate runs its drops serially by default)
+    assert loaded_modules([arg.format(a=net_a) for arg in argv]) == set()
 
 
 def test_lp_call_loads_scipy(net_a):
-    assert loads_scipy(["sumgdof", "--network", net_a, "--weights", "1,1,1",
-                        "--method", "lp"])
+    assert "scipy.optimize" in loaded_modules(["sumgdof", "--network", net_a,
+                                               "--weights", "1,1,1", "--method", "lp"])
 
 
 def test_power_auction_rejects_unreachable_epsilon(net_a):

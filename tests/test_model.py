@@ -1,6 +1,8 @@
 """Channel model: strength exponents, achieved GDoF, SINR, and JSON parsing."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -58,6 +60,18 @@ def test_nominal_snr_is_one_read_only_table():
     snr = net.nominal_snr()
     assert snr is net.nominal_snr() and not snr.flags.writeable
     assert snr.tobytes() == (gains * np.array([[4.0], [3.0]]) / 0.7).tobytes()
+
+
+def test_strength_is_one_read_only_matrix_per_network():
+    gains = np.array([[100.0, 25.0], [0.2, 100.0]])
+    net = PhysicalNetwork(gains=gains, max_tx_power=np.array([4.0, 3.0]),
+                          noise_power=0.7, reference_power=400.0)
+    alpha = strength_from_physical(net)
+    assert alpha is strength_from_physical(net) and not alpha.alpha.flags.writeable
+    want = np.log(np.maximum(1.0, net.nominal_snr())) / math.log(400.0)
+    assert alpha.alpha.tobytes() == want.tobytes()
+    # a network of its own gets a matrix of its own
+    assert strength_from_physical(dataclasses.replace(net)) is not alpha
 
 
 def test_achieved_gdof_example_allocation():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import hungarian_loop, lp_dual_labels, random_alpha
+from oracles import (assignment_matrix_loop, hungarian_loop, lp_dual_labels,
+                     potentials_full_rounds, random_alpha)
 from tinq import (
     ChannelMatrix,
     GdofTuple,
@@ -284,12 +285,27 @@ def test_hungarian_matches_loop_reference_edge_cases():
 # the pipelines and the feasibility test
 
 
+def assert_potentials_match_full_rounds(alpha, d, subset=None):
+    """The same verdict and message as the reference that takes every row in
+    every round, or bitwise the same powers and labels; returns the outcome."""
+    want = _outcome(lambda: potentials_full_rounds(alpha, d, subset))
+    got = _outcome(lambda: solve_power_potentials(alpha, d, subset))
+    if isinstance(want[0], type) or isinstance(got[0], type):
+        assert got == want
+        return got
+    (r, labels), (r0, labels0) = got, want
+    for a, a0 in ((r.r, r0.r), (labels.y_u, labels0.y_u), (labels.y_v, labels0.y_v)):
+        assert _bits(a) == _bits(a0)
+    return got
+
+
 def assert_potentials_match_hungarian(alpha, d, subset=None):
     """The same verdict and message, or powers within 1e-12 of the
     Hungarian's and dual-feasible labels with a tight diagonal; returns the
-    Hungarian's outcome."""
+    Hungarian's outcome. The potentials also match their full-round
+    reference bit for bit."""
     want = _outcome(lambda: solve_power_hungarian(alpha, d, subset))
-    got = _outcome(lambda: solve_power_potentials(alpha, d, subset))
+    got = assert_potentials_match_full_rounds(alpha, d, subset)
     if isinstance(want[0], type) or isinstance(got[0], type):
         assert got == want
         return want
@@ -319,6 +335,42 @@ def test_potentials_match_hungarian(k, scale, coarse, seed):
         d = np.round(d * 4) / 4
     subset = tuple(int(j) for j in np.flatnonzero(d > 0) if rng.random() < 0.8)
     assert_potentials_match_hungarian(alpha, d, subset)
+
+
+@given(st.integers(1, 60), st.floats(0.5, 1.4), st.integers(0, 2**31 - 1))
+def test_potentials_match_full_round_reference_on_a_grid(k, scale, seed):
+    # strengths and targets on a 0.25 grid: many terms of one column tie, and
+    # rows change by exact steps, so a missed or stale row would show
+    rng = np.random.default_rng(seed)
+    alpha = ChannelMatrix(np.round(random_alpha(rng, k).alpha * 4) / 4)
+    _, d = feasible_target(rng, alpha)
+    d = np.round(d.d * scale * 4) / 4
+    subset = tuple(int(j) for j in np.flatnonzero(d > 0) if rng.random() < 0.8)
+    assert_potentials_match_full_rounds(alpha, d, subset)
+
+
+@given(st.integers(1, 40), st.integers(0, 2**31 - 1))
+def test_assignment_matrix_matches_loop_reference(k, seed):
+    # zero targets inside an explicit subset and targets above the direct
+    # strength, in random order: the first offender in subset order decides
+    rng = np.random.default_rng(seed)
+    alpha = random_alpha(rng, k)
+    d = np.round(rng.uniform(-0.5, 3.0, size=k), 2).clip(0.0)
+    subset = None if rng.random() < 0.3 else \
+        tuple(int(j) for j in rng.permutation(k)[:rng.integers(0, k + 1)])
+
+    def outcome(build):
+        try:
+            return build()
+        except (ValueError, ImmediatelyInfeasible) as e:
+            return type(e), str(e)
+
+    want = outcome(lambda: assignment_matrix_loop(alpha, d, subset))
+    got = outcome(lambda: build_assignment_matrix(alpha, d, subset))
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert (_bits(got.A), got.subset) == (_bits(want[0]), want[1])
 
 
 def test_potentials_match_hungarian_on_drop_instances(monkeypatch):

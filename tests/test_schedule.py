@@ -1,6 +1,8 @@
 """Link schedulers, the independent-set test, and the utility-driven
 weight-update loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from oracles import arrivals_loop, flashlinq_loop, itlinq_loop, itlinq_plus_loop
 from tinq.exceptions import ShapeError
 from tinq.model import ChannelMatrix
 from tinq.region import check_conditions
+from tinq.sim import generate_drop, scenario1, scenario2
 from tinq.schedule import (
     NumState,
     SchedulerParams,
@@ -191,38 +194,63 @@ def test_link_removal_keeps_higher_priority_selections():
 
 
 @settings(max_examples=80)
-@given(st.integers(1, 40), st.booleans(), st.booleans(), st.integers(0, 2**31 - 1))
-def test_passes_match_loop_references(n, tied, permuted, seed):
+@given(st.integers(1, 300), st.sampled_from(["uniform", "tied", "drop"]), st.booleans(),
+       st.integers(0, 2**31 - 1))
+def test_passes_match_loop_references(n, table, permuted, seed):
     # tied: SNR and INR levels on one integer-dB grid, with unit margins and
     # exponents, so many entries, running minima and admission tests tie
-    # exactly; permuted: an explicit priority order
+    # exactly; drop: the full-power tables of a scenario drop with the
+    # simulator's knobs; permuted: an explicit priority order. The diagonal
+    # of a drop table is the link SNR; elsewhere it is 0, 1 or NaN, which
+    # only admitted links ever see, so no pass may warn about it
     rng = np.random.default_rng(seed)
-    if tied:
+    eta, gamma, m_db, sir_db = 0.9, 0.1, 25.0, 9.0
+    if table == "drop":
+        scenario = (scenario1 if rng.random() < 0.5 else scenario2)(n)
+        inr = generate_drop(scenario, seed).net.nominal_snr()
+        snr = np.diag(inr).copy()
+    elif table == "tied":
         snr = 10.0 ** rng.integers(3, 7, n).astype(float)
         inr = 10.0 ** rng.integers(-1, 7, (n, n)).astype(float)
         eta, gamma, m_db, sir_db = 1.0, float(rng.choice([0.0, 0.1])), 0.0, 0.0
     else:
         snr = 10.0 ** rng.uniform(3.0, 7.0, n)
         inr = 10.0 ** rng.uniform(-1.0, 6.0, (n, n))
-        eta, gamma, m_db, sir_db = float(rng.uniform(0.5, 1.0)), float(rng.uniform()), 25.0, 9.0
-    np.fill_diagonal(inr, rng.choice([0.0, 1.0]))
+        eta, gamma = float(rng.uniform(0.5, 1.0)), float(rng.uniform())
+    if table != "drop":
+        np.fill_diagonal(inr, rng.choice([0.0, 1.0, np.nan]))
     priority = tuple(rng.permutation(n).tolist()) if permuted else None
 
-    res = itlinq_plus_schedule(snr, inr, SchedulerParams(eta=eta, gamma=gamma,
-                                                         priority=priority))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = itlinq_plus_schedule(snr, inr, SchedulerParams(eta=eta, gamma=gamma,
+                                                             priority=priority))
+        passes = (itlinq_schedule(snr, inr, eta, m_db, priority),
+                  flashlinq_schedule(snr, inr, sir_db, priority))
     selected, min_in, min_out, messages = itlinq_plus_loop(snr, inr, eta, gamma, priority)
     assert res.selected == selected
     assert list(res.min_in.items()) == list(min_in.items())
     assert list(res.min_out.items()) == list(min_out.items())
     assert res.messages == messages
 
-    for res, want in ((itlinq_schedule(snr, inr, eta, m_db, priority),
-                       itlinq_loop(snr, inr, eta, m_db, priority)),
-                      (flashlinq_schedule(snr, inr, sir_db, priority),
-                       flashlinq_loop(snr, inr, sir_db, priority))):
+    for res, want in zip(passes, (itlinq_loop(snr, inr, eta, m_db, priority),
+                                  flashlinq_loop(snr, inr, sir_db, priority))):
         assert res.selected == want
         assert (res.min_in, res.min_out) == ({}, {})
         assert res.messages == 2 * n + len(want)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_passes_check_cross_levels_but_not_the_diagonal(bad):
+    snr = np.array([1e4, 1e4, 1e4])
+    inr = np.full((3, 3), 10.0)
+    np.fill_diagonal(inr, bad)
+    for scheme in _SCHEMES:
+        assert scheme(snr, inr).selected == (0, 1, 2)
+    inr[2, 1] = bad
+    for scheme in _SCHEMES:
+        with pytest.raises(ShapeError, match="cross INRs must be positive and finite"):
+            scheme(snr, inr)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -1,22 +1,28 @@
 """Drop generation, path loss, the experiment runner, and CSV output."""
 
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import tinq.optimize
 import tinq.sim
-from oracles import experiment_loop, synthetic_loop
-from tinq.exceptions import DomainError, InfeasibleGdof, ShapeError
+
+from oracles import drop_loop, experiment_loop, synthetic_loop
+from tinq.exceptions import DomainError, InfeasibleGdof, RegionTooTight, ShapeError
 from tinq.power import solve_power_hungarian
 from tinq.sim import (
     POWER_MODES,
+    RESAMPLE_CAP,
     SCHEMES,
     Aggregate,
     ExperimentResult,
     MetricRow,
+    Scenario,
     generate_drop,
     pathloss_itu1411_los,
     run_experiment,
@@ -129,6 +135,54 @@ def test_drop_single_link():
     assert drop.net.gains[0, 0] > 0
 
 
+def _drop_bits(tx, rx, gains) -> tuple:
+    return tx.tobytes(), rx.tobytes(), gains.tobytes()
+
+
+def _drop_outcome(make):
+    try:
+        return _drop_bits(*make())
+    except RegionTooTight as e:
+        return RegionTooTight, str(e)
+
+
+def assert_drop_matches_loop(scenario, seed):
+    """Bitwise the same tx, rx and gains as the draw-by-draw reference, or
+    the same RegionTooTight; returns the outcome."""
+    def drop():
+        d = generate_drop(scenario, seed)
+        return d.tx, d.rx, d.net.gains
+
+    want = _drop_outcome(lambda: drop_loop(scenario, seed))
+    assert _drop_outcome(drop) == want
+    return want
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([scenario1, scenario2]), st.integers(1, 300),
+       st.integers(0, 2**63 - 1))
+def test_drop_matches_draw_by_draw_reference(make, n, seed):
+    assert_drop_matches_loop(make(n), seed)
+
+
+@settings(max_examples=30)
+@given(st.floats(0.05, 5.0), st.integers(1, 12), st.integers(0, 2**63 - 1))
+def test_tight_drop_matches_draw_by_draw_reference(slack, n, seed):
+    # an area only just larger than the longest pair distance: most angles
+    # land outside, runs of redraws outgrow the first blocks, and some links
+    # exhaust RESAMPLE_CAP
+    assert_drop_matches_loop(Scenario(30.0 + slack, n, (1.0, 30.0), 5e6, 20.0), seed)
+
+
+def test_tight_drop_resamples_long_and_past_the_cap():
+    # seed 2 redraws one angle 222 times and places every link; seed 1 meets
+    # a link whose circle misses the square and raises after RESAMPLE_CAP
+    tight = Scenario(30.2, 8, (1.0, 30.0), 5e6, 20.0)
+    assert len(assert_drop_matches_loop(tight, 2)) == 3
+    assert assert_drop_matches_loop(tight, 1) == (
+        RegionTooTight, f"receiver placement failed after {RESAMPLE_CAP} angle draws")
+
+
 def test_drop_distances_uniform():
     # the angle-only resampling keeps the distance marginal exactly uniform
     sc = scenario1(4)
@@ -222,7 +276,7 @@ def test_pool_size_clamped_to_drops_and_cpus(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(tinq.sim, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(tinq.sim.os, "cpu_count", lambda: 4)
     serial = run_experiment(scenario1(3), ("none",), 3, 5)
     assert run_experiment(scenario1(3), ("none",), 3, 5, jobs=64) == serial
@@ -274,6 +328,12 @@ def test_drop_pipeline_matches_loop_reference(scenario, mode):
     want = experiment_loop(scenario, SCHEMES, 6, 3, mode)
     assert _bits(res) == _bits(want)
     assert res.aggregates == want.aggregates
+
+
+@pytest.mark.parametrize("mode", ["full", "gp+assignment"])
+def test_drop_pipeline_matches_loop_reference_at_128_links(mode):
+    res = run_experiment(scenario1(128), SCHEMES, 2, 9, power_mode=mode)
+    assert _bits(res) == _bits(experiment_loop(scenario1(128), SCHEMES, 2, 9, mode))
 
 
 @pytest.mark.parametrize("snr_db", [20.0, 40.0])
