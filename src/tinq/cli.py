@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .exceptions import Infeasible, TinqError
 from .fixtures import fixture_checksums
-from .model import parse_network, realize_network
+from .model import db_setting, parse_network, realize_network
 from .optimize import (
     decentralized_gp,
     gp_power_control,
@@ -98,7 +98,7 @@ def _physical(args, alpha, net):
     """The physical network, realizing exponent-form inputs at --snr-db."""
     if net is not None:
         return net
-    return realize_network(alpha, 10.0 ** (args.snr_db / 10.0))
+    return realize_network(alpha, db_setting("snr_db", args.snr_db))
 
 
 class _Version(argparse.Action):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidReferencePower, SchemaError, ShapeError
+from .exceptions import DomainError, InvalidReferencePower, SchemaError, ShapeError
 
 __all__ = [
     "ChannelMatrix",
@@ -53,6 +53,15 @@ def check_subset(K: int, subset, allow_empty: bool = False) -> tuple[int, ...]:
 def db_to_linear(x_db):
     """10^(x/10), elementwise."""
     return np.power(10.0, np.asarray(x_db, dtype=float) / 10.0)
+
+
+def db_setting(name: str, value_db: float) -> float:
+    """10^(value_db/10) of one scalar dB setting, as a Python float; a value
+    whose ratio overflows a float raises DomainError naming the setting."""
+    try:
+        return 10.0 ** (float(value_db) / 10.0)
+    except OverflowError:
+        raise DomainError(f"{name} of {value_db:g} dB overflows a float") from None
 
 
 def linear_to_db(x):

@@ -78,20 +78,26 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[Gdo
     """Maximize sum w_k d_k over one subset's achievable polytope.
 
     Zero-weight users are dropped from the subset before solving (they are
-    best served silent for this objective). Hands linprog all 2^n - 1
-    constraints, so the effective subset is capped at 16 users; they are
-    built once per network and subset (``region.halfspaces``), so repeated
-    calls on one network only re-solve the LP.
+    best served silent for this objective). A single user's polytope is the
+    interval [0, alpha_kk], answered in closed form. Otherwise linprog gets
+    all 2^n - 1 constraints, so the effective subset is capped at 16 users;
+    they are built once per network and subset (``region.halfspaces``), so
+    repeated calls on one network only re-solve the LP.
     """
-    # imported on first use: scipy.optimize is most of a cold CLI start
-    from scipy.optimize import linprog
-
     wv = _as_weights(w, alpha.K)
     idx = tuple(k for k in check_subset(alpha.K, subset, allow_empty=True) if wv[k] > 0)
+    d = np.zeros(alpha.K)
     if len(idx) == 0:
-        return GdofTuple(np.zeros(alpha.K)), 0.0
+        return GdofTuple(d), 0.0
+    if len(idx) == 1:
+        k = idx[0]
+        d[k] = alpha.alpha[k, k]
+        return GdofTuple(d), float(wv[k] * d[k])
     if len(idx) > LP_SUBSET_MAX:
         raise SubsetTooLarge(f"LP subset size {len(idx)} exceeds cap {LP_SUBSET_MAX}")
+
+    # imported on first use: scipy.optimize is most of a cold CLI start
+    from scipy.optimize import linprog
 
     rows, bounds = halfspaces(alpha, idx)
     lowest = float(bounds.min())
@@ -109,7 +115,6 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[Gdo
     )
     if not res.success:
         raise RuntimeError(f"LP solve failed: {res.message}")
-    d = np.zeros(alpha.K)
     d[list(idx)] = np.maximum(res.x, 0.0)
     return GdofTuple(d), float(-res.fun)
 
@@ -217,42 +222,50 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None) -> GpSolution:
     )
 
 
-def _local_estimate_solves(w, g, lower, upper):
+def _local_estimate_solves(w, g, lower, upper, order, breaks):
     """Exact minimizers of w_p*max{0, max_j v_pj} + sum_j g_pj v_pj over the
-    boxes lower_p <= v_p <= upper_p, one per row p.
+    boxes lower_p <= v_p <= upper_p, one per row p, where lower < 0 <= upper.
 
     Positive-dual coordinates sit at their lower bound; the rest share a cap m
-    chosen at a breakpoint of the convex piecewise-linear cost. Each row scans
-    its breakpoints in ascending order and a later one wins only when it
-    lowers the cost by more than 1e-15, so a repeated breakpoint never wins.
-    Rows are grouped by their number of nonpositive duals so that every cost
-    is one dot product over exactly those coordinates, in index order.
+    chosen at a breakpoint of the convex piecewise-linear cost: m = 0, of cost
+    0, or a positive upper bound of a nonpositive-dual coordinate. ``order``
+    holds the flat indices of each row's upper bounds in ascending order and
+    ``breaks`` those bounds, inf where not positive. Each row scans its
+    breakpoints in ascending order and a later one wins only when it lowers
+    the cost by more than 1e-15, so a repeated breakpoint never wins. Rows
+    are grouped by their number k of nonpositive duals, and a group's costs
+    are one batch of dot products over exactly those k coordinates, in index
+    order.
     """
+    n, width = g.shape
     neg = g <= 0
     count = neg.sum(axis=1)
-    base = lower.max(axis=1, where=~neg, initial=0.0)
-    m_lo = np.maximum(base, lower.max(axis=1, where=neg, initial=-np.inf))
-    above = neg & (upper > m_lo[:, None])
-    width = 1 + int(above.sum(axis=1).max())
-    breaks = np.where(above, upper, np.inf)
-    breaks.sort(axis=1)
-    cand = np.concatenate([m_lo[:, None], breaks[:, :width - 1]], axis=1)
-
-    # cost of every candidate cap: inf past a row's last breakpoint, NaN on
-    # rows with no nonpositive dual, so neither is ever taken
-    cost = np.full(cand.shape, np.nan)
-    lin = w[:, None] * np.maximum(cand, base[:, None])
-    for k in set(count.tolist()) - {0}:
-        rows = count == k
-        caps = np.minimum(upper[rows][neg[rows]].reshape(-1, 1, 1, k), cand[rows][:, :, None, None])
-        cost[rows] = lin[rows] + (caps @ g[rows][neg[rows]].reshape(-1, 1, k, 1))[:, :, 0, 0]
-    # best[0]: the cost a later candidate must undercut; best[1]: the cap
-    best = np.stack([np.full(len(w), np.inf), m_lo])
-    steps = np.stack([cost - 1e-15, cand])
-    for c in range(width):
-        np.copyto(best, steps[:, :, c], where=cost[:, c] < best[0])
+    cand = np.where(neg.ravel()[order].reshape(n, width), breaks, np.inf)
+    # in the stable (count, sign) order, the r rows with k nonpositive duals
+    # are one block of r*width entries that starts with those duals, row by row
+    rows = np.argsort(count, kind="stable")
+    flat = np.argsort((2 * count[:, None] + ~neg).ravel(), kind="stable")
+    g_by, upper_by, cand = g.ravel()[flat], upper.ravel()[flat], cand[rows]
+    dots = np.full((n, width), np.inf)
+    counts = count[rows].tolist()
+    s = 0
+    while s < n:
+        k, r = counts[s], counts.count(counts[s])
+        if k:
+            blk = slice(s * width, s * width + r * k)
+            caps = np.minimum(upper_by[blk].reshape(r, 1, 1, k), cand[s:s + r, :, None, None])
+            dots[s:s + r] = (caps @ g_by[blk].reshape(r, 1, k, 1))[:, :, 0, 0]
+        s += r
+    cap = [0.0] * n
+    for p, w_p, dot_p, cand_p in zip(rows.tolist(), w[rows].tolist(), dots.tolist(),
+                                     cand.tolist()):
+        best = -1e-15  # the cost of m = 0, less the margin
+        for dot, c in zip(dot_p, cand_p):
+            cost = w_p * c + dot
+            if cost < best:
+                best, cap[p] = cost - 1e-15, c
     v = lower.copy()
-    np.minimum(upper, best[1][:, None], out=v, where=neg)
+    np.minimum(upper, np.array(cap)[:, None], out=v, where=neg)
     return v
 
 
@@ -291,36 +304,42 @@ def decentralized_gp(alpha: ChannelMatrix, subset=None, w=None, step=None,
         d = achieved_gdof(alpha, pa, clamp=True)
         return (pa, d, {"residuals": [0.0]}) if return_info else (pa, d)
 
+    # Duals gamma[j, i] (pricing r'_ji = alpha_ji + r_j), estimates r'_ji
+    # and their averages live in row layout: row j lists the entries i != j,
+    # so the flat array is X[off] of the n x n matrix. ``to_cols`` reorders
+    # it into column layout, row i holding column i without its diagonal
+    # entry, as the local solves read it; ``to_rows`` reorders back.
+    m = n - 1
     off = ~np.eye(n, dtype=bool)
-    upper = a.copy()          # r'_ji <= alpha_ji (r_j <= 0)
-    lower = a - r_box         # r'_ji >= alpha_ji - r_box
-    gamma = np.zeros((n, n))  # gamma[j, i] prices r'_ji = alpha_ji + r_j
-    # row i of a ``.T[off]`` view holds column i without its diagonal entry
-    upper_cols = upper.T[off].reshape(n, n - 1)
-    lower_cols = lower.T[off].reshape(n, n - 1)
+    cells = np.arange(n * n).reshape(n, n)
+    to_cols = np.searchsorted(cells[off], cells.T[off])
+    to_rows = np.argsort(to_cols)
+    a_rows = a[off]
+    upper = a.T[off].reshape(n, m)  # r'_ji <= alpha_ji (r_j <= 0)
+    lower = upper - r_box           # r'_ji >= alpha_ji - r_box
+    order = (np.argsort(upper, axis=1, kind="stable") + m * np.arange(n)[:, None]).ravel()
+    breaks = upper.ravel()[order].reshape(n, m)
+    breaks[breaks <= 0] = np.inf
 
-    rp = upper.copy()
+    gamma = np.zeros(n * m)
     r_avg = np.zeros(n)
-    rp_avg = np.zeros((n, n))
+    rp_avg = np.zeros(n * m)
     wsum = 0.0
     residuals = []
     grow = 0
     for t in range(1, iters + 1):
         delta = float(step(t))
         # every user's local solve reads only last iteration's duals
-        coef = -ww - gamma[off].reshape(n, n - 1).sum(axis=1)
+        coef = -ww - gamma.reshape(n, m).sum(axis=1)
         r = np.where(coef > 0, -r_box, 0.0)
-        rp.T[off] = _local_estimate_solves(
-            ww, gamma.T[off].reshape(n, n - 1), lower_cols, upper_cols
-        ).ravel()
-        target = a + r[:, None]  # alpha_ji + r_j at (j, i)
-        gamma[off] += delta * (rp[off] - target[off])
+        rp = _local_estimate_solves(ww, gamma[to_cols].reshape(n, m), lower, upper,
+                                    order, breaks).ravel()[to_rows]
+        gamma += delta * (rp - (a_rows + r.repeat(m)))
 
         wsum += delta
         r_avg += delta * (r - r_avg) / wsum
         rp_avg += delta * (rp - rp_avg) / wsum
-        avg_target = a + r_avg[:, None]
-        res = float(np.abs(rp_avg[off] - avg_target[off]).sum())
+        res = float(np.abs(rp_avg - (a_rows + r_avg.repeat(m))).sum())
         residuals.append(res)
         if len(residuals) >= 2 and res > residuals[-2] + 1e-12:
             grow += 1

@@ -314,10 +314,11 @@ def solve_power_auction(alpha: ChannelMatrix, d, subset=None,
     instance after the auction terminates. The bid count is capped at
     ceil(10 n^2 max(A)/epsilon) + n, beyond which the target is declared
     infeasible (or epsilon too large to resolve it). A cap above
-    ``BID_CEILING`` raises EpsilonTooSmall before any bid.
+    ``BID_CEILING`` raises EpsilonTooSmall before any bid, and so does a
+    nonpositive, infinite or NaN epsilon (as ValueError).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (0 < epsilon < math.inf):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     am = build_assignment_matrix(alpha, d, subset)
     n, A = am.n, am.A
     if n == 0:

@@ -314,13 +314,18 @@ def check_conditions(alpha: ChannelMatrix, c2_max_k: int = C2_MAX_K) -> Conditio
 
 def _subset_has_zero_edge_optimum(a, ap, sub) -> bool:
     """Is there a zero-strength edge inside sub x sub that some maximum
-    matching of the block can contain?"""
+    matching of the block can contain?
+
+    The block's optimum is solved at its first zero edge, so a block without
+    one is answered without any matching solve."""
     sub = list(sub)
-    w_star = _lsa_max(ap[np.ix_(sub, sub)])
+    w_star = None
     for i in sub:
         for j in sub:
             if a[i, j] > TOL:
                 continue
+            if w_star is None:
+                w_star = _lsa_max(ap[np.ix_(sub, sub)])
             rows = [r for r in sub if r != i]
             cols = [c for c in sub if c != j]
             forced = _lsa_max(ap[np.ix_(rows, cols)])  # the zero edge adds 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShapeError
-from .model import TOL, ChannelMatrix, GdofTuple, check_subset
+from .model import TOL, ChannelMatrix, GdofTuple, check_subset, db_setting
 from .optimize import max_weighted_gdof_exact, max_weighted_gdof_lp
 from .region import check_conditions
 
@@ -177,7 +177,7 @@ def itlinq_schedule(snr, inr, eta: float = 0.7, m_db: float = 25.0,
     """
     _require_finite(eta=eta, m_db=m_db)
     snr, inr, n = _validate_levels(snr, inr)
-    m = 10.0 ** (m_db / 10.0)
+    m = db_setting("m_db", m_db)
     worst = np.full(n, -np.inf)
 
     def admit(k, _):
@@ -200,7 +200,7 @@ def flashlinq_schedule(snr, inr, sir_db: float = 9.0, priority=None) -> Schedule
     """
     _require_finite(sir_db=sir_db)
     snr, inr, n = _validate_levels(snr, inr)
-    theta = 10.0 ** (sir_db / 10.0)
+    theta = db_setting("sir_db", sir_db)
     ok = np.ones(n, dtype=bool)
 
     def admit(k, _):

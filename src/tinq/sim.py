@@ -19,7 +19,8 @@ import numpy as np
 
 from .exceptions import (ConvergenceFailure, DomainError, Infeasible, RegionTooTight,
                          ShapeError)
-from .model import ChannelMatrix, PhysicalNetwork, realize_network, strength_from_physical
+from .model import (ChannelMatrix, PhysicalNetwork, db_setting, realize_network,
+                    strength_from_physical)
 from .optimize import (_target_powers, gp_power_control, gp_then_assignment,
                        max_weighted_gdof_lp)
 from .schedule import (
@@ -257,8 +258,8 @@ def generate_drop(scenario: Scenario, seed: int) -> DropRecord:
     gain_db = 2.0 * scenario.antenna_gain_db - loss_db
     gains = 10.0 ** (gain_db / 10.0)
 
-    p_mw = 10.0 ** (scenario.tx_power_dbm / 10.0)
-    noise_mw = 10.0 ** (scenario.noise_dbm / 10.0)
+    p_mw = db_setting("tx_power_dbm", scenario.tx_power_dbm)
+    noise_mw = db_setting("noise_dbm", scenario.noise_dbm)
     ref = float(np.max(np.diag(gains)) * p_mw / noise_mw)
     net = PhysicalNetwork(
         gains=gains,
@@ -433,7 +434,7 @@ def run_synthetic_experiment(n_links: int, n_drops: int, master_seed: int,
     cross strengths uniform in [0, 1]) realized at reference power
     10^(snr_db/10), compared across the full, gp and gp+assignment power
     modes with all links scheduled and unit bandwidth."""
-    make_drop = partial(_synthetic_drop, n_links, 10.0 ** (snr_db / 10.0))
+    make_drop = partial(_synthetic_drop, n_links, db_setting("snr_db", snr_db))
     rows, fracs, excluded = _run_drops(make_drop, [("none", m) for m in SYNTHETIC_MODES],
                                        n_drops, master_seed)
     fractions = {m: [f[i] for f in fracs] for i, m in enumerate(SYNTHETIC_MODES)}

@@ -10,7 +10,9 @@ references that their array versions in the library must match bit for bit,
 and so are the user-by-user loop of the decentralized GP, the draw-by-draw
 drop generator, the user-by-user assignment matrix and the potentials solve
 that takes every row in every round. The per-call polytope and LP builds are
-the references for the library's per-network memo of subset bounds. The
+the references for the library's per-network memo of subset bounds, and the
+zero-edge test that solves each block's matching up front is the reference
+for the condition report's lazy one. The
 per-user arrival loop is the reference for the NUM arrivals, and the two
 separate drop loops (geometric scenarios and synthetic exponent networks,
 each with its own target-to-power step) are the references for the
@@ -38,7 +40,7 @@ from tinq.exceptions import (
     ShapeError,
     SubsetTooLarge,
 )
-from tinq.matching import max_matching_weight
+from tinq.matching import _lsa_max, max_matching_weight
 from tinq.model import (TOL, PhysicalNetwork, check_subset, realize_network,
                         strength_from_physical)
 from tinq.optimize import (
@@ -511,13 +513,35 @@ def tina_polytope_fresh(alpha: ChannelMatrix, subset=None) -> TinaPolytope:
     return TinaPolytope(K=alpha.K, subset=idx, constraints=constraints)
 
 
+def subset_has_zero_edge_optimum_eager(a, ap, sub) -> bool:
+    """``region._subset_has_zero_edge_optimum`` with the block's optimum
+    solved before any zero edge is looked for."""
+    sub = list(sub)
+    w_star = _lsa_max(ap[np.ix_(sub, sub)])
+    for i in sub:
+        for j in sub:
+            if a[i, j] > TOL:
+                continue
+            rows = [r for r in sub if r != i]
+            cols = [c for c in sub if c != j]
+            if _lsa_max(ap[np.ix_(rows, cols)]) >= w_star - TOL:
+                return True
+    return False
+
+
 def polytope_lp_fresh(alpha: ChannelMatrix, subset=None, w=None):
     """``max_weighted_gdof_lp`` on a fresh polytope with its rows built one
-    constraint at a time on every call."""
+    constraint at a time on every call. A single user takes the library's
+    closed form, so every linprog call of the two sides can be compared."""
     wv = _as_weights(w, alpha.K)
     idx = tuple(k for k in check_subset(alpha.K, subset, allow_empty=True) if wv[k] > 0)
     if len(idx) == 0:
         return GdofTuple(np.zeros(alpha.K)), 0.0
+    if len(idx) == 1:
+        # the library's closed form, checked against linprog on its own
+        d = np.zeros(alpha.K)
+        d[idx[0]] = alpha.alpha[idx[0], idx[0]]
+        return GdofTuple(d), float(wv[idx[0]] * d[idx[0]])
     if len(idx) > LP_SUBSET_MAX:
         raise SubsetTooLarge(f"LP subset size {len(idx)} exceeds cap {LP_SUBSET_MAX}")
 

@@ -346,12 +346,25 @@ def loaded_modules(argv) -> set:
     ["feasible", "--network", "{a}", "--gdof", "0.5,0.6,0.7"],
     ["schedule", "--network", "{a}", "--scheme", "itlinq+"],
     ["simulate", "--links", "16", "--drops", "2"],
+    ["check", "--network", "{a}"],
 ], ids=["import", "version", "power", "power-auction", "feasible", "schedule",
-        "simulate"])
+        "simulate", "check-without-zero-edge"])
 def test_scipy_solvers_load_only_when_called(net_a, argv):
-    # no call here solves an LP or a GP, and none starts a worker pool
-    # (simulate runs its drops serially by default)
+    # no call here solves an LP, a GP or a matching, and none starts a worker
+    # pool (simulate runs its drops serially by default); network A has no
+    # zero-strength edge, so its zero-edge condition fails without a matching
     assert loaded_modules([arg.format(a=net_a) for arg in argv]) == set()
+
+
+def test_check_with_a_zero_edge_solves_matchings(net_b):
+    # network B has a zero-strength edge: its report still needs matchings
+    # and keeps its verdict
+    proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, "check", "--network", net_b],
+                          capture_output=True, text=True, check=True)
+    *report, flags = proc.stdout.splitlines()
+    assert flags.split()[0] == "True"
+    out = json.loads("\n".join(report))
+    assert out["c2"] is True and out["c2_witness"] is None
 
 
 def test_lp_call_loads_scipy(net_a):
@@ -367,3 +380,38 @@ def test_power_auction_rejects_unreachable_epsilon(net_a):
                            "--epsilon", "1e-9"], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: epsilon 1e-09 needs a cap of 135000000003 bids")
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["schedule", "--scheme", "itlinq", "--m-db", "4000"], "m_db"),
+    (["schedule", "--scheme", "flashlinq", "--sir-db", "4000"], "sir_db"),
+    (["schedule", "--scheme", "itlinq+", "--snr-db", "4000"], "snr_db"),
+    (["sumgdof", "--method", "gp", "--weights", "1,1,1", "--snr-db", "4000"], "snr_db"),
+], ids=["itlinq-m-db", "flashlinq-sir-db", "itlinq+-snr-db", "gp-snr-db"])
+def test_overflowing_db_setting_exits_2(capsys, net_a, argv, setting):
+    # 10^(4000/10) overflows a float: a usage error, not a traceback
+    code = dispatch([*argv, "--network", net_a])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {setting} of 4000 dB overflows a float\n"
+
+
+def test_overflowing_simulate_db_settings_exit_2(capsys, tmp_path):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"area_m": 500.0, "n_links": 3, "dist_range_m": [5.0, 20.0],
+                               "bandwidth_hz": 5e6, "tx_power_dbm": 4000.0}))
+    for argv, setting in ((["--synthetic", "--snr-db", "4000"], "snr_db"),
+                          (["--config", str(cfg)], "tx_power_dbm")):
+        assert dispatch(["simulate", "--drops", "2", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {setting} of 4000 dB overflows a float\n"
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_power_auction_rejects_non_finite_epsilon(capsys, net_a, epsilon):
+    code = dispatch(["power", "--network", net_a, "--gdof", "0.5,0.6,0.7",
+                     "--solver", "auction", "--epsilon", epsilon])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: epsilon must be positive and finite, got {epsilon}\n"

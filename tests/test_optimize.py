@@ -35,6 +35,7 @@ from tinq import (
     max_weighted_gdof_exact,
     max_weighted_gdof_lp,
     realize_network,
+    region,
     tina_polytope,
 )
 from tinq.exceptions import DivergenceDetected, ShapeError, SubsetTooLarge
@@ -383,6 +384,44 @@ def test_memoized_lp_matches_fresh_reference_edge_cases(a, calls):
     alpha = ChannelMatrix(np.array(a, dtype=float))
     assert_memo_matches_fresh(alpha, [(s, np.array(w, dtype=float)) for s, w in calls],
                               exact_w=np.array(calls[0][1], dtype=float))
+
+
+@given(st.integers(1, 8), st.integers(0, 2**31 - 1))
+@settings(max_examples=200)
+def test_one_user_lp_matches_linprog(k, seed):
+    # a single user's polytope [0, alpha_kk], answered in closed form, against
+    # the LP the library hands linprog for larger subsets; on the 0.25 grid
+    # strengths and weights are short binary fractions
+    rng = np.random.default_rng(seed)
+    grid = seed % 2 == 0
+    snap = (lambda x: np.round(x * 4) / 4) if grid else (lambda x: x)
+    a = rng.uniform(0.0, 2.0, size=(k, k))
+    a[np.diag_indices(k)] = rng.uniform(0.25, 2.5, size=k)
+    alpha = ChannelMatrix(snap(a))
+    w = snap(rng.uniform(0.25, 2.0, size=k))
+    user = int(rng.integers(k))
+    d, obj = max_weighted_gdof_lp(alpha, (user,), w)
+    rows, bounds = region.halfspaces(alpha, (user,))
+    res = scipy.optimize.linprog(c=-w[[user]], A_ub=rows, b_ub=bounds,
+                                 bounds=[(0, None)], method="highs")
+    want = np.zeros(k)
+    want[user] = np.maximum(res.x, 0.0)[0]
+    assert d.d.tobytes() == want.tobytes()
+    assert obj.hex() == float(-res.fun).hex()
+    # the same through a subset whose other users carry zero weight
+    w_one = np.zeros(k)
+    w_one[user] = w[user]
+    d_all, obj_all = max_weighted_gdof_lp(alpha, None, w_one)
+    assert d_all.d.tobytes() == want.tobytes() and obj_all.hex() == obj.hex()
+
+
+def test_one_user_lp_with_zero_direct_strength():
+    # linprog returns x = -0.0 and fun = 0.0 here, an objective of -0.0; the
+    # closed form reports the same d and +0.0
+    alpha = ChannelMatrix(np.array([[0.0, 0.5], [0.5, 1.0]]))
+    d, obj = max_weighted_gdof_lp(alpha, (0,), [1.5, 1.0])
+    assert d.d.tobytes() == np.zeros(2).tobytes()
+    assert obj.hex() == (0.0).hex()
 
 
 @given(st.integers(0, 2**31 - 1))

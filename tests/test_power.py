@@ -112,6 +112,17 @@ def test_auction_refuses_bid_cap_above_ceiling(monkeypatch):
         solve_power_auction(NETWORK_A, D_REF, epsilon=1e-5)
 
 
+@pytest.mark.parametrize("epsilon", [np.inf, np.nan, 0.0, -1e-5])
+def test_auction_rejects_non_finite_or_nonpositive_epsilon(epsilon):
+    # an infinite epsilon used to bid once per user and return r = (-1.5,
+    # -0.5, -1.0) here, far from the minimal (-1.2, -0.4, -0.7); NaN failed
+    # only when the bid cap was converted to an int
+    for snap in (False, True):
+        with pytest.raises(ValueError) as err:
+            solve_power_auction(NETWORK_A, D_REF, epsilon=epsilon, snap=snap)
+        assert str(err.value) == f"epsilon must be positive and finite, got {epsilon}"
+
+
 def feasible_target(rng: np.random.Generator, alpha: ChannelMatrix):
     r0 = rng.uniform(-1.5, 0.0, size=alpha.K)
     d = achieved_gdof(alpha, PowerAlloc(r0))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_alpha, tina_polytope_fresh
+from oracles import random_alpha, subset_has_zero_edge_optimum_eager, tina_polytope_fresh
 from tinq import (
     ChannelMatrix,
     GdofTuple,
@@ -387,3 +387,25 @@ def test_memo_entry_dies_with_the_network():
     gc.collect()
     assert ref() is None
     assert len(region._MEMO) == entries
+
+
+@given(st.integers(3, 8), st.integers(0, 2**31 - 1))
+@settings(max_examples=60)
+def test_lazy_zero_edge_test_matches_eager_reference(k, seed):
+    # random strengths have no zero edge, so the first block of three fails
+    # without a matching; grid and zero-heavy networks force matchings and
+    # tie their weights
+    rng = np.random.default_rng(seed)
+    kind = seed % 3
+    a = rng.uniform(0.0, 1.0, size=(k, k))
+    a[np.diag_indices(k)] = rng.uniform(1.0, 2.0, size=k)
+    if kind == 1:
+        a = np.round(a * 4) / 4
+    elif kind == 2:
+        a[rng.random((k, k)) < 0.6] = 0.0
+    alpha = ChannelMatrix(a)
+    lazy = check_conditions(alpha)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(region, "_subset_has_zero_edge_optimum", subset_has_zero_edge_optimum_eager)
+        eager = check_conditions(alpha)
+    assert lazy == eager
