@@ -44,12 +44,13 @@ class CyclicPartition:
 
 
 def _lsa_max(w: np.ndarray) -> float:
-    """Maximum-weight perfect assignment value of a square weight matrix."""
+    """Maximum-weight perfect assignment value of a square weight matrix;
+    a 0x0 or 1x1 block is answered without scipy."""
+    if w.size <= 1:
+        return float(w.sum())
     # imported on first use: scipy.optimize is most of a cold CLI start
     from scipy.optimize import linear_sum_assignment
 
-    if w.size == 0:
-        return 0.0
     rows, cols = linear_sum_assignment(w, maximize=True)
     return float(w[rows, cols].sum())
 

@@ -214,12 +214,19 @@ def strength_from_physical(net: PhysicalNetwork) -> ChannelMatrix:
 
 def realize_network(alpha: ChannelMatrix, reference_power: float) -> PhysicalNetwork:
     """Finite-SNR network whose strength levels are exactly ``alpha``:
-    G_ij = P^{alpha_ij}, unit noise, unit power caps."""
+    G_ij = P^{alpha_ij}, unit noise, unit power caps. A gain that overflows a
+    float raises DomainError naming the reference power."""
     if not (reference_power > 1):
         raise InvalidReferencePower(
             f"reference power must exceed 1, got {reference_power}"
         )
-    gains = np.power(float(reference_power), alpha.alpha)
+    with np.errstate(over="ignore"):
+        gains = np.power(float(reference_power), alpha.alpha)
+    if np.isinf(gains).any():
+        raise DomainError(
+            f"reference power {reference_power:g} raised to strength "
+            f"{alpha.alpha.max():g} overflows a float"
+        )
     return PhysicalNetwork(
         gains=gains,
         max_tx_power=np.ones(alpha.K),

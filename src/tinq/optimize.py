@@ -147,16 +147,60 @@ def max_weighted_gdof_exact(alpha: ChannelMatrix, w=None) -> tuple[GdofTuple, tu
     return best
 
 
+def _lbfgsb(fun, z0, ftol):
+    """L-BFGS-B (Byrd, Lu, Nocedal and Zhu 1995) on the box Z_FLOOR <= z <= 0
+    from ``z0``, for a ``fun`` that returns value and gradient.
+
+    Drives scipy's compiled step ``setulb`` through the reverse-communication
+    loop of ``minimize(method="L-BFGS-B")`` with its defaults (10 corrections,
+    20 line-search steps, 15000 evaluations, factr = ftol/eps), gtol 1e-10 and
+    GP_MAX_ITER iterations. ``fun`` runs once at the clipped start and then
+    only where setulb asks at a point other than the last one evaluated, so
+    iterates, values and stop reasons are minimize's bit for bit. Returns the
+    last iterate, its value and gradient, and setulb's two-integer task; the
+    solve converged when task[0] == 4.
+    """
+    # imported on first use: scipy.optimize is most of a cold CLI start
+    from scipy.optimize import _lbfgsb
+
+    n, m = z0.size, 10
+    lower, upper, nbd = np.full(n, Z_FLOOR), np.zeros(n), np.full(n, 2, np.int32)
+    x = np.clip(z0, lower, upper)
+    last = x.copy()
+    f_last, g_last = fun(last)
+    nfev, nit = 1, 0
+    f, g = 0.0, np.zeros(n)
+    wa, iwa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    factr = ftol / np.finfo(float).eps
+    while True:
+        g = g.copy()  # setulb may write into g; the cached gradient stays intact
+        _lbfgsb.setulb(m, x, lower, upper, nbd, f, g, factr, 1e-10, wa, iwa, task,
+                       lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # FG: value and gradient at x
+            if (x != last).any():
+                last = x.copy()
+                f_last, g_last = fun(last)
+                nfev += 1
+            f, g = f_last, g_last
+        elif task[0] == 1:  # NEW_X: one iteration done
+            nit += 1
+            if nit >= GP_MAX_ITER:
+                task[:] = 5, 504
+            elif nfev > 15000:
+                task[:] = 5, 502
+        else:
+            return x, f, g, task
+
+
 def gp_power_control(net: PhysicalNetwork, subset=None, w=None) -> GpSolution:
     """Minimize prod t_i^{w_i} with t_i = (1 + sum_{j!=i} g_ji P_j)/(g_ii P_i)
     over power fractions 0 < P_i <= 1, i.e. maximize sum w_i log SINR_i.
 
     Solved in log-power coordinates, where the objective is smooth and convex,
-    with an analytic gradient under box bounds.
+    with an analytic gradient under box bounds, by L-BFGS-B (``_lbfgsb``).
     """
-    # imported on first use: scipy.optimize is most of a cold CLI start
-    from scipy.optimize import Bounds, minimize
-
     wv = _as_weights(w, net.K)
     idx = tuple(k for k in check_subset(net.K, subset, allow_empty=True) if wv[k] > 0)
     if len(idx) == 0:
@@ -173,7 +217,7 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None) -> GpSolution:
     def objective(z):
         x = np.exp(z)
         interference = cross.T @ x  # at receiver i: sum_j g_ji x_j
-        f = float(np.sum(ww * (np.log1p(interference) - log_gdiag - z)))
+        f = float((ww * (np.log1p(interference) - log_gdiag - z)).sum())
         denom = 1.0 + interference
         # d/dz_k: -w_k + x_k * sum_i w_i g_ki / denom_i
         grad = -ww + x * (cross @ (ww / denom))
@@ -182,27 +226,26 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None) -> GpSolution:
     # deterministic restarts: the demanding ftol can abort the line search on
     # ill-conditioned instances, so fall back to a shifted start and then to a
     # looser (still tight) tolerance before declaring failure
-    box = Bounds(np.full(n, Z_FLOOR), np.zeros(n))
     res = None
     for z0, ftol in ((np.zeros(n), 1e-15), (np.full(n, -2.0), 1e-15),
                      (np.zeros(n), 1e-12)):
-        cand = minimize(
-            objective, z0, jac=True, method="L-BFGS-B",
-            bounds=box,
-            options={"maxiter": GP_MAX_ITER, "ftol": ftol, "gtol": 1e-10},
-        )
-        if res is None or cand.fun < res.fun:
+        cand = _lbfgsb(objective, z0, ftol)  # (z, value, gradient, task)
+        if res is None or cand[1] < res[1]:
             res = cand
-        if cand.success:
+        if cand[3][0] == 4:  # converged
             res = cand
             break
-    if not res.success and np.max(np.abs(res.jac)) > 1e-5:
+    z, _, jac, task = res
+    if task[0] != 4 and np.max(np.abs(jac)) > 1e-5:
+        from scipy.optimize._lbfgsb_py import status_messages, task_messages
+
         raise ConvergenceFailure(
-            f"geometric-program solve did not converge: {res.message}",
-            last_iterate=np.exp(res.x),
+            "geometric-program solve did not converge: "
+            f"{status_messages[task[0]]}: {task_messages[task[1]]}",
+            last_iterate=np.exp(z),
         )
 
-    x = np.exp(res.x)
+    x = np.exp(z)
     interference = cross.T @ x
     sinr_sub = np.diag(g) * x / (1.0 + interference)
     t_sub = 1.0 / sinr_sub

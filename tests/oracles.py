@@ -19,15 +19,18 @@ each with its own target-to-power step) are the references for the
 simulator's single drop pipeline. Those loops run on the references above:
 the draw-by-draw drop, strengths built anew per call, the per-link scheduler
 loops and the full-round potentials. The pipeline's agreement with the
-Kuhn-Munkres solver is checked separately, to a tolerance.
+Kuhn-Munkres solver is checked separately, to a tolerance. The GP solved
+through ``scipy.optimize.minimize`` is the reference for the library's own
+L-BFGS-B loop over scipy's compiled step, bit for bit.
 """
 
 import itertools
 import math
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, linprog, minimize
 
+import tinq.optimize
 from tinq import ChannelMatrix, GdofTuple, PowerAlloc, TinaPolytope, achieved_gdof
 from tinq.exceptions import (
     ConvergenceFailure,
@@ -46,6 +49,8 @@ from tinq.model import (TOL, PhysicalNetwork, check_subset, realize_network,
 from tinq.optimize import (
     EXACT_K_MAX,
     LP_SUBSET_MAX,
+    Z_FLOOR,
+    GpSolution,
     _as_weights,
     gp_power_control,
     max_weighted_gdof_lp,
@@ -590,6 +595,69 @@ def exact_fresh(alpha: ChannelMatrix, w=None):
             if obj > best[2] + 1e-12:
                 best = (d, sub, obj)
     return best
+
+
+def gp_power_control_minimize(net, subset=None, w=None) -> GpSolution:
+    """``gp_power_control`` solved by ``scipy.optimize.minimize``'s L-BFGS-B,
+    with the same objective, restarts and failure test. Reads GP_MAX_ITER
+    from ``tinq.optimize`` on every call, so a patched cap applies to both."""
+    wv = _as_weights(w, net.K)
+    idx = tuple(k for k in check_subset(net.K, subset, allow_empty=True) if wv[k] > 0)
+    if len(idx) == 0:
+        raise ShapeError("no positively weighted users in subset")
+    g = net.nominal_snr()[np.ix_(idx, idx)]
+    if np.any(np.diag(g) <= 0):
+        raise ShapeError("direct gains must be positive on the solved subset")
+    n = len(idx)
+    ww = wv[list(idx)]
+    cross = g.copy()
+    np.fill_diagonal(cross, 0.0)
+    log_gdiag = np.log(np.diag(g))
+
+    def objective(z):
+        x = np.exp(z)
+        interference = cross.T @ x
+        f = float(np.sum(ww * (np.log1p(interference) - log_gdiag - z)))
+        denom = 1.0 + interference
+        grad = -ww + x * (cross @ (ww / denom))
+        return f, grad
+
+    box = Bounds(np.full(n, Z_FLOOR), np.zeros(n))
+    res = None
+    for z0, ftol in ((np.zeros(n), 1e-15), (np.full(n, -2.0), 1e-15),
+                     (np.zeros(n), 1e-12)):
+        cand = minimize(
+            objective, z0, jac=True, method="L-BFGS-B",
+            bounds=box,
+            options={"maxiter": tinq.optimize.GP_MAX_ITER, "ftol": ftol, "gtol": 1e-10},
+        )
+        if res is None or cand.fun < res.fun:
+            res = cand
+        if cand.success:
+            res = cand
+            break
+    if not res.success and np.max(np.abs(res.jac)) > 1e-5:
+        raise ConvergenceFailure(
+            f"geometric-program solve did not converge: {res.message}",
+            last_iterate=np.exp(res.x),
+        )
+
+    x = np.exp(res.x)
+    interference = cross.T @ x
+    sinr_sub = np.diag(g) * x / (1.0 + interference)
+    powers = np.zeros(net.K)
+    powers[list(idx)] = x
+    sinr_full = np.zeros(net.K)
+    sinr_full[list(idx)] = sinr_sub
+    t_full = np.full(net.K, np.inf)
+    t_full[list(idx)] = 1.0 / sinr_sub
+    return GpSolution(
+        powers=powers,
+        sinr=sinr_full,
+        objective=float(np.sum(ww * np.log2(1.0 + sinr_sub))),
+        t=t_full,
+        subset=idx,
+    )
 
 
 def gp_gdof_equivalence_gap(net, subset=None, w=None) -> float:

@@ -347,12 +347,14 @@ def loaded_modules(argv) -> set:
     ["schedule", "--network", "{a}", "--scheme", "itlinq+"],
     ["simulate", "--links", "16", "--drops", "2"],
     ["check", "--network", "{a}"],
+    ["region", "--network", "{a}", "--subset", "1"],
 ], ids=["import", "version", "power", "power-auction", "feasible", "schedule",
-        "simulate", "check-without-zero-edge"])
+        "simulate", "check-without-zero-edge", "region-one-user"])
 def test_scipy_solvers_load_only_when_called(net_a, argv):
     # no call here solves an LP, a GP or a matching, and none starts a worker
     # pool (simulate runs its drops serially by default); network A has no
-    # zero-strength edge, so its zero-edge condition fails without a matching
+    # zero-strength edge, so its zero-edge condition fails without a matching,
+    # and a one-user region's matching weight is its 1x1 block's entry
     assert loaded_modules([arg.format(a=net_a) for arg in argv]) == set()
 
 
@@ -406,6 +408,21 @@ def test_overflowing_simulate_db_settings_exit_2(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {setting} of 4000 dB overflows a float\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sumgdof", "--network", "{a}", "--weights", "1,1,1", "--method", "gp"],
+    ["simulate", "--synthetic", "--drops", "2"],
+], ids=["sumgdof-gp", "simulate-synthetic"])
+def test_overflowing_reference_power_exits_2(net_a, argv):
+    # 10^200 is a float, but P^2 is not: a usage error, even with warnings
+    # raised as errors
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "tinq.cli",
+                           *[arg.format(a=net_a) for arg in argv], "--snr-db", "2000"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: reference power 1e+200 raised to strength ")
+    assert proc.stderr.endswith(" overflows a float\n") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("epsilon", ["inf", "nan"])

@@ -228,3 +228,14 @@ def test_max_weight_matching_raises_when_no_completion_fits(monkeypatch):
     with pytest.raises(RuntimeError, match="transmitter 0"):
         max_weight_matching(NETWORK_A, (0, 1, 2))
     assert sizes == [3, 2, 2, 2]
+
+
+@given(st.floats(0.0, 1e6) | st.sampled_from([0.0, -0.0]))
+def test_small_blocks_match_linear_sum_assignment(x):
+    # 0x0 and 1x1 blocks are answered without scipy, with the bytes of its
+    # value (a -0.0 weight sums to +0.0 there too)
+    w = np.array([[x]])
+    rows, cols = linear_sum_assignment(w, maximize=True)
+    want = float(w[rows, cols].sum())
+    assert np.float64(matching._lsa_max(w)).tobytes() == np.float64(want).tobytes()
+    assert np.float64(matching._lsa_max(np.zeros((0, 0)))).tobytes() == np.float64(0.0).tobytes()

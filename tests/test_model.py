@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from tinq import (
     sinr,
     strength_from_physical,
 )
-from tinq.exceptions import SchemaError, ShapeError
+from tinq.exceptions import DomainError, SchemaError, ShapeError
 
 
 def single_link_net(snr: float, p: float) -> PhysicalNetwork:
@@ -154,6 +155,17 @@ def test_network_json_roundtrip():
     text = json.dumps(obj)
     alpha, _ = parse_network(json.loads(text))
     assert np.allclose(alpha.alpha, NETWORK_A.alpha)
+
+
+def test_realize_network_overflow_names_reference_power():
+    # P^alpha beyond the float range is a typed error, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            realize_network(NETWORK_A, 1e200)
+        assert str(err.value) == "reference power 1e+200 raised to strength 2 overflows a float"
+        net = realize_network(NETWORK_A, 1e150)
+    assert net.gains.tobytes() == np.power(1e150, NETWORK_A.alpha).tobytes()
 
 
 def test_db_helpers():

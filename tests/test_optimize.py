@@ -16,6 +16,7 @@ from oracles import (
     exact_fresh,
     gp_gdof_equivalence_gap,
     gp_grid_best,
+    gp_power_control_minimize,
     polytope_lp_fresh,
     random_alpha,
     tina_polytope_fresh,
@@ -38,7 +39,10 @@ from tinq import (
     region,
     tina_polytope,
 )
-from tinq.exceptions import DivergenceDetected, ShapeError, SubsetTooLarge
+import tinq.optimize
+from tinq import sim
+from tinq.exceptions import (ConvergenceFailure, DivergenceDetected, ShapeError,
+                             SubsetTooLarge)
 from tinq.model import PhysicalNetwork
 from tinq.optimize import _target_powers
 from tinq.power import PowerAlloc, solve_power_auction, solve_power_hungarian
@@ -225,6 +229,72 @@ def test_dgp_divergence_matches_loop_reference(seed):
         decentralized_gp(alpha, step=step, iters=400)
     assert str(err.value) == str(loop_err.value)
     assert str(err.value) == "consistency residual grew for 100 consecutive steps"
+
+
+def _gp_outcome(solve, net, subset=None, w=None):
+    """The bytes of powers, sinr and t with the objective and subset, or the
+    failure's text and last-iterate bytes."""
+    try:
+        sol = solve(net, subset, w)
+    except ConvergenceFailure as e:
+        return str(e), e.last_iterate.tobytes()
+    return sol.powers.tobytes(), sol.sinr.tobytes(), sol.t.tobytes(), sol.objective, sol.subset
+
+
+def _random_gp_instance(k, seed, log_p):
+    # about a fifth of the weights are zero, so the solved subset shrinks
+    rng = np.random.default_rng(seed)
+    alpha = random_alpha(rng, k)
+    w = rng.uniform(0.2, 3.0, size=k)
+    w[rng.random(k) < 0.2] = 0.0
+    if not np.any(w > 0):
+        w[rng.integers(0, k)] = 1.0
+    return realize_network(alpha, 10.0 ** log_p), w
+
+
+@given(st.integers(1, 40), st.integers(0, 2**31 - 1), st.floats(1.0, 6.0))
+@settings(max_examples=60)
+def test_gp_matches_minimize_reference(k, seed, log_p):
+    # the setulb loop must reproduce minimize's L-BFGS-B bit for bit
+    net, w = _random_gp_instance(k, seed, log_p)
+    want = _gp_outcome(gp_power_control_minimize, net, None, w)
+    assert _gp_outcome(gp_power_control, net, None, w) == want
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gp_matches_minimize_reference_on_scheduled_drops(seed):
+    net = sim.generate_drop(sim.scenario1(256), seed).net
+    snr_tab = net.nominal_snr()
+    snr = np.diag(snr_tab).copy()
+    for scheme in ("none", "flashlinq", "itlinq", "itlinq+"):
+        subset = sim._select(scheme, snr, snr_tab)
+        want = _gp_outcome(gp_power_control_minimize, net, subset)
+        assert _gp_outcome(gp_power_control, net, subset) == want
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+@given(st.integers(1, 40), st.integers(0, 2**31 - 1), st.floats(1.0, 6.0))
+@settings(max_examples=30)
+def test_gp_matches_minimize_reference_at_an_iteration_cap(cap, k, seed, log_p):
+    # a cap of 1 or 3 iterations stops most starts early: every restart runs
+    # and the failure carries the same text and last iterate
+    net, w = _random_gp_instance(k, seed, log_p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tinq.optimize, "GP_MAX_ITER", cap)
+        want = _gp_outcome(gp_power_control_minimize, net, None, w)
+        assert _gp_outcome(gp_power_control, net, None, w) == want
+
+
+def test_gp_failure_names_the_stop_reason(monkeypatch):
+    monkeypatch.setattr(tinq.optimize, "GP_MAX_ITER", 1)
+    net = realize_network(NETWORK_A, 1e4)
+    with pytest.raises(ConvergenceFailure) as err:
+        gp_power_control(net)
+    assert str(err.value) == ("geometric-program solve did not converge: "
+                              "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")
+    assert np.all((err.value.last_iterate > 0) & (err.value.last_iterate <= 1))
+    assert _gp_outcome(gp_power_control_minimize, net) == (str(err.value),
+                                                           err.value.last_iterate.tobytes())
 
 
 def test_pipeline_single_user():
