@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._cores import scipy_core
 from .exceptions import NotPerfect
 from .model import TOL, ChannelMatrix, check_subset
 
@@ -43,14 +44,19 @@ class CyclicPartition:
     is_best: bool
 
 
+# scipy's compiled assignment solver, bound on first use; a module attribute,
+# so that rebinding it here reaches every call
+linear_sum_assignment = None
+
+
 def _lsa_max(w: np.ndarray) -> float:
     """Maximum-weight perfect assignment value of a square weight matrix;
     a 0x0 or 1x1 block is answered without scipy."""
+    global linear_sum_assignment
     if w.size <= 1:
         return float(w.sum())
-    # imported on first use: scipy.optimize is most of a cold CLI start
-    from scipy.optimize import linear_sum_assignment
-
+    if linear_sum_assignment is None:
+        linear_sum_assignment = scipy_core("_lsap").linear_sum_assignment
     rows, cols = linear_sum_assignment(w, maximize=True)
     return float(w[rows, cols].sum())
 

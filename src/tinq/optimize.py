@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._cores import scipy_core
 from .exceptions import (
     ConvergenceFailure,
     DivergenceDetected,
@@ -160,9 +161,7 @@ def _lbfgsb(fun, z0, ftol):
     last iterate, its value and gradient, and setulb's two-integer task; the
     solve converged when task[0] == 4.
     """
-    # imported on first use: scipy.optimize is most of a cold CLI start
-    from scipy.optimize import _lbfgsb
-
+    setulb = scipy_core("_lbfgsb").setulb
     n, m = z0.size, 10
     lower, upper, nbd = np.full(n, Z_FLOOR), np.zeros(n), np.full(n, 2, np.int32)
     x = np.clip(z0, lower, upper)
@@ -176,8 +175,8 @@ def _lbfgsb(fun, z0, ftol):
     factr = ftol / np.finfo(float).eps
     while True:
         g = g.copy()  # setulb may write into g; the cached gradient stays intact
-        _lbfgsb.setulb(m, x, lower, upper, nbd, f, g, factr, 1e-10, wa, iwa, task,
-                       lsave, isave, dsave, 20, ln_task)
+        setulb(m, x, lower, upper, nbd, f, g, factr, 1e-10, wa, iwa, task,
+               lsave, isave, dsave, 20, ln_task)
         if task[0] == 3:  # FG: value and gradient at x
             if (x != last).any():
                 last = x.copy()

@@ -136,15 +136,11 @@ def gp_grid_best(g: np.ndarray, w: np.ndarray, grid: int = 220) -> float:
     n = g.shape[0]
     assert n == 2
     axis = np.concatenate([[1e-8], np.logspace(-6, 0, grid)])
-    best = -np.inf
-    for p0 in axis:
-        for p1 in axis:
-            p = np.array([p0, p1])
-            num = np.diag(g) * p
-            interference = g.T @ p - num
-            val = float(np.sum(w * np.log(num / (1.0 + interference))))
-            best = max(best, val)
-    return best
+    # every grid point (p0, p1) as one row
+    p = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, n)
+    num = np.diag(g) * p
+    interference = p @ g - num
+    return float(np.max(np.sum(w * np.log(num / (1.0 + interference)), axis=1)))
 
 
 def random_alpha(rng: np.random.Generator, k: int,

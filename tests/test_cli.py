@@ -315,8 +315,10 @@ def test_subprocess_byte_determinism(tmp_path, net_b):
 
 
 # Runs a CLI call in a fresh interpreter, then prints which of the lazily
-# loaded modules it loaded.
-LAZY_MODULES = ("scipy.optimize", "concurrent.futures")
+# loaded modules it loaded: the scipy.optimize package, its two compiled
+# cores that tinq loads without the package, and the worker pool's module.
+LSAP, LBFGSB = "scipy.optimize._lsap", "scipy.optimize._lbfgsb"
+LAZY_MODULES = ("scipy.optimize", LSAP, LBFGSB, "concurrent.futures")
 MODULE_PROBE = f"""
 import sys
 if len(sys.argv) > 1:
@@ -338,35 +340,74 @@ def loaded_modules(argv) -> set:
     return {m for m, flag in zip(LAZY_MODULES, flags) if flag == "True"}
 
 
-@pytest.mark.parametrize("argv", [
-    [],
-    ["--version"],
-    ["power", "--network", "{a}", "--gdof", "0.5,0.6,0.7"],
-    ["power", "--network", "{a}", "--gdof", "0.5,0.6,0.7", "--solver", "auction"],
-    ["feasible", "--network", "{a}", "--gdof", "0.5,0.6,0.7"],
-    ["schedule", "--network", "{a}", "--scheme", "itlinq+"],
-    ["simulate", "--links", "16", "--drops", "2"],
-    ["check", "--network", "{a}"],
-    ["region", "--network", "{a}", "--subset", "1"],
+@pytest.mark.parametrize("argv, cores", [
+    ([], set()),
+    (["--version"], set()),
+    (["power", "--network", "{a}", "--gdof", "0.5,0.6,0.7"], set()),
+    (["power", "--network", "{a}", "--gdof", "0.5,0.6,0.7", "--solver", "auction"], set()),
+    (["feasible", "--network", "{a}", "--gdof", "0.5,0.6,0.7"], set()),
+    (["schedule", "--network", "{a}", "--scheme", "itlinq+"], set()),
+    (["simulate", "--links", "16", "--drops", "2"], set()),
+    (["check", "--network", "{a}"], set()),
+    (["region", "--network", "{a}", "--subset", "1"], set()),
+    (["region", "--network", "{a}"], {LSAP}),
+    (["sumgdof", "--network", "{a}", "--weights", "1,1,1", "--method", "gp"], {LBFGSB}),
+    (["simulate", "--power-mode", "gp+assignment", "--links", "8", "--drops", "2"], {LBFGSB}),
+    (["simulate", "--synthetic", "--links", "6", "--drops", "2"], {LBFGSB}),
 ], ids=["import", "version", "power", "power-auction", "feasible", "schedule",
-        "simulate", "check-without-zero-edge", "region-one-user"])
-def test_scipy_solvers_load_only_when_called(net_a, argv):
-    # no call here solves an LP, a GP or a matching, and none starts a worker
-    # pool (simulate runs its drops serially by default); network A has no
-    # zero-strength edge, so its zero-edge condition fails without a matching,
-    # and a one-user region's matching weight is its 1x1 block's entry
-    assert loaded_modules([arg.format(a=net_a) for arg in argv]) == set()
+        "simulate", "check-without-zero-edge", "region-one-user", "region-matching",
+        "sumgdof-gp", "simulate-gp+assignment", "simulate-synthetic"])
+def test_scipy_solvers_load_only_when_called(net_a, argv, cores):
+    # no call here solves an LP, and none starts a worker pool (simulate runs
+    # its drops serially by default), so none imports the scipy.optimize
+    # package. Only the calls that solve a matching or a GP load the compiled
+    # core they call: network A has no zero-strength edge, so its zero-edge
+    # condition fails without a matching, and a one-user region's matching
+    # weight is its 1x1 block's entry
+    assert loaded_modules([arg.format(a=net_a) for arg in argv]) == cores
 
 
 def test_check_with_a_zero_edge_solves_matchings(net_b):
-    # network B has a zero-strength edge: its report still needs matchings
-    # and keeps its verdict
+    # network B has a zero-strength edge: its report still needs matchings,
+    # from the compiled assignment core alone, and keeps its verdict
     proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, "check", "--network", net_b],
                           capture_output=True, text=True, check=True)
     *report, flags = proc.stdout.splitlines()
-    assert flags.split()[0] == "True"
+    assert {m for m, flag in zip(LAZY_MODULES, flags.split()) if flag == "True"} == {LSAP}
     out = json.loads("\n".join(report))
     assert out["c2"] is True and out["c2_witness"] is None
+
+
+# Loads tinq's two compiled scipy cores before or after the scipy.optimize
+# package, then checks that the package and tinq share one module each.
+CORE_PROBE = """
+import sys
+import numpy as np
+from tinq._cores import scipy_core
+if sys.argv[1] == "package-first":
+    import scipy.optimize
+lsap, lbfgsb = scipy_core("_lsap"), scipy_core("_lbfgsb")
+assert ("scipy.optimize" in sys.modules) == (sys.argv[1] == "package-first")
+assert sys.modules["scipy.optimize._lsap"] is lsap
+assert sys.modules["scipy.optimize._lbfgsb"] is lbfgsb
+assert scipy_core("_lsap") is lsap and scipy_core("_lbfgsb") is lbfgsb
+import scipy.optimize
+from scipy.optimize import _lbfgsb
+from scipy.optimize._lbfgsb_py import _lbfgsb as minimize_core
+assert scipy.optimize.linear_sum_assignment is lsap.linear_sum_assignment
+assert _lbfgsb is lbfgsb and minimize_core is lbfgsb
+res = scipy.optimize.minimize(lambda x: ((x - 1.0) ** 2).sum(), np.zeros(3),
+                              method="L-BFGS-B")
+assert res.success and np.allclose(res.x, 1.0)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("order", ["cores-first", "package-first"])
+def test_scipy_cores_are_the_packages_modules(order):
+    proc = subprocess.run([sys.executable, "-c", CORE_PROBE, order],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
 
 def test_lp_call_loads_scipy(net_a):
