@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .exceptions import Infeasible, TinqError
+from .exceptions import Infeasible, SchemaError, TinqError
 from .fixtures import fixture_checksums
 from .model import db_setting, parse_network, realize_network
 from .optimize import (
@@ -341,9 +341,15 @@ def _cmd_simulate(args) -> int:
         if args.config:
             with open(args.config) as fh:
                 cfg = json.load(fh)
-            cfg.setdefault("n_links", args.links)
-            cfg["dist_range_m"] = tuple(cfg["dist_range_m"])
-            scenario = Scenario(**cfg)
+            if not isinstance(cfg, dict):
+                raise SchemaError("scenario JSON must be an object")
+            pair = cfg.get("dist_range_m")
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise SchemaError("scenario field dist_range_m must be a [min, max] list")
+            try:
+                scenario = Scenario(**{"n_links": args.links, **cfg, "dist_range_m": tuple(pair)})
+            except TypeError as e:  # an unknown or missing field, or a non-number
+                raise SchemaError(f"bad scenario: {e}") from None
         else:
             scenario = (scenario1 if args.scenario == 1 else scenario2)(args.links)
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]

@@ -263,32 +263,7 @@ def check_conditions(alpha: ChannelMatrix, c2_max_k: int = C2_MAX_K) -> Conditio
     K = alpha.K
     a = alpha.alpha
     ap = alpha.alpha_prime()
-
-    gnaj, c1 = [], []
-    gnaj_w, c1_w = {}, {}
-    for k in range(K):
-        others = [i for i in range(K) if i != k]
-        if not others:
-            gnaj.append(True)
-            c1.append(True)
-            continue
-        i_in = max(others, key=lambda i: a[i, k])
-        j_out = max(others, key=lambda j: a[k, j])
-        ok_gnaj = a[k, k] >= a[i_in, k] + a[k, j_out] - TOL
-        gnaj.append(bool(ok_gnaj))
-        if not ok_gnaj:
-            gnaj_w[k] = (i_in, j_out)
-
-        best_val, best_pair = -np.inf, None
-        for i in others:
-            for j in others:
-                val = a[i, k] + a[k, j] - ap[i, j]
-                if val > best_val:
-                    best_val, best_pair = val, (i, j)
-        ok_c1 = a[k, k] >= best_val - TOL
-        c1.append(bool(ok_c1))
-        if not ok_c1:
-            c1_w[k] = best_pair
+    gnaj, c1, gnaj_w, c1_w = _strength_conditions(a)
 
     c2: bool | None
     c2_witness = None
@@ -306,10 +281,30 @@ def check_conditions(alpha: ChannelMatrix, c2_max_k: int = C2_MAX_K) -> Conditio
                 c2_witness = sub
                 break
     return ConditionReport(
-        gnaj=tuple(gnaj), c1=tuple(c1), c2=c2,
+        gnaj=gnaj, c1=c1, c2=c2,
         gnaj_witnesses=gnaj_w, c1_witnesses=c1_w,
         c2_witness=c2_witness, c2_skipped=c2_skipped,
     )
+
+
+def _strength_conditions(a: np.ndarray) -> tuple[tuple, tuple, dict, dict]:
+    """GNAJ and C1 verdicts for each user of the square strength block ``a``,
+    and the (i, j) witness of each violated one, from array maxima over
+    partners with every user's own entries at -inf (a lone user passes).
+    ``argmax`` keeps the first maximum (row-major for C1's pairs), as a scan
+    in index order with a strict ``>`` does, over the same IEEE additions, so
+    verdicts and witnesses are bitwise that scan's."""
+    users = np.arange(a.shape[0])
+    own = users[:, None] == users
+    off, ap = np.where(own, -np.inf, a), np.where(own, 0.0, a)
+    i_in, j_out = off.argmax(axis=0), off.argmax(axis=1)
+    gnaj = a[users, users] >= off[i_in, users] + off[users, j_out] - TOL
+    # off[u, u] = -inf masks row and column u of user u's pair sums
+    i, j = np.divmod([(off[:, u, None] + off[u] - ap).argmax() for u in users], users.size)
+    c1 = a[users, users] >= off[i, users] + off[users, j] - ap[i, j] - TOL
+    gnaj_w = {u: (int(i_in[u]), int(j_out[u])) for u in np.flatnonzero(~gnaj).tolist()}
+    c1_w = {u: (int(i[u]), int(j[u])) for u in np.flatnonzero(~c1).tolist()}
+    return tuple(gnaj.tolist()), tuple(c1.tolist()), gnaj_w, c1_w
 
 
 def _subset_has_zero_edge_optimum(a, ap, sub) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 from .exceptions import ShapeError
 from .model import TOL, ChannelMatrix, GdofTuple, check_subset, db_setting
 from .optimize import max_weighted_gdof_exact, max_weighted_gdof_lp
-from .region import check_conditions
+from .region import _strength_conditions
 
 __all__ = [
     "SchedulerParams",
@@ -92,8 +92,7 @@ def itis_plus_check(alpha: ChannelMatrix, subset) -> bool:
     the strongest path between the partners, i.e. the relaxed per-user
     condition of ``check_conditions`` holds for every user of the subnetwork."""
     idx = check_subset(alpha.K, subset)
-    sub = ChannelMatrix(alpha.alpha[np.ix_(idx, idx)])
-    return all(check_conditions(sub, c2_max_k=0).c1)
+    return all(_strength_conditions(alpha.alpha[np.ix_(idx, idx)])[1])
 
 
 def itlinq_plus_schedule(snr, inr, params: SchedulerParams | None = None) -> ScheduleResult:

@@ -12,7 +12,9 @@ drop generator, the user-by-user assignment matrix and the potentials solve
 that takes every row in every round. The per-call polytope and LP builds are
 the references for the library's per-network memo of subset bounds, and the
 zero-edge test that solves each block's matching up front is the reference
-for the condition report's lazy one. The
+for the condition report's lazy one, and the user-by-user scans of the
+strict and relaxed strength conditions are the references for the
+condition report's array maxima, verdicts and witnesses bit for bit. The
 per-user arrival loop is the reference for the NUM arrivals, and the two
 separate drop loops (geometric scenarios and synthetic exponent networks,
 each with its own target-to-power step) are the references for the
@@ -56,7 +58,7 @@ from tinq.optimize import (
     max_weighted_gdof_lp,
 )
 from tinq.power import KmTrace, LabelPair, build_assignment_matrix, solve_power_hungarian
-from tinq.region import POLYTOPE_MAX
+from tinq.region import C2_MAX_K, POLYTOPE_MAX, ConditionReport
 from tinq.sim import (
     RESAMPLE_CAP,
     SPEED_OF_LIGHT,
@@ -149,6 +151,15 @@ def random_alpha(rng: np.random.Generator, k: int,
     a = rng.uniform(0.0, cross_hi, size=(k, k))
     a[np.diag_indices(k)] = rng.uniform(diag_lo, diag_hi, size=k)
     return ChannelMatrix(np.round(a, 6))
+
+
+def random_alpha_tied(rng: np.random.Generator, k: int, grid: float | None) -> ChannelMatrix:
+    """``random_alpha`` with cross strengths below 1.2, every entry rounded to
+    a multiple of ``grid`` when one is given. On a grid, per-user maxima tie
+    and zero edges appear; on the 0.1 grid, sums such as 0.1 + 0.2 miss their
+    decimal value by an ulp, so verdicts rest on the TOL slack."""
+    alpha = random_alpha(rng, k, cross_hi=1.2)
+    return alpha if grid is None else ChannelMatrix(np.round(alpha.alpha / grid) * grid)
 
 
 def random_feasible_instance(rng: np.random.Generator, k: int):
@@ -528,6 +539,70 @@ def subset_has_zero_edge_optimum_eager(a, ap, sub) -> bool:
             if _lsa_max(ap[np.ix_(rows, cols)]) >= w_star - TOL:
                 return True
     return False
+
+
+def check_conditions_loop(alpha: ChannelMatrix, c2_max_k: int = C2_MAX_K) -> ConditionReport:
+    """``check_conditions`` with each user's GNAJ maxima taken by ``max`` over
+    its partners and its C1 pair by a strict ``>`` scan of every (i, j) in
+    row-major order, and the zero-edge blocks tested eagerly."""
+    K = alpha.K
+    a = alpha.alpha
+    ap = alpha.alpha_prime()
+
+    gnaj, c1 = [], []
+    gnaj_w, c1_w = {}, {}
+    for k in range(K):
+        others = [i for i in range(K) if i != k]
+        if not others:
+            gnaj.append(True)
+            c1.append(True)
+            continue
+        i_in = max(others, key=lambda i: a[i, k])
+        j_out = max(others, key=lambda j: a[k, j])
+        ok_gnaj = a[k, k] >= a[i_in, k] + a[k, j_out] - TOL
+        gnaj.append(bool(ok_gnaj))
+        if not ok_gnaj:
+            gnaj_w[k] = (i_in, j_out)
+
+        best_val, best_pair = -np.inf, None
+        for i in others:
+            for j in others:
+                val = a[i, k] + a[k, j] - ap[i, j]
+                if val > best_val:
+                    best_val, best_pair = val, (i, j)
+        ok_c1 = a[k, k] >= best_val - TOL
+        c1.append(bool(ok_c1))
+        if not ok_c1:
+            c1_w[k] = best_pair
+
+    c2: bool | None
+    c2_witness = None
+    c2_skipped = False
+    if K > c2_max_k:
+        c2 = None
+        c2_skipped = True
+    else:
+        c2 = True
+        for size in range(3, K + 1):
+            for sub in itertools.combinations(range(K), size):
+                if not subset_has_zero_edge_optimum_eager(a, ap, sub):
+                    c2, c2_witness = False, sub
+                    break
+            if c2_witness:
+                break
+    return ConditionReport(
+        gnaj=tuple(gnaj), c1=tuple(c1), c2=c2,
+        gnaj_witnesses=gnaj_w, c1_witnesses=c1_w,
+        c2_witness=c2_witness, c2_skipped=c2_skipped,
+    )
+
+
+def itis_plus_check_loop(alpha: ChannelMatrix, subset) -> bool:
+    """``itis_plus_check`` as C1 for every user of the subnetwork, through
+    ``check_conditions_loop`` on a new ``ChannelMatrix`` of its block."""
+    idx = check_subset(alpha.K, subset)
+    sub = ChannelMatrix(alpha.alpha[np.ix_(idx, idx)])
+    return all(check_conditions_loop(sub, c2_max_k=0).c1)
 
 
 def polytope_lp_fresh(alpha: ChannelMatrix, subset=None, w=None):

@@ -250,6 +250,25 @@ def test_simulate_config_file(capsys, tmp_path):
     assert out["aggregates"][0]["n"] == 2
 
 
+SCENARIO = {"area_m": 500.0, "n_links": 3, "dist_range_m": [5.0, 20.0],
+            "bandwidth_hz": 5e6, "tx_power_dbm": 20.0}
+
+
+@pytest.mark.parametrize("cfg, says", [
+    ({k: v for k, v in SCENARIO.items() if k != "dist_range_m"}, "dist_range_m"),
+    ({**SCENARIO, "bogus": 1}, "'bogus'"),
+    ([SCENARIO], "scenario JSON must be an object"),
+    ({**SCENARIO, "dist_range_m": 5}, "dist_range_m"),
+], ids=["missing-field", "unknown-field", "list", "scalar-range"])
+def test_malformed_simulate_config_exits_2(capsys, tmp_path, cfg, says):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    assert dispatch(["simulate", "--config", str(path), "--drops", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert says in captured.err and captured.err.count("\n") == 1
+
+
 def test_simulate_synthetic(capsys):
     code, out = run(capsys, ["simulate", "--synthetic", "--links", "6",
                              "--drops", "5", "--seed", "2", "--snr-db", "30"])

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_alpha, subset_has_zero_edge_optimum_eager, tina_polytope_fresh
+from oracles import (
+    check_conditions_loop,
+    random_alpha,
+    random_alpha_tied,
+    subset_has_zero_edge_optimum_eager,
+    tina_polytope_fresh,
+)
 from tinq import (
     ChannelMatrix,
     GdofTuple,
@@ -124,6 +130,22 @@ def test_conditions_cyclic_pattern():
     # worst C1 pair (i = j) gives 1 + 0.8 = 1.8 > 1.5
     assert rep.gnaj == (False, False, False)
     assert rep.c1 == (False, False, False)
+
+
+def test_conditions_match_loop_reference():
+    # reprs compare witness types too (Python ints, not numpy scalars); the
+    # grids tie maxima, make zero edges for c2 and put verdicts on their TOL
+    # boundary; K=40 skips c2
+    rng = np.random.default_rng(12)
+    violated = {"gnaj": 0, "c1": 0}
+    draws = [(k, grid) for k in range(1, 10) for grid in (None, 0.25, 0.1)] * 30
+    for k, grid in draws + [(40, None), (40, 0.25)]:
+        alpha = random_alpha_tied(rng, k, grid)
+        rep = check_conditions(alpha)
+        assert repr(rep) == repr(check_conditions_loop(alpha))
+        violated["gnaj"] += len(rep.gnaj_witnesses)
+        violated["c1"] += len(rep.c1_witnesses)
+    assert min(violated.values()) > 0
 
 
 def test_c2_fails_without_zero_edges():
