@@ -162,12 +162,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--scheme", choices=("flashlinq", "itlinq", "itlinq+"),
                     required=True)
-    sp.add_argument("--eta", type=float, default=0.9)
-    sp.add_argument("--gamma", type=float, default=0.1)
-    sp.add_argument("--m-db", type=float, default=25.0, help="itlinq margin (dB)")
-    sp.add_argument("--sir-db", type=float, default=9.0, help="flashlinq SIR threshold (dB)")
+    # the thresholds start unset: a pass receives only the flags given, so
+    # each scheme runs its own library default
+    sp.add_argument("--eta", type=float, help="itlinq and itlinq+ SNR exponent")
+    sp.add_argument("--gamma", type=float, help="itlinq+ normalization exponent")
+    sp.add_argument("--m-db", type=float, help="itlinq margin (dB)")
+    sp.add_argument("--sir-db", type=float, help="flashlinq SIR threshold (dB)")
     sp.add_argument("--priority", default="rr",
-                    help="'rr', 'weights', or a comma-separated permutation")
+                    help="'rr' (index order) or a comma-separated permutation")
     sp.add_argument("--snr-db", type=float, default=40.0)
 
     sp = sub.add_parser("num", help="utility-maximizing scheduling loop")
@@ -293,20 +295,20 @@ def _cmd_schedule(args) -> int:
     phys = _physical(args, alpha, net)
     snr_tab = phys.nominal_snr()
     snr = np.diag(snr_tab).copy()
-    if args.priority in ("rr", "weights"):
-        priority = None  # identity for a single standalone pass
-    else:
-        priority = _csv_ints(args.priority)
+    # 'rr' is the identity order for a single standalone pass
+    priority = None if args.priority == "rr" else _csv_ints(args.priority)
+
+    def given(*names) -> dict:
+        return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+
     if args.scheme == "itlinq+":
-        params = SchedulerParams(eta=args.eta, gamma=args.gamma,
-                                 priority=tuple(priority) if priority else None)
+        params = SchedulerParams(priority=tuple(priority) if priority else None,
+                                 **given("eta", "gamma"))
         res = itlinq_plus_schedule(snr, snr_tab, params)
     elif args.scheme == "itlinq":
-        res = itlinq_schedule(snr, snr_tab, eta=args.eta, m_db=args.m_db,
-                              priority=priority)
+        res = itlinq_schedule(snr, snr_tab, priority=priority, **given("eta", "m_db"))
     else:
-        res = flashlinq_schedule(snr, snr_tab, sir_db=args.sir_db,
-                                 priority=priority)
+        res = flashlinq_schedule(snr, snr_tab, priority=priority, **given("sir_db"))
     _emit({
         "scheme": args.scheme,
         "selected": list(res.selected),
@@ -343,12 +345,9 @@ def _cmd_simulate(args) -> int:
                 cfg = json.load(fh)
             if not isinstance(cfg, dict):
                 raise SchemaError("scenario JSON must be an object")
-            pair = cfg.get("dist_range_m")
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise SchemaError("scenario field dist_range_m must be a [min, max] list")
             try:
-                scenario = Scenario(**{"n_links": args.links, **cfg, "dist_range_m": tuple(pair)})
-            except TypeError as e:  # an unknown or missing field, or a non-number
+                scenario = Scenario(**{"n_links": args.links, **cfg})
+            except TypeError as e:  # an unknown or missing field
                 raise SchemaError(f"bad scenario: {e}") from None
         else:
             scenario = (scenario1 if args.scenario == 1 else scenario2)(args.links)

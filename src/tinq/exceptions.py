@@ -1,5 +1,25 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "TinqError",
+    "ShapeError",
+    "SchemaError",
+    "InvalidReferencePower",
+    "OracleLimitExceeded",
+    "NotPerfect",
+    "SubsetTooLarge",
+    "EpsilonTooSmall",
+    "Infeasible",
+    "ImmediatelyInfeasible",
+    "InfeasibleGdof",
+    "InfeasibleOrEpsilonTooLarge",
+    "EmptyPolytope",
+    "ConvergenceFailure",
+    "DivergenceDetected",
+    "RegionTooTight",
+    "DomainError",
+]
+
 
 class TinqError(Exception):
     """Base class for all package-specific errors."""

@@ -8,11 +8,11 @@ condition holds for everyone while the strict one fails exactly for users
 0 and 1; its region bounds are (1, 1, 1), (1.1, 1.3, 1.2) and 1.8.
 """
 
-import hashlib
-
 import numpy as np
 
 from .model import ChannelMatrix
+
+__all__ = ["NETWORK_A", "NETWORK_B", "fixture_checksums"]
 
 NETWORK_A = ChannelMatrix(np.array([
     [2.0, 0.5, 0.1],
@@ -29,6 +29,9 @@ NETWORK_B = ChannelMatrix(np.array([
 
 def fixture_checksums() -> dict:
     """sha256 of the canonical text form of each reference matrix."""
+    # imported here: OpenSSL's hashlib is only needed by `tinq --version`
+    import hashlib
+
     out = {}
     for name, cm in (("network_a", NETWORK_A), ("network_b", NETWORK_B)):
         text = ";".join(",".join(f"{x:.12g}" for x in row) for row in cm.alpha)

@@ -310,8 +310,9 @@ def solve_power_auction(alpha: ChannelMatrix, d, subset=None,
     assignment. The demand queue is FIFO and value ties go to the lowest
     product index, so runs are deterministic.
 
-    ``snap`` re-derives exact labels with a centralized solve of the same
-    instance after the auction terminates. The bid count is capped at
+    ``snap`` skips the auction: once epsilon is checked, it returns
+    ``solve_power_hungarian``'s exact labels for the same instance without
+    placing a bid. The bid count is capped at
     ceil(10 n^2 max(A)/epsilon) + n, beyond which the target is declared
     infeasible (or epsilon too large to resolve it). A cap above
     ``BID_CEILING`` raises EpsilonTooSmall before any bid, and so does a

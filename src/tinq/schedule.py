@@ -268,7 +268,7 @@ def utility_value(d, fairness: float) -> float:
 
 
 def _solve_service(alpha: ChannelMatrix, w: np.ndarray, solver: str,
-                   ref_power: float, params: SchedulerParams | None) -> np.ndarray:
+                   ref_power: float) -> np.ndarray:
     # The update max(0, w - d + a) can leave float residue where the true
     # backlog is zero; residue-scale weights also lose solver tie-breaks
     # against the zero point, so snap them before testing for idleness.
@@ -292,7 +292,7 @@ def _solve_service(alpha: ChannelMatrix, w: np.ndarray, solver: str,
         a = alpha.alpha
         snr = np.array([ref_power ** a[k, k] for k in cand])
         inr = ref_power ** a[np.ix_(cand, cand)]
-        res = itlinq_plus_schedule(snr, inr, params or SchedulerParams())
+        res = itlinq_plus_schedule(snr, inr)
         chosen = tuple(cand[i] for i in res.selected)
         d, _ = max_weighted_gdof_lp(alpha, chosen, w)
         return d.d
@@ -300,13 +300,12 @@ def _solve_service(alpha: ChannelMatrix, w: np.ndarray, solver: str,
 
 
 def num_step(state: NumState, alpha: ChannelMatrix, solver: str = "exact",
-             ref_power: float = 1e6, params: SchedulerParams | None = None,
-             ) -> tuple[GdofTuple, np.ndarray, NumState]:
+             ref_power: float = 1e6) -> tuple[GdofTuple, np.ndarray, NumState]:
     """One slot: serve the weighted sum-GDoF optimum, admit the closed-form
     arrivals, and update each weight by max(0, w - service + arrival)."""
     if alpha.K != state.K:
         raise ShapeError(f"state has {state.K} users, network has {alpha.K}")
-    d_star = _solve_service(alpha, state.weights, solver, ref_power, params)
+    d_star = _solve_service(alpha, state.weights, solver, ref_power)
     a_star = _arrivals(state)
     new_w = np.maximum(0.0, state.weights - d_star + a_star)
     new_state = dataclasses.replace(state, weights=new_w)
@@ -335,8 +334,7 @@ class NumTrajectory:
 
 def num_run(alpha: ChannelMatrix, fairness: float = 1.0, v: float = 10.0,
             a_max: float = 1.0, t_slots: int = 1000, solver: str = "exact",
-            ref_power: float = 1e6, params: SchedulerParams | None = None,
-            ) -> NumTrajectory:
+            ref_power: float = 1e6) -> NumTrajectory:
     """Run the drift-plus-penalty loop for t_slots from unit weights."""
     if t_slots < 1:
         raise ShapeError("need at least one slot")
@@ -347,7 +345,7 @@ def num_run(alpha: ChannelMatrix, fairness: float = 1.0, v: float = 10.0,
     util = np.zeros(t_slots)
     running = np.zeros(alpha.K)
     for t in range(t_slots):
-        d, a, state = num_step(state, alpha, solver, ref_power, params)
+        d, a, state = num_step(state, alpha, solver, ref_power)
         ds[t] = d.d
         as_[t] = a
         running += (d.d - running) / (t + 1)

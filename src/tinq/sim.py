@@ -11,8 +11,9 @@ from __future__ import annotations
 import copy
 import csv
 import math
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -23,12 +24,7 @@ from .model import (ChannelMatrix, PhysicalNetwork, db_setting, realize_network,
                     strength_from_physical)
 from .optimize import (_target_powers, gp_power_control, gp_then_assignment,
                        max_weighted_gdof_lp)
-from .schedule import (
-    SchedulerParams,
-    flashlinq_schedule,
-    itlinq_plus_schedule,
-    itlinq_schedule,
-)
+from .schedule import flashlinq_schedule, itlinq_plus_schedule, itlinq_schedule
 
 __all__ = [
     "Scenario",
@@ -56,9 +52,18 @@ CSV_COLUMNS = (
 )
 
 
+def _finite_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Drop geometry and radio parameters for one simulated deployment."""
+    """Drop geometry and radio parameters for one simulated deployment.
+
+    Every field is checked on construction, so a malformed scenario raises
+    ShapeError naming its field: n_links is an integer, dist_range_m a
+    (min, max) pair (a list is stored as a tuple) and every other field a
+    finite real."""
 
     area_m: float
     n_links: int
@@ -72,6 +77,19 @@ class Scenario:
     carrier_hz: float = 2.4e9
 
     def __post_init__(self):
+        pair = self.dist_range_m
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and all(map(_finite_real, pair))):
+            raise ShapeError(f"scenario field dist_range_m must be a [min, max] pair "
+                             f"of finite numbers, got {pair!r}")
+        object.__setattr__(self, "dist_range_m", tuple(pair))
+        if isinstance(self.n_links, bool) or not isinstance(self.n_links, numbers.Integral):
+            raise ShapeError(f"scenario field n_links must be an integer, got {self.n_links!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in ("n_links", "dist_range_m") and not _finite_real(value):
+                raise ShapeError(f"scenario field {f.name} must be a finite number, "
+                                 f"got {value!r}")
         lo, hi = self.dist_range_m
         if not (self.area_m > 0 and self.n_links >= 1 and 0 < lo <= hi):
             raise ShapeError("area, link count, and distance range must be positive")
@@ -278,7 +296,7 @@ def _select(scheme: str, snr: np.ndarray, inr: np.ndarray) -> tuple:
     if scheme == "itlinq":
         return itlinq_schedule(snr, inr).selected
     if scheme == "itlinq+":
-        return itlinq_plus_schedule(snr, inr, SchedulerParams()).selected
+        return itlinq_plus_schedule(snr, inr).selected
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, JSON output, determinism."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import tinq
-from tinq.cli import dispatch
+from tinq import optimize, power, schedule, sim
+from tinq.cli import _build_parser, dispatch
 from tinq.fixtures import fixture_checksums
 
 ALPHA_A = [[2, 0.5, 0.1], [0.2, 1, 0.5], [1, 0.5, 1.5]]
@@ -44,6 +46,17 @@ def test_version_lists_fixture_checksums(capsys):
     sums = fixture_checksums()
     assert lines[1] == f"network_a sha256 {sums['network_a']}"
     assert lines[2] == f"network_b sha256 {sums['network_b']}"
+
+
+def test_package_exports_each_submodules_public_names():
+    modules = (tinq.exceptions, tinq.fixtures, tinq.matching, tinq.model, tinq.optimize,
+               tinq.power, tinq.region, tinq.schedule, tinq.sim)
+    assert tinq.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(tinq.__all__)) == len(tinq.__all__)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(tinq, name) is getattr(m, name), name
+    assert tinq.solve_power_potentials is power.solve_power_potentials
 
 
 def test_region_bounds(capsys, net_a):
@@ -206,6 +219,49 @@ def test_schedule_rejects_non_finite_thresholds(capsys, net_a):
     assert code == 0 and out["scheme"] == "itlinq+"
 
 
+def test_schedule_thresholds_default_per_scheme(capsys, tmp_path):
+    # a strongly interfering network on which ITLinQ's own eta (0.7) and
+    # ITLinQ+'s (0.9) select different links: with no threshold flag, each
+    # scheme must run its library default
+    rng = np.random.default_rng(0)
+    a = rng.uniform(0.5, 1.8, size=(12, 12))
+    np.fill_diagonal(a, rng.uniform(1.0, 2.0, size=12))
+    path = tmp_path / "strong.json"
+    path.write_text(json.dumps({"k": 12, "alpha": a.tolist()}))
+    snr_tab = tinq.realize_network(tinq.ChannelMatrix(a), 1e4).nominal_snr()  # --snr-db 40
+    snr = np.diag(snr_tab).copy()
+    itlinq = schedule.itlinq_schedule(snr, snr_tab)
+    assert itlinq.selected != schedule.itlinq_schedule(snr, snr_tab, eta=0.9).selected
+    for scheme, want in (("itlinq", itlinq),
+                         ("flashlinq", schedule.flashlinq_schedule(snr, snr_tab)),
+                         ("itlinq+", schedule.itlinq_plus_schedule(snr, snr_tab))):
+        code, out = run(capsys, ["schedule", "--network", str(path), "--scheme", scheme])
+        assert code == 0, scheme
+        assert (out["selected"], out["messages"]) == (list(want.selected), want.messages), scheme
+
+
+def defaults(fn) -> dict:
+    return {k: p.default for k, p in inspect.signature(fn).parameters.items()}
+
+
+def test_cli_defaults_match_the_library():
+    # each CLI default that copies a library default must still equal it
+    parse = _build_parser().parse_args
+    args = parse(["power", "--network", "n.json", "--gdof", "1"])
+    assert args.epsilon == defaults(power.solve_power_auction)["epsilon"] == power.DEFAULT_EPSILON
+    args = parse(["sumgdof", "--network", "n.json", "--weights", "1"])
+    assert args.iters == defaults(optimize.decentralized_gp)["iters"]
+    args = parse(["num", "--network", "n.json"])
+    lib = defaults(schedule.num_run)
+    assert (args.fairness, args.v, args.a_max, args.slots, args.solver, args.ref_power) == (
+        lib["fairness"], lib["v"], lib["a_max"], lib["t_slots"], lib["solver"], lib["ref_power"])
+    args = parse(["simulate"])
+    lib = defaults(sim.run_experiment)
+    assert (args.power_mode, args.jobs) == (lib["power_mode"], lib["jobs"])
+    args = parse(["schedule", "--network", "n.json", "--scheme", "itlinq"])
+    assert (args.eta, args.gamma, args.m_db, args.sir_db) == (None, None, None, None)
+
+
 def test_num_linear(capsys, net_b):
     code, out = run(capsys, ["num", "--network", net_b, "--fairness", "0",
                              "--slots", "200", "--solver", "lp"])
@@ -259,7 +315,13 @@ SCENARIO = {"area_m": 500.0, "n_links": 3, "dist_range_m": [5.0, 20.0],
     ({**SCENARIO, "bogus": 1}, "'bogus'"),
     ([SCENARIO], "scenario JSON must be an object"),
     ({**SCENARIO, "dist_range_m": 5}, "dist_range_m"),
-], ids=["missing-field", "unknown-field", "list", "scalar-range"])
+    ({**SCENARIO, "n_links": 2.5}, "n_links"),
+    ({**SCENARIO, "n_links": True}, "n_links"),
+    ({**SCENARIO, "noise_psd_dbm_hz": "x"}, "noise_psd_dbm_hz"),
+    ({**SCENARIO, "area_m": "big"}, "area_m"),
+    ({**SCENARIO, "dist_range_m": ["a", "b"]}, "dist_range_m"),
+], ids=["missing-field", "unknown-field", "list", "scalar-range", "fractional-links",
+        "bool-links", "string-optional-field", "string-required-field", "string-range"])
 def test_malformed_simulate_config_exits_2(capsys, tmp_path, cfg, says):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(cfg))
@@ -427,6 +489,29 @@ def test_scipy_cores_are_the_packages_modules(order):
     proc = subprocess.run([sys.executable, "-c", CORE_PROBE, order],
                           capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
+# `tinq --version` as printed while hashlib was imported with tinq.fixtures
+VERSION_OUT = (
+    "tinq 0.1.0\n"
+    "network_a sha256 613f5d32b763a0d59d5eb7f7d3900339775ef34cb9033da1e0365782305bbb36\n"
+    "network_b sha256 723e3af3a1a53dac5da973471b1da62dd89f05dba0703979137b515b005bf06f\n"
+)
+
+
+@pytest.mark.parametrize("argv, hashes", [
+    (["power", "--network", "{a}", "--gdof", "0.5,0.6,0.7"], False),
+    (["--version"], True),
+], ids=["power", "version"])
+def test_openssl_hashlib_loads_only_for_version(net_a, argv, hashes):
+    # only the fixture checksums of --version need OpenSSL's _hashlib
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "tinq.cli",
+                           *(arg.format(a=net_a) for arg in argv)],
+                          capture_output=True, text=True, check=True)
+    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()}
+    assert ("_hashlib" in imported) == hashes
+    if argv == ["--version"]:
+        assert proc.stdout == VERSION_OUT
 
 
 def test_lp_call_loads_scipy(net_a):
