@@ -29,7 +29,6 @@ from .optimize import (
 from .power import is_feasible, solve_power_auction, solve_power_hungarian
 from .region import check_conditions, tina_polytope, tina_polytope_cyclic
 from .schedule import (
-    SchedulerParams,
     flashlinq_schedule,
     itlinq_plus_schedule,
     itlinq_schedule,
@@ -298,17 +297,11 @@ def _cmd_schedule(args) -> int:
     # 'rr' is the identity order for a single standalone pass
     priority = None if args.priority == "rr" else _csv_ints(args.priority)
 
-    def given(*names) -> dict:
-        return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
-
-    if args.scheme == "itlinq+":
-        params = SchedulerParams(priority=tuple(priority) if priority else None,
-                                 **given("eta", "gamma"))
-        res = itlinq_plus_schedule(snr, snr_tab, params)
-    elif args.scheme == "itlinq":
-        res = itlinq_schedule(snr, snr_tab, priority=priority, **given("eta", "m_db"))
-    else:
-        res = flashlinq_schedule(snr, snr_tab, priority=priority, **given("sir_db"))
+    run_pass, knobs = {"itlinq+": (itlinq_plus_schedule, ("eta", "gamma")),
+                       "itlinq": (itlinq_schedule, ("eta", "m_db")),
+                       "flashlinq": (flashlinq_schedule, ("sir_db",))}[args.scheme]
+    res = run_pass(snr, snr_tab, priority=priority,
+                   **{n: getattr(args, n) for n in knobs if getattr(args, n) is not None})
     _emit({
         "scheme": args.scheme,
         "selected": list(res.selected),
@@ -339,6 +332,7 @@ def _cmd_simulate(args) -> int:
         res = run_synthetic_experiment(args.links, args.drops, args.seed,
                                        snr_db=args.snr_db)
         scenario_name = f"synthetic@{args.snr_db:g}dB"
+        n_links = args.links
     else:
         if args.config:
             with open(args.config) as fh:
@@ -355,11 +349,12 @@ def _cmd_simulate(args) -> int:
         res = run_experiment(scenario, schemes, args.drops, args.seed,
                              power_mode=args.power_mode, jobs=args.jobs)
         scenario_name = f"scenario{args.scenario}" if not args.config else "custom"
+        n_links = scenario.n_links
     if args.csv:
         write_rows_csv(res.rows, args.csv)
     _emit({
         "setup": scenario_name,
-        "n_links": args.links,
+        "n_links": n_links,
         "n_drops": args.drops,
         "excluded": res.excluded,
         "valid": res.valid,

@@ -34,7 +34,7 @@ class SchemaError(TinqError, ValueError):
 
 
 class InvalidReferencePower(TinqError, ValueError):
-    """Reference power P must exceed 1 for the log-P scale to exist."""
+    """Reference power P must be finite and exceed 1 for the log-P scale to exist."""
 
 
 class OracleLimitExceeded(TinqError, ValueError):

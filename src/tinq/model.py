@@ -64,6 +64,14 @@ def db_setting(name: str, value_db: float) -> float:
         raise DomainError(f"{name} of {value_db:g} dB overflows a float") from None
 
 
+def check_reference_power(p) -> float:
+    """``p`` as a float if it can anchor the log-P scale of every strength
+    alpha = log SNR / log P: finite and above 1, else InvalidReferencePower."""
+    if not (math.isfinite(p) and p > 1):
+        raise InvalidReferencePower(f"reference power must be finite and exceed 1, got {p}")
+    return float(p)
+
+
 def linear_to_db(x):
     """10*log10(x), elementwise."""
     return 10.0 * np.log10(np.asarray(x, dtype=float))
@@ -156,8 +164,8 @@ class PowerAlloc:
 @dataclass(frozen=True, eq=False)
 class PhysicalNetwork:
     """Finite-SNR description: linear power gains G_ij = |h_ij|^2, per-Tx power
-    caps (watts), receiver noise power (watts), and the reference power P > 1
-    that anchors the log-P scale."""
+    caps (watts), receiver noise power (watts), and the reference power P
+    (finite, > 1) that anchors the log-P scale."""
 
     gains: np.ndarray
     max_tx_power: np.ndarray
@@ -175,14 +183,10 @@ class PhysicalNetwork:
             raise ShapeError("per-Tx power caps must be positive and finite")
         if not (self.noise_power > 0 and math.isfinite(self.noise_power)):
             raise ShapeError("noise power must be positive and finite")
-        if not (self.reference_power > 1):
-            raise InvalidReferencePower(
-                f"reference power must exceed 1, got {self.reference_power}"
-            )
+        object.__setattr__(self, "reference_power", check_reference_power(self.reference_power))
         object.__setattr__(self, "gains", _readonly(g))
         object.__setattr__(self, "max_tx_power", _readonly(p))
         object.__setattr__(self, "noise_power", float(self.noise_power))
-        object.__setattr__(self, "reference_power", float(self.reference_power))
         snr = self.gains * self.max_tx_power[:, None] / self.noise_power
         snr.setflags(write=False)
         object.__setattr__(self, "_nominal_snr", snr)
@@ -216,12 +220,9 @@ def realize_network(alpha: ChannelMatrix, reference_power: float) -> PhysicalNet
     """Finite-SNR network whose strength levels are exactly ``alpha``:
     G_ij = P^{alpha_ij}, unit noise, unit power caps. A gain that overflows a
     float raises DomainError naming the reference power."""
-    if not (reference_power > 1):
-        raise InvalidReferencePower(
-            f"reference power must exceed 1, got {reference_power}"
-        )
+    reference_power = check_reference_power(reference_power)
     with np.errstate(over="ignore"):
-        gains = np.power(float(reference_power), alpha.alpha)
+        gains = np.power(reference_power, alpha.alpha)
     if np.isinf(gains).any():
         raise DomainError(
             f"reference power {reference_power:g} raised to strength "
@@ -231,7 +232,7 @@ def realize_network(alpha: ChannelMatrix, reference_power: float) -> PhysicalNet
         gains=gains,
         max_tx_power=np.ones(alpha.K),
         noise_power=1.0,
-        reference_power=float(reference_power),
+        reference_power=reference_power,
     )
 
 

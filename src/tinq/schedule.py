@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShapeError
-from .model import TOL, ChannelMatrix, GdofTuple, check_subset, db_setting
+from .model import (TOL, ChannelMatrix, GdofTuple, check_reference_power, check_subset,
+                    db_setting)
 from .optimize import max_weighted_gdof_exact, max_weighted_gdof_lp
 from .region import _strength_conditions
 
 __all__ = [
-    "SchedulerParams",
     "ScheduleResult",
     "NumState",
     "NumTrajectory",
@@ -39,21 +39,6 @@ def _require_finite(**knobs) -> None:
     for name, value in knobs.items():
         if not math.isfinite(value):
             raise ShapeError(f"{name} must be finite, got {value}")
-
-
-@dataclass(frozen=True)
-class SchedulerParams:
-    """ITLinQ+ knobs: the exponents of its normalized-interference tests and
-    an optional priority permutation (None = index order)."""
-
-    eta: float = 0.9
-    gamma: float = 0.1
-    priority: tuple | None = None
-
-    def __post_init__(self):
-        _require_finite(eta=self.eta, gamma=self.gamma)
-        if not (0.0 <= self.eta <= 1.0 and 0.0 <= self.gamma <= 1.0):
-            raise ShapeError("exponents must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -95,7 +80,8 @@ def itis_plus_check(alpha: ChannelMatrix, subset) -> bool:
     return all(_strength_conditions(alpha.alpha[np.ix_(idx, idx)])[1])
 
 
-def itlinq_plus_schedule(snr, inr, params: SchedulerParams | None = None) -> ScheduleResult:
+def itlinq_plus_schedule(snr, inr, eta: float = 0.9, gamma: float = 0.1,
+                         priority=None) -> ScheduleResult:
     """Greedy priority pass with running minimum-interference normalization.
 
     Candidate k is admitted iff, against every already-selected link j,
@@ -105,7 +91,7 @@ def itlinq_plus_schedule(snr, inr, params: SchedulerParams | None = None) -> Sch
 
     where min_in[j] / min_out[j] track the smallest cross interference into
     j's receiver / caused by j's transmitter among selected links, start at 1,
-    and are re-broadcast after every admission.
+    and are re-broadcast after every admission. Both exponents lie in [0, 1].
 
     The tables are kept by admission position p, and each admission copies
     its link's column and row of ``inr`` into column p of an n x 2 x n
@@ -114,10 +100,10 @@ def itlinq_plus_schedule(snr, inr, params: SchedulerParams | None = None) -> Sch
     same float operation as in the per-link loop, so the selections and
     tables are bitwise the loop's.
     """
-    if params is None:
-        params = SchedulerParams()
+    _require_finite(eta=eta, gamma=gamma)
+    if not (0.0 <= eta <= 1.0 and 0.0 <= gamma <= 1.0):
+        raise ShapeError("exponents must lie in [0, 1]")
     snr, inr, n = _validate_levels(snr, inr)
-    eta, gamma = params.eta, params.gamma
     # levels[k, 0, p] = inr[k, s_p]: k at the p-th selected link's receiver;
     # levels[k, 1, p] = inr[s_p, k]: that link's transmitter at k
     levels = np.empty((n, 2, n))
@@ -141,7 +127,7 @@ def itlinq_plus_schedule(snr, inr, params: SchedulerParams | None = None) -> Sch
         levels[:, 0, m] = inr[:, k]
         levels[:, 1, m] = inr[k]
 
-    res = _greedy_pass(n, params.priority, admits, admit)
+    res = _greedy_pass(n, priority, admits, admit)
     return dataclasses.replace(
         res, min_in={k: float(v) for k, v in zip(res.selected, mins[0])},
         min_out={k: float(v) for k, v in zip(res.selected, mins[1])})
@@ -302,9 +288,12 @@ def _solve_service(alpha: ChannelMatrix, w: np.ndarray, solver: str,
 def num_step(state: NumState, alpha: ChannelMatrix, solver: str = "exact",
              ref_power: float = 1e6) -> tuple[GdofTuple, np.ndarray, NumState]:
     """One slot: serve the weighted sum-GDoF optimum, admit the closed-form
-    arrivals, and update each weight by max(0, w - service + arrival)."""
+    arrivals, and update each weight by max(0, w - service + arrival).
+    ``ref_power`` must be finite and above 1 for every solver, not only for
+    itlinq+, which realizes the levels at it."""
     if alpha.K != state.K:
         raise ShapeError(f"state has {state.K} users, network has {alpha.K}")
+    check_reference_power(ref_power)
     d_star = _solve_service(alpha, state.weights, solver, ref_power)
     a_star = _arrivals(state)
     new_w = np.maximum(0.0, state.weights - d_star + a_star)

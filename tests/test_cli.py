@@ -207,6 +207,18 @@ def test_schedule_schemes(capsys, tmp_path, net_a):
     assert code == 2
 
 
+@pytest.mark.parametrize("scheme", ["flashlinq", "itlinq", "itlinq+"])
+@pytest.mark.parametrize("priority", ["", "0,0,1", "1,0"])
+def test_schedule_rejects_a_priority_that_is_not_a_permutation(capsys, net_a, scheme,
+                                                              priority):
+    # every scheme receives the order as given; an empty one orders no link
+    code = dispatch(["schedule", "--network", net_a, "--scheme", scheme,
+                     "--priority", priority])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: priority must be a permutation of all links\n"
+
+
 def test_schedule_rejects_non_finite_thresholds(capsys, net_a):
     # each pass validates the knobs it reads; itlinq+ reads neither threshold
     for scheme, flag in (("itlinq", "--m-db"), ("itlinq", "--eta"),
@@ -272,6 +284,54 @@ def test_num_linear(capsys, net_b):
     assert len(out["final_weights"]) == 3
 
 
+# a five-user network on which the three NUM solvers serve different slots
+ALPHA_5 = [[1.59, 0.39, 0.84, 0.67, 0.28], [0.55, 1.47, 0.33, 0.79, 0.29],
+           [0.51, 0.61, 1.77, 0.67, 0.79], [0.97, 0.43, 0.72, 1.03, 0.43],
+           [0.2, 0.98, 0.44, 0.45, 1.71]]
+
+
+@pytest.mark.parametrize("solver, avg_d, utility", [
+    ("exact", [0.6855, 0.7155, 0.724, 0.39, 0.715], -2.31242562271),
+    ("lp", [0.516, 0.72275, 0.7415, 0.464, 0.75575], -2.33333590107),
+    ("itlinq+", [0.52725, 0.73475, 0.74175, 0.468, 0.73275], -2.31728613557),
+])
+def test_num_trajectories_at_the_default_reference_power(capsys, tmp_path, solver, avg_d,
+                                                         utility):
+    # pinned 40-slot answers at the default --ref-power 1e6: checking the
+    # reference power for every solver must not move a trajectory
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps({"k": 5, "alpha": ALPHA_5}))
+    code, out = run(capsys, ["num", "--network", str(path), "--solver", solver,
+                             "--slots", "40"])
+    assert code == 0
+    assert (out["avg_d"], out["utility"]) == (avg_d, utility)
+
+
+@pytest.mark.parametrize("solver, p", [("itlinq+", "1"), ("itlinq+", "0.5"), ("lp", "0.5"),
+                                       ("exact", "inf")])
+def test_num_rejects_a_meaningless_reference_power(capsys, net_b, solver, p):
+    code = dispatch(["num", "--network", net_b, "--solver", solver, "--ref-power", p,
+                     "--slots", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: reference power must be finite and exceed 1, "
+                            f"got {float(p)}\n")
+
+
+def test_physical_network_with_infinite_reference_power_exits_2(capsys, tmp_path):
+    # 10^(4000/10) is inf as a float: no log-P scale, so no region to print
+    path = tmp_path / "phys.json"
+    path.write_text(json.dumps({"k": 2, "gains_db": [[0, -20], [-20, 0]],
+                                "tx_power_dbm": [30, 30], "noise_dbm": -40,
+                                "ref_snr_db": 4000}))
+    with np.errstate(over="ignore"):
+        code = dispatch(["region", "--network", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: bad physical network: reference power must be "
+                            "finite and exceed 1, got inf\n")
+
+
 def test_simulate_with_csv(capsys, tmp_path):
     csv_path = tmp_path / "rows.csv"
     code, out = run(capsys, ["simulate", "--links", "4", "--drops", "3",
@@ -300,10 +360,12 @@ def test_simulate_config_file(capsys, tmp_path):
         "bandwidth_hz": 5e6, "tx_power_dbm": 20.0,
     }))
     code, out = run(capsys, ["simulate", "--config", str(cfg), "--drops", "2",
-                             "--seed", "1", "--schemes", "flashlinq"])
+                             "--seed", "1", "--schemes", "flashlinq", "--links", "16"])
     assert code == 0
     assert out["setup"] == "custom"
     assert out["aggregates"][0]["n"] == 2
+    # the config's link count, not --links, sets and reports the drop size
+    assert out["n_links"] == 3
 
 
 SCENARIO = {"area_m": 500.0, "n_links": 3, "dist_range_m": [5.0, 20.0],

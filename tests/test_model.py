@@ -25,7 +25,7 @@ from tinq import (
     sinr,
     strength_from_physical,
 )
-from tinq.exceptions import DomainError, SchemaError, ShapeError
+from tinq.exceptions import DomainError, InvalidReferencePower, SchemaError, ShapeError
 
 
 def single_link_net(snr: float, p: float) -> PhysicalNetwork:
@@ -155,6 +155,16 @@ def test_network_json_roundtrip():
     text = json.dumps(obj)
     alpha, _ = parse_network(json.loads(text))
     assert np.allclose(alpha.alpha, NETWORK_A.alpha)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.0, float("nan"), float("inf")])
+def test_reference_power_must_be_finite_and_above_one(p):
+    # P anchors every strength alpha = log SNR / log P: at or below 1 the
+    # scale does not exist, and at inf every strength is 0
+    with pytest.raises(InvalidReferencePower, match="reference power must be finite"):
+        single_link_net(100.0, p)
+    with pytest.raises(InvalidReferencePower, match="reference power must be finite"):
+        realize_network(NETWORK_A, p)
 
 
 def test_realize_network_overflow_names_reference_power():

@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (arrivals_loop, flashlinq_loop, itis_plus_check_loop, itlinq_loop,
                      itlinq_plus_loop, random_alpha_tied)
-from tinq.exceptions import ShapeError
+from tinq.exceptions import InvalidReferencePower, ShapeError
 from tinq.model import ChannelMatrix
 from tinq.region import check_conditions
 from tinq.sim import generate_drop, scenario1, scenario2
 from tinq.schedule import (
     NumState,
-    SchedulerParams,
     flashlinq_schedule,
     itis_plus_check,
     itlinq_plus_schedule,
@@ -132,7 +131,7 @@ def test_flashlinq_two_links():
 def test_priority_order_reverses_winner():
     snr = [1e6, 1e6]
     inr = [[0, 1e6], [1e6, 0]]
-    res = itlinq_plus_schedule(snr, inr, SchedulerParams(priority=[1, 0]))
+    res = itlinq_plus_schedule(snr, inr, priority=[1, 0])
     assert res.selected == (1,)
     assert flashlinq_schedule(snr, [[0, 10**5.5], [10**5.5, 0]],
                               priority=[1, 0]).selected == (1,)
@@ -223,8 +222,7 @@ def test_passes_match_loop_references(n, table, permuted, seed):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = itlinq_plus_schedule(snr, inr, SchedulerParams(eta=eta, gamma=gamma,
-                                                             priority=priority))
+        res = itlinq_plus_schedule(snr, inr, eta=eta, gamma=gamma, priority=priority)
         passes = (itlinq_schedule(snr, inr, eta, m_db, priority),
                   flashlinq_schedule(snr, inr, sir_db, priority))
     selected, min_in, min_out, messages = itlinq_plus_loop(snr, inr, eta, gamma, priority)
@@ -259,10 +257,18 @@ def test_passes_reject_non_finite_knobs(bad):
     for call in (lambda: itlinq_schedule(snr, inr, eta=bad),
                  lambda: itlinq_schedule(snr, inr, m_db=bad),
                  lambda: flashlinq_schedule(snr, inr, sir_db=bad),
-                 lambda: SchedulerParams(eta=bad),
-                 lambda: SchedulerParams(gamma=bad)):
+                 lambda: itlinq_plus_schedule(snr, inr, eta=bad),
+                 lambda: itlinq_plus_schedule(snr, inr, gamma=bad)):
         with pytest.raises(ShapeError, match="must be finite"):
             call()
+
+
+@pytest.mark.parametrize("knob", ["eta", "gamma"])
+@pytest.mark.parametrize("bad", [-0.1, 1.5])
+def test_itlinq_plus_rejects_exponents_outside_unit_interval(knob, bad):
+    snr, inr = np.array([1e4, 1e4]), np.full((2, 2), 10.0)
+    with pytest.raises(ShapeError, match=r"exponents must lie in \[0, 1\]"):
+        itlinq_plus_schedule(snr, inr, **{knob: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +298,16 @@ def test_num_step_update_arithmetic():
     assert d.d == pytest.approx([0.5])
     assert a == pytest.approx([0.3])
     assert new.weights == pytest.approx([0.8])
+
+
+@pytest.mark.parametrize("solver", ["exact", "lp", "itlinq+"])
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.0, float("nan"), float("inf")])
+def test_num_step_rejects_a_meaningless_reference_power(solver, p):
+    # only itlinq+ reads the reference power, but it is a setting of the
+    # whole loop, so every solver refuses one that anchors no log-P scale
+    state = NumState(np.ones(3), v=10.0, a_max=1.0)
+    with pytest.raises(InvalidReferencePower, match="reference power must be finite"):
+        num_step(state, NETWORK_A, solver, ref_power=p)
 
 
 def test_arrival_closed_forms():
