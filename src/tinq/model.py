@@ -133,9 +133,9 @@ class GdofTuple:
     def K(self) -> int:
         return self.d.size
 
-    def support(self, tol: float = 1e-12) -> tuple[int, ...]:
-        """Indices with d_k > tol."""
-        return tuple(int(k) for k in np.nonzero(self.d > tol)[0])
+    def support(self) -> tuple[int, ...]:
+        """Indices with d_k > TOL: the users a target keeps active."""
+        return tuple(np.flatnonzero(self.d > TOL).tolist())
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,7 @@ from .model import (
     check_subset,
     strength_from_physical,
 )
-from .power import solve_power_auction, solve_power_potentials
+from .power import _active_target, solve_power_auction, solve_power_potentials
 from .region import halfspaces
 
 __all__ = [
@@ -409,14 +409,16 @@ def decentralized_gp(alpha: ChannelMatrix, subset=None, w=None, step=None,
 def _target_powers(alpha: ChannelMatrix, target, subset, solver: str = "hungarian",
                    epsilon: float = 1e-5) -> tuple[PowerAlloc, GdofTuple]:
     """Minimal power exponents that achieve ``target`` on ``subset``: users
-    whose target is at most 1e-12 are switched off (all of them when none is
-    left), the rest go to the exact or the auction solver. ``"hungarian"``
-    gives the exact minimal labels of the Kuhn-Munkres solver, computed as
-    the least potentials of the TIN constraints
-    (``power.solve_power_potentials``)."""
-    active = tuple(k for k in subset if target[k] > 1e-12)
+    that the target rule of ``power._active_target`` leaves off are switched
+    off (all of them when none is left), the rest go to the exact or the
+    auction solver. ``"hungarian"`` gives the exact minimal labels of the
+    Kuhn-Munkres solver, computed as the least potentials of the TIN
+    constraints (``power.solve_power_potentials``)."""
+    picked = np.zeros(alpha.K)
+    picked[list(subset)] = target[list(subset)]
+    _, active = _active_target(alpha, picked)
     d_target = np.zeros(alpha.K)
-    d_target[list(active)] = target[list(active)]
+    d_target[list(active)] = picked[list(active)]
     if not active:
         return PowerAlloc(np.full(alpha.K, -np.inf)), GdofTuple(d_target)
     if solver == "hungarian":
@@ -436,7 +438,7 @@ def gp_then_assignment(net: PhysicalNetwork, subset=None, w=None,
     achieve exactly that tuple.
 
     The achieved GDoF is preserved and no link's power increases; links whose
-    GP-implied GDoF is nonpositive are switched off before the solve. The
+    GP-implied GDoF is at most TOL are switched off before the solve. The
     default ``"hungarian"`` solver returns the exact minimal powers, found by
     the array relaxation ``power.solve_power_potentials`` rather than by
     Kuhn-Munkres label rounds; ``"auction"`` runs the decentralized auction.

@@ -1,6 +1,7 @@
 """Globally minimal power allocation for a target GDoF tuple.
 
-The target d on an active subset defines the square input matrix
+The target d (one rule, ``_active_target``, says which users it keeps
+active) defines over its active subset the square input matrix
 
     A_ij = alpha_ij (i != j),   A_jj = alpha_jj - d_j,
 
@@ -12,7 +13,9 @@ states (initial labels, per-round label decrements, round count) are
 observable, an array relaxation of the same labels as least potentials of the
 TIN difference constraints (what the pipelines and the feasibility test run),
 and a decentralized fixed-increment auction that reaches the same labels up to
-a documented |subset|*epsilon gap.
+a documented |subset|*epsilon gap. A target is achievable exactly when the
+diagonal is an optimal assignment of A; all three solvers raise an
+``Infeasible`` error when it is not.
 """
 
 from __future__ import annotations
@@ -88,35 +91,40 @@ class KmTrace:
         return len(self.alpha_l)
 
 
-def _as_gdof(d) -> np.ndarray:
-    if isinstance(d, GdofTuple):
-        return d.d
-    return np.asarray(d, dtype=float).reshape(-1)
+def _active_target(alpha: ChannelMatrix, d, subset=None) -> tuple[np.ndarray, tuple]:
+    """The one rule for a GDoF target: (d as a float vector, active users).
 
-
-def build_assignment_matrix(alpha: ChannelMatrix, d, subset=None) -> AssignmentMatrix:
-    """A_ij = alpha_ij off the diagonal, alpha_jj - d_j on it, over the subset.
-
-    Users with zero target GDoF must be removed from the subset first (passing
-    subset=None uses the support of d). A target above the direct strength
-    makes the diagonal negative and is rejected outright.
+    d must have K entries, none NaN or below -TOL. Users whose target is at
+    most TOL are off and the rest are active; subset=None takes every active
+    user, and an explicit subset may name active users only.
     """
-    dv = _as_gdof(d)
+    dv = d.d if isinstance(d, GdofTuple) else np.asarray(d, dtype=float).reshape(-1)
     if dv.size != alpha.K:
         raise ShapeError(f"d has {dv.size} entries for a {alpha.K}-user network")
-    if np.any(np.isnan(dv)) or np.any(dv < 0):
+    if np.any(np.isnan(dv)) or np.any(dv < -TOL):
         raise ValueError("GDoF targets must be nonnegative")
-    support = np.flatnonzero(dv > 0) if subset is None else subset
-    idx = check_subset(alpha.K, support, allow_empty=True)
-    ix = np.array(idx, dtype=int)
-    direct = alpha.alpha[ix, ix]
-    bad = (dv[ix] <= 0) | (dv[ix] > direct)
-    if bad.any():
-        k = idx[int(bad.argmax())]  # the first offender in subset order
-        if dv[k] <= 0:
+    if subset is None:
+        return dv, tuple(np.flatnonzero(dv > TOL).tolist())
+    idx = check_subset(alpha.K, subset, allow_empty=True)
+    for k in idx:
+        if dv[k] <= TOL:
             raise ValueError(
                 f"user {k} has target {dv[k]}; zero-GDoF users must be removed first"
             )
+    return dv, idx
+
+
+def build_assignment_matrix(alpha: ChannelMatrix, d, subset=None) -> AssignmentMatrix:
+    """A_ij = alpha_ij off the diagonal, alpha_jj - d_j on it, over the active
+    users of ``_active_target``. A target above the direct strength makes
+    the diagonal negative and is rejected outright.
+    """
+    dv, idx = _active_target(alpha, d, subset)
+    ix = np.array(idx, dtype=int)
+    direct = alpha.alpha[ix, ix]
+    above = dv[ix] > direct
+    if above.any():
+        k = idx[int(above.argmax())]  # the first offender in subset order
         raise ImmediatelyInfeasible(
             f"target d_{k}={dv[k]} exceeds direct strength {alpha.alpha[k, k]}"
         )
@@ -305,10 +313,13 @@ def solve_power_auction(alpha: ChannelMatrix, d, subset=None,
     receivers. Each unassigned bidder in turn values every product at
     A_ij - y_v_j, takes the best one if its value is at least epsilon
     (displacing any owner back into the demand queue), and raises that
-    product's price by epsilon. Final prices sit within |subset|*epsilon of
-    the centralized minimum-price labels and r_i = y_v_j - A_ij on the final
-    assignment. The demand queue is FIFO and value ties go to the lowest
-    product index, so runs are deterministic.
+    product's price by epsilon. The demand queue is FIFO and value ties go to
+    the lowest product index, so runs are deterministic. When the bids
+    settle, a diagonal that weighs less than the pairs they assigned, by more
+    than TOL, is not an optimal assignment, and the target is declared
+    infeasible (InfeasibleGdof). Otherwise the powers are read off the
+    diagonal, r_i = y_v_i - A_ii, and sit within |subset|*epsilon of the
+    centralized minimal ones.
 
     ``snap`` skips the auction: once epsilon is checked, it returns
     ``solve_power_hungarian``'s exact labels for the same instance without
@@ -354,37 +365,32 @@ def solve_power_auction(alpha: ChannelMatrix, d, subset=None,
             prices[j] += epsilon
         # else: bidder leaves the market unassigned
 
-    y_u = np.zeros(n)
-    assigned_product = [-1] * n
-    for j in range(n):
-        if owner[j] >= 0:
-            assigned_product[owner[j]] = j
-    for i in range(n):
-        j = assigned_product[i]
-        if j >= 0:
-            y_u[i] = A[i, j] - prices[j]
-        else:
-            y_u[i] = max(0.0, float((A[i] - prices).max()))
+    # A >= 0, so the pairs the bids assigned weigh no more than an optimal
+    # assignment: a diagonal lighter than them is not optimal, and d is
+    # outside the region
+    owner = np.array(owner)
+    won = np.flatnonzero(owner >= 0)
+    bidders = owner[won]
+    if np.trace(A) < A[bidders, won].sum() - TOL:
+        raise InfeasibleGdof("no feasible power allocation achieves d")
+    # labels off the diagonal: y_u_i = A_ii - y_v_i for every assigned
+    # bidder, and its best value (below epsilon) for every other one
+    y_u = np.maximum(0.0, (A - prices).max(axis=1))
+    y_u[bidders] = np.diag(A)[bidders] - prices[bidders]
     labels = LabelPair(y_u=y_u, y_v=prices.copy())
     return _full_power(alpha, am.subset, y_u), labels
 
 
 def is_feasible(alpha: ChannelMatrix, d) -> bool:
-    """Whether the target tuple is TIN-achievable, by assignment solvability.
-
-    Zero-target users are removed first; a target above its direct strength or
-    potentials that do not settle at or below zero power
-    (``solve_power_potentials``) are infeasible. The verdict agrees with
-    ``solve_power_hungarian``'s and with membership in the achievable region.
+    """Whether the target tuple is TIN-achievable, by assignment solvability
+    over its active users (``_active_target``): a target above its direct
+    strength, or potentials that do not settle at or below zero power
+    (``solve_power_potentials``), are infeasible. The verdict agrees with
+    ``solve_power_hungarian``'s and with membership in the achievable region;
+    a malformed target raises as it does there.
     """
-    dv = _as_gdof(d)
-    if dv.size != alpha.K:
-        raise ShapeError(f"d has {dv.size} entries for a {alpha.K}-user network")
-    if np.any(dv < -TOL):
-        return False
-    support = tuple(int(k) for k in np.nonzero(dv > TOL)[0])
     try:
-        solve_power_potentials(alpha, np.maximum(dv, 0.0), subset=support)
+        solve_power_potentials(alpha, d)
     except Infeasible:
         return False
     return True

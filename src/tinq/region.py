@@ -30,7 +30,6 @@ __all__ = [
     "tina_polytope",
     "tina_polytope_cyclic",
     "contains",
-    "union_membership",
     "check_conditions",
     "converse_g_bound",
 ]
@@ -230,23 +229,6 @@ def contains(poly: TinaPolytope, d: GdofTuple, tol: float = TOL) -> bool:
         if v[list(users)].sum() > bound + tol:
             return False
     return True
-
-
-def union_membership(alpha: ChannelMatrix, d: GdofTuple) -> tuple[bool, tuple]:
-    """Whether d is TIN-achievable for some active subset.
-
-    Positive entries pin the candidate subset to the support of d, so only
-    that one polytope needs checking; the witness is the support.
-    """
-    if d.K != alpha.K:
-        raise ShapeError(f"d has {d.K} entries for a {alpha.K}-user network")
-    if np.any(d.d < -TOL):
-        return False, ()
-    support = d.support(TOL)
-    if not support:
-        return True, ()
-    poly = tina_polytope(alpha, support)
-    return contains(poly, d), support
 
 
 def check_conditions(alpha: ChannelMatrix, c2_max_k: int = C2_MAX_K) -> ConditionReport:

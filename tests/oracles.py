@@ -281,19 +281,24 @@ def hungarian_loop(alpha: ChannelMatrix, d, subset=None):
 
 def assignment_matrix_loop(alpha: ChannelMatrix, d, subset=None):
     """``build_assignment_matrix`` user by user: (A, subset), with the same
-    errors raised for the first offending user in subset order."""
+    errors. The whole target is checked before any strength: NaN or an entry
+    below -TOL, then, in subset order, a user whose target is at most TOL,
+    then the first target above its direct strength."""
     dv = d.d if isinstance(d, GdofTuple) else np.asarray(d, dtype=float).reshape(-1)
     if dv.size != alpha.K:
         raise ShapeError(f"d has {dv.size} entries for a {alpha.K}-user network")
-    if np.any(np.isnan(dv)) or np.any(dv < 0):
-        raise ValueError("GDoF targets must be nonnegative")
-    support = np.flatnonzero(dv > 0) if subset is None else subset
-    idx = check_subset(alpha.K, support, allow_empty=True)
+    for v in dv:
+        if math.isnan(v) or v < -TOL:
+            raise ValueError("GDoF targets must be nonnegative")
+    if subset is None:
+        subset = [k for k in range(alpha.K) if dv[k] > TOL]
+    idx = check_subset(alpha.K, subset, allow_empty=True)
     for k in idx:
-        if dv[k] <= 0:
+        if dv[k] <= TOL:
             raise ValueError(
                 f"user {k} has target {dv[k]}; zero-GDoF users must be removed first"
             )
+    for k in idx:
         if dv[k] > alpha.alpha[k, k]:
             raise ImmediatelyInfeasible(
                 f"target d_{k}={dv[k]} exceeds direct strength {alpha.alpha[k, k]}"
@@ -780,7 +785,7 @@ def gp_then_assignment_loop(net, subset):
     for k in sol.subset:
         r_gp[k] = math.log(sol.powers[k]) / log_p
     d_gp = achieved_gdof(alpha, PowerAlloc(r_gp), clamp=True)
-    active = tuple(k for k in sol.subset if d_gp.d[k] > 1e-12)
+    active = tuple(k for k in sol.subset if d_gp.d[k] > TOL)
     d_target = np.zeros(net.K)
     for k in active:
         d_target[k] = d_gp.d[k]
@@ -809,10 +814,10 @@ def allocate_loop(net, alpha, selected, power_mode):
     if power_mode == "lp+assignment":
         d, _ = max_weighted_gdof_lp(alpha, selected)
         target = np.minimum(d.d, np.diag(alpha.alpha))
-        live = tuple(k for k in selected if target[k] > 1e-12)
+        live = tuple(k for k in selected if target[k] > TOL)
         if not live:
             return frac
-        r, _ = potentials_full_rounds(alpha, np.where(target > 1e-12, target, 0.0),
+        r, _ = potentials_full_rounds(alpha, np.where(target > TOL, target, 0.0),
                                       subset=live)
         fin = np.isfinite(r.r)
         frac[fin] = net.reference_power ** r.r[fin]

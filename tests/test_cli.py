@@ -132,6 +132,25 @@ def test_feasible_exit_codes(capsys, net_a):
     assert code == 3 and out == {"feasible": False}
 
 
+@pytest.mark.parametrize("alpha, gdof, want", [
+    (ALPHA_A, "2,1,1.5", 3),
+    ([[1, 0.9], [0.9, 1]], "0.95,1e-10", 0),
+    ([[1, 0.9], [0.9, 1]], "0.95,-0.1", 2),
+], ids=["outside", "entry-below-tol", "negative-entry"])
+def test_feasible_power_and_auction_give_one_exit_code(capsys, tmp_path, alpha, gdof, want):
+    # one target rule and one verdict: outside the region (the auction used
+    # to return powers here), an entry at or below TOL that is switched off
+    # (power used to keep it on and refuse), and a negative entry (feasible
+    # used to answer false)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"k": len(alpha), "alpha": alpha}))
+    for cmd in (["feasible"], ["power"], ["power", "--solver", "auction"]):
+        code, out = run(capsys, cmd + ["--network", str(path), "--gdof", gdof])
+        assert code == want, cmd
+        if want == 0 and cmd[0] == "power":
+            assert out["r"][0] is not None and out["r"][1] is None
+
+
 def test_check_report(capsys, net_b):
     code, out = run(capsys, ["check", "--network", net_b])
     assert code == 0

@@ -43,7 +43,7 @@ import tinq.optimize
 from tinq import sim
 from tinq.exceptions import (ConvergenceFailure, DivergenceDetected, ShapeError,
                              SubsetTooLarge)
-from tinq.model import PhysicalNetwork
+from tinq.model import TOL, PhysicalNetwork
 from tinq.optimize import _target_powers
 from tinq.power import PowerAlloc, solve_power_auction, solve_power_hungarian
 
@@ -535,8 +535,8 @@ def test_pipeline_minimality(k, seed):
 
 
 def test_target_powers_switch_off_negligible_targets():
-    # targets at or below 1e-12 are zeroed and their users left off
-    r, d = _target_powers(NETWORK_A, np.array([0.5, 1e-12, 0.7]), (0, 1, 2))
+    # targets at or below TOL are zeroed and their users left off
+    r, d = _target_powers(NETWORK_A, np.array([0.5, TOL, 0.7]), (0, 1, 2))
     r_ref, _ = solve_power_hungarian(NETWORK_A, [0.5, 0.0, 0.7], subset=(0, 2))
     assert r.r.tobytes() == r_ref.r.tobytes() and r.r[1] == -np.inf
     assert d.d.tolist() == [0.5, 0.0, 0.7]
@@ -545,7 +545,7 @@ def test_target_powers_switch_off_negligible_targets():
     r_ref, _ = solve_power_auction(NETWORK_A, [0.5, 0.0, 0.7], subset=(0, 2), epsilon=1e-5)
     assert r.r.tobytes() == r_ref.r.tobytes()
     assert d.d.tolist() == [0.5, 0.0, 0.7]
-    r, d = _target_powers(NETWORK_A, np.array([1e-12, 0.0, 0.7]), (0, 1), "bogus")
+    r, d = _target_powers(NETWORK_A, np.array([TOL, 0.0, 0.7]), (0, 1), "bogus")
     assert np.all(r.r == -np.inf) and d.d.tolist() == [0.0, 0.0, 0.0]
     with pytest.raises(ValueError, match="unknown solver"):
         _target_powers(NETWORK_A, np.array([0.5, 0.6, 0.7]), (0,), "bogus")

@@ -363,10 +363,16 @@ def test_potentials_match_full_round_reference_on_a_grid(k, scale, seed):
 @given(st.integers(1, 40), st.integers(0, 2**31 - 1))
 def test_assignment_matrix_matches_loop_reference(k, seed):
     # zero targets inside an explicit subset and targets above the direct
-    # strength, in random order: the first offender in subset order decides
+    # strength, in random order: the first offender in subset order decides.
+    # Some entries sit on either side of the TOL rule: in [-TOL, 0) and
+    # (0, TOL] they are off, and one draw in ten has an entry below -TOL
     rng = np.random.default_rng(seed)
     alpha = random_alpha(rng, k)
     d = np.round(rng.uniform(-0.5, 3.0, size=k), 2).clip(0.0)
+    edge = rng.random(k) < 0.2
+    d[edge] = rng.choice([-TOL, -TOL / 2, TOL / 2, TOL, 2 * TOL], size=edge.sum())
+    if rng.random() < 0.1:
+        d[rng.integers(k)] = -2 * TOL
     subset = None if rng.random() < 0.3 else \
         tuple(int(j) for j in rng.permutation(k)[:rng.integers(0, k + 1)])
 
@@ -451,7 +457,7 @@ def test_is_feasible_matches_region_membership():
             alpha = ChannelMatrix(np.round(alpha.alpha * 4) / 4)
             d = np.round(d * 4) / 4
         d = GdofTuple(d)
-        support = d.support(TOL)
+        support = d.support()
         if not support:
             assert is_feasible(alpha, d)  # all users off
             continue
@@ -463,3 +469,51 @@ def test_is_feasible_matches_region_membership():
         assert is_feasible(alpha, d) == want
         verdicts.append(want)
     assert band == 3 and (len(verdicts), sum(verdicts)) == (545, 474)
+
+
+def _solved(solve) -> bool:
+    return not isinstance(_outcome(solve)[0], type)
+
+
+def test_one_verdict_and_an_auction_certificate_for_every_target():
+    # K = 2-5, half on a 0.25 grid. Targets are achieved points, three in
+    # four pushed by x0.9-1.6, and about one entry in seven is set to an
+    # exact zero or a value in (0, TOL], which the target rule switches off.
+    # The feasibility test and both exact solvers give one verdict. The
+    # auction returns only on targets that lowering every active entry by
+    # K*eps makes feasible, and what it returns achieves the target within
+    # K*eps + TOL on the active users; a certificate is only ever issued on
+    # an infeasible target. Here the auction's verdict is exactly the exact
+    # one: 124 feasible targets and 26 certified ones
+    rng = np.random.default_rng(23)
+    eps = power.DEFAULT_EPSILON
+    verdicts = {}
+    for _ in range(150):
+        k = int(rng.integers(2, 6))
+        alpha = random_alpha(rng, k)
+        d = achieved_gdof(alpha, PowerAlloc(rng.uniform(-1.5, 0.0, size=k))).d
+        d = d * (1.0 if rng.random() < 0.25 else rng.uniform(0.9, 1.6))
+        if rng.random() < 0.5:
+            alpha = ChannelMatrix(np.round(alpha.alpha * 4) / 4)
+            d = np.round(d * 4) / 4
+        tiny = rng.random(k) < 0.15
+        d[tiny] = rng.choice([0.0, TOL / 3, TOL], size=tiny.sum())
+        active = d > TOL
+        feasible = is_feasible(alpha, d)
+        assert _solved(lambda: solve_power_hungarian(alpha, d)) == feasible
+        assert _solved(lambda: solve_power_potentials(alpha, d)) == feasible
+        try:
+            r, _ = solve_power_auction(alpha, d, epsilon=eps)
+        except Infeasible:
+            assert not feasible
+            returned = False
+        else:
+            lowered = np.where(active, np.maximum(d - k * eps, 0.0), d)
+            assert is_feasible(alpha, lowered)
+            assert np.all(r.r[~active] == -np.inf)
+            short = d[active] - achieved_gdof(alpha, r).d[active]
+            assert short.max(initial=0.0) <= k * eps + TOL
+            returned = True
+        key = (feasible, returned)
+        verdicts[key] = verdicts.get(key, 0) + 1
+    assert verdicts == {(True, True): 124, (False, False): 26}

@@ -24,6 +24,7 @@ from tinq import (
     check_conditions,
     contains,
     converse_g_bound,
+    is_feasible,
     max_matching_weight,
     max_weighted_gdof_exact,
     max_weighted_gdof_lp,
@@ -31,7 +32,6 @@ from tinq import (
     region,
     tina_polytope,
     tina_polytope_cyclic,
-    union_membership,
 )
 from tinq.exceptions import OracleLimitExceeded, SubsetTooLarge
 
@@ -93,13 +93,12 @@ def test_contains_examples():
     assert contains(poly, GdofTuple(np.zeros(3)))
 
 
-def test_union_membership_examples():
-    ok, witness = union_membership(NETWORK_A, GdofTuple(np.array([0.5, 0.6, 0.7])))
-    assert ok and witness == (0, 1, 2)
-    ok, witness = union_membership(NETWORK_A, GdofTuple(np.array([2.0, 0.0, 0.0])))
-    assert ok and witness == (0,)
-    ok, _ = union_membership(NETWORK_B, GdofTuple(np.array([1.0, 0.9, 0.0])))
-    assert not ok
+def test_feasibility_examples():
+    # a point of the full polytope, a single user at its direct strength, and
+    # a pair past the (0, 1) bound of the second fixture
+    assert is_feasible(NETWORK_A, GdofTuple(np.array([0.5, 0.6, 0.7])))
+    assert is_feasible(NETWORK_A, GdofTuple(np.array([2.0, 0.0, 0.0])))
+    assert not is_feasible(NETWORK_B, GdofTuple(np.array([1.0, 0.9, 0.0])))
 
 
 def test_conditions_fixture_b():
@@ -402,7 +401,7 @@ def test_memo_entry_dies_with_the_network():
     entries = len(region._MEMO)
     net = weak_six()
     max_weighted_gdof_lp(net)
-    union_membership(net, GdofTuple(np.full(6, 0.1)))
+    tina_polytope(net)
     assert len(region._MEMO) == entries + 1
     ref = weakref.ref(net)
     del net
