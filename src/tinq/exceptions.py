@@ -5,7 +5,6 @@ __all__ = [
     "ShapeError",
     "SchemaError",
     "InvalidReferencePower",
-    "OracleLimitExceeded",
     "NotPerfect",
     "SubsetTooLarge",
     "EpsilonTooSmall",
@@ -37,16 +36,14 @@ class InvalidReferencePower(TinqError, ValueError):
     """Reference power P must be finite and exceed 1 for the log-P scale to exist."""
 
 
-class OracleLimitExceeded(TinqError, ValueError):
-    """A brute-force oracle was called beyond its documented size cap."""
-
-
 class NotPerfect(TinqError, ValueError):
     """A perfect matching on the subset was required but not given."""
 
 
 class SubsetTooLarge(TinqError, ValueError):
-    """Subset exceeds the configured cap for explicit constraint enumeration."""
+    """A call exceeds the user cap of a path whose work grows as 2^n or n!:
+    the subset table, the exact search, the cyclic oracle or the
+    permutation bound."""
 
 
 class EpsilonTooSmall(TinqError, ValueError):

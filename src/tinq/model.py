@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, InvalidReferencePower, SchemaError, ShapeError
+from .exceptions import (DomainError, InvalidReferencePower, SchemaError, ShapeError,
+                         SubsetTooLarge)
 
 __all__ = [
     "ChannelMatrix",
@@ -48,6 +49,13 @@ def check_subset(K: int, subset, allow_empty: bool = False) -> tuple[int, ...]:
     if idx[0] < 0 or idx[-1] >= K:
         raise IndexError(f"subset {subset} out of range for K={K}")
     return idx
+
+
+def check_size(what: str, n: int, cap: int) -> None:
+    """SubsetTooLarge naming ``what`` when its ``n`` users exceed ``cap``: the
+    one check of every path whose work grows as 2^n or n!."""
+    if n > cap:
+        raise SubsetTooLarge(f"{what} of {n} users exceeds its cap of {cap}")
 
 
 def db_to_linear(x_db):

@@ -21,7 +21,6 @@ from .exceptions import (
     DivergenceDetected,
     EmptyPolytope,
     ShapeError,
-    SubsetTooLarge,
 )
 from .model import (
     ChannelMatrix,
@@ -29,6 +28,7 @@ from .model import (
     PhysicalNetwork,
     PowerAlloc,
     achieved_gdof,
+    check_size,
     check_subset,
     strength_from_physical,
 )
@@ -44,7 +44,6 @@ __all__ = [
     "gp_then_assignment",
 ]
 
-LP_SUBSET_MAX = 16
 EXACT_K_MAX = 10
 Z_FLOOR = -80.0  # log-power box: e^-80 is numerically silent
 GP_MAX_ITER = 1000  # L-BFGS-B iterations per GP start
@@ -81,9 +80,10 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[Gdo
     Zero-weight users are dropped from the subset before solving (they are
     best served silent for this objective). A single user's polytope is the
     interval [0, alpha_kk], answered in closed form. Otherwise linprog gets
-    all 2^n - 1 constraints, so the effective subset is capped at 16 users;
-    they are built once per network and subset (``region.halfspaces``), so
-    repeated calls on one network only re-solve the LP.
+    all 2^n - 1 constraints from ``region.halfspaces``, so the effective
+    subset is capped at ``region.SUBSET_MAX`` (16) users, checked there before
+    scipy.optimize is imported; the constraints are built once per network
+    and subset, so repeated calls on one network only re-solve the LP.
     """
     wv = _as_weights(w, alpha.K)
     idx = tuple(k for k in check_subset(alpha.K, subset, allow_empty=True) if wv[k] > 0)
@@ -94,11 +94,6 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[Gdo
         k = idx[0]
         d[k] = alpha.alpha[k, k]
         return GdofTuple(d), float(wv[k] * d[k])
-    if len(idx) > LP_SUBSET_MAX:
-        raise SubsetTooLarge(f"LP subset size {len(idx)} exceeds cap {LP_SUBSET_MAX}")
-
-    # imported on first use: scipy.optimize is most of a cold CLI start
-    from scipy.optimize import linprog
 
     rows, bounds = halfspaces(alpha, idx)
     lowest = float(bounds.min())
@@ -108,6 +103,9 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[Gdo
         raise EmptyPolytope(
             f"subset {idx} has a negative sum bound {lowest:.6g}"
         )
+    # imported on first use: scipy.optimize is most of a cold CLI start
+    from scipy.optimize import linprog
+
     res = linprog(
         c=-wv[list(idx)],
         A_ub=rows, b_ub=bounds,
@@ -129,11 +127,7 @@ def max_weighted_gdof_exact(alpha: ChannelMatrix, w=None) -> tuple[GdofTuple, tu
     users; larger networks should use the scheduling pipeline instead.
     """
     wv = _as_weights(w, alpha.K)
-    if alpha.K > EXACT_K_MAX:
-        raise SubsetTooLarge(
-            f"exact search capped at {EXACT_K_MAX} users (got {alpha.K}); "
-            "use a scheduling pipeline for larger networks"
-        )
+    check_size("exact search", alpha.K, EXACT_K_MAX)
     support = [k for k in range(alpha.K) if wv[k] > 0]
     best = (GdofTuple(np.zeros(alpha.K)), (), 0.0)
     for size in range(1, len(support) + 1):

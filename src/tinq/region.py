@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import OracleLimitExceeded, ShapeError, SubsetTooLarge
+from .exceptions import ShapeError
 from .matching import _lsa_max, max_matching_weight
-from .model import TOL, ChannelMatrix, GdofTuple, _readonly, check_subset
+from .model import TOL, ChannelMatrix, GdofTuple, _readonly, check_size, check_subset
 
 __all__ = [
     "TinaPolytope",
@@ -34,7 +34,7 @@ __all__ = [
     "converse_g_bound",
 ]
 
-POLYTOPE_MAX = 20
+SUBSET_MAX = 16  # users of any 2^n - 1 subset table: polytope, LP rows, memo
 CYCLIC_ORACLE_MAX = 8
 G_BOUND_MAX = 7
 C2_MAX_K = 12
@@ -101,15 +101,18 @@ def _network_bounds(alpha: ChannelMatrix) -> _NetworkBounds:
 def subset_bounds(alpha: ChannelMatrix, idx: tuple) -> np.ndarray:
     """Read-only array of c_{S'} = sum_{k in S'} alpha_kk - w(M*_{S'}) over
     the non-empty S' of the sorted, checked subset ``idx``, in (size,
-    lexicographic) order.
+    lexicographic) order. Every 2^n table of the package starts here, so
+    its one cap is checked here: more than SUBSET_MAX (16) users raise
+    SubsetTooLarge before any matching.
 
     Memoized per network object: each S' costs one matching the first time
     any polytope of the network contains it, and each ``idx`` one array the
     first time it is asked for; both live as long as ``alpha`` does. The memo
     thus holds one float per distinct subset solved plus one array per
-    active subset asked for: a 16-user polytope keeps 65,535 bounds, about
+    active subset asked for: a polytope at the cap keeps 65,535 bounds, about
     11.5 MB with their keys and its array.
     """
+    check_size("subset table", len(idx), SUBSET_MAX)
     memo = _network_bounds(alpha)
     b = memo.by_polytope.get(idx)
     if b is None:
@@ -130,28 +133,23 @@ def halfspaces(alpha: ChannelMatrix, idx: tuple) -> tuple[np.ndarray, np.ndarray
     """The polytope of the sorted, checked subset ``idx`` as read-only arrays
     (A, b) with A d_idx <= b: row r of A is the 0/1 indicator, over positions
     in ``idx``, of the r-th subset in ``subset_bounds`` order, and b those
-    bounds. A depends on |idx| alone and is kept once per size per network;
-    with it, a 16-user LP keeps about 22 MB for the network's lifetime."""
-    memo = _network_bounds(alpha)
-    n = len(idx)
-    rows = memo.rows.get(n)
-    if rows is None:
-        subs = list(_nonempty_subsets(range(n)))
-        rows = np.zeros((len(subs), n))
-        for r, sub in enumerate(subs):
-            rows[r, list(sub)] = 1.0
-        rows = memo.rows[n] = _readonly(rows)
-    return rows, subset_bounds(alpha, idx)
+    bounds, asked for first, so their cap holds before any row is built. A
+    depends on |idx| alone and is kept once per size per network; with it,
+    an LP at the cap keeps about 20 MB for the network's lifetime."""
+    bounds = subset_bounds(alpha, idx)
+    rows, n = _network_bounds(alpha).rows, len(idx)
+    if n not in rows:
+        rows[n] = _readonly([[u in sub for u in range(n)] for sub in _nonempty_subsets(range(n))])
+    return rows[n], bounds
 
 
 def tina_polytope(alpha: ChannelMatrix, subset=None) -> TinaPolytope:
     """Matching-form polytope: c_{S'} = sum alpha_kk - w(M*_{S'}) for every
     non-empty S' of the subset, in deterministic (size, lexicographic) order.
-    The bounds come from the network's memo (``subset_bounds``); the
-    constraints dict is new on every call."""
+    The bounds come from the network's memo (``subset_bounds``, capped at
+    SUBSET_MAX users, about 11.5 MB); the constraints dict is new on every
+    call."""
     idx = check_subset(alpha.K, subset)
-    if len(idx) > POLYTOPE_MAX:
-        raise SubsetTooLarge(f"subset size {len(idx)} exceeds cap {POLYTOPE_MAX}")
     bounds = subset_bounds(alpha, idx).tolist()
     constraints = dict(zip(map(frozenset, _nonempty_subsets(idx)), bounds))
     return TinaPolytope(K=alpha.K, subset=idx, constraints=constraints)
@@ -169,8 +167,7 @@ def tina_polytope_cyclic(alpha: ChannelMatrix, subset=None) -> TinaPolytope:
     """
     idx = check_subset(alpha.K, subset)
     n = len(idx)
-    if n > CYCLIC_ORACLE_MAX:
-        raise OracleLimitExceeded(f"cyclic oracle capped at {CYCLIC_ORACLE_MAX}, got {n}")
+    check_size("cyclic oracle", n, CYCLIC_ORACLE_MAX)
     a = alpha.alpha
 
     # tightest single-cycle (or singleton) bound per block of users
@@ -317,12 +314,11 @@ def converse_g_bound(alpha: ChannelMatrix, subset) -> float:
         min over orderings pi and positions k of
         sum_j (alpha_{i_j i_j} - alpha_{i_{j-1} i_j}) + alpha_{i_{k-1} i_k}
 
-    with indices cyclic in the ordering.
+    with indices cyclic in the ordering; capped at G_BOUND_MAX (7) users.
     """
     idx = check_subset(alpha.K, subset)
     m = len(idx)
-    if m > G_BOUND_MAX:
-        raise OracleLimitExceeded(f"permutation bound capped at {G_BOUND_MAX}, got {m}")
+    check_size("permutation bound", m, G_BOUND_MAX)
     a = alpha.alpha
     best = np.inf
     for perm in itertools.permutations(idx):

@@ -43,14 +43,12 @@ from tinq.exceptions import (
     InfeasibleGdof,
     RegionTooTight,
     ShapeError,
-    SubsetTooLarge,
 )
 from tinq.matching import _lsa_max, max_matching_weight
-from tinq.model import (TOL, PhysicalNetwork, check_subset, realize_network,
+from tinq.model import (TOL, PhysicalNetwork, check_size, check_subset, realize_network,
                         strength_from_physical)
 from tinq.optimize import (
     EXACT_K_MAX,
-    LP_SUBSET_MAX,
     Z_FLOOR,
     GpSolution,
     _as_weights,
@@ -58,7 +56,7 @@ from tinq.optimize import (
     max_weighted_gdof_lp,
 )
 from tinq.power import KmTrace, LabelPair, build_assignment_matrix, solve_power_hungarian
-from tinq.region import C2_MAX_K, POLYTOPE_MAX, ConditionReport
+from tinq.region import C2_MAX_K, SUBSET_MAX, ConditionReport
 from tinq.sim import (
     RESAMPLE_CAP,
     SPEED_OF_LIGHT,
@@ -519,8 +517,7 @@ def tina_polytope_fresh(alpha: ChannelMatrix, subset=None) -> TinaPolytope:
     """``tina_polytope`` with every bound solved again on every call, one
     matching per subset, in (size, lexicographic) order."""
     idx = check_subset(alpha.K, subset)
-    if len(idx) > POLYTOPE_MAX:
-        raise SubsetTooLarge(f"subset size {len(idx)} exceeds cap {POLYTOPE_MAX}")
+    check_size("subset table", len(idx), SUBSET_MAX)
     diag = np.diag(alpha.alpha)
     constraints = {}
     for size in range(1, len(idx) + 1):
@@ -623,10 +620,8 @@ def polytope_lp_fresh(alpha: ChannelMatrix, subset=None, w=None):
         d = np.zeros(alpha.K)
         d[idx[0]] = alpha.alpha[idx[0], idx[0]]
         return GdofTuple(d), float(wv[idx[0]] * d[idx[0]])
-    if len(idx) > LP_SUBSET_MAX:
-        raise SubsetTooLarge(f"LP subset size {len(idx)} exceeds cap {LP_SUBSET_MAX}")
 
-    poly = tina_polytope_fresh(alpha, idx)
+    poly = tina_polytope_fresh(alpha, idx)  # raises past the subset-table cap
     pos = {k: p for p, k in enumerate(idx)}
     rows, bounds = [], []
     for users, bound in poly.constraints.items():
@@ -655,11 +650,7 @@ def polytope_lp_fresh(alpha: ChannelMatrix, subset=None, w=None):
 def exact_fresh(alpha: ChannelMatrix, w=None):
     """``max_weighted_gdof_exact`` over ``polytope_lp_fresh``."""
     wv = _as_weights(w, alpha.K)
-    if alpha.K > EXACT_K_MAX:
-        raise SubsetTooLarge(
-            f"exact search capped at {EXACT_K_MAX} users (got {alpha.K}); "
-            "use a scheduling pipeline for larger networks"
-        )
+    check_size("exact search", alpha.K, EXACT_K_MAX)
     support = [k for k in range(alpha.K) if wv[k] > 0]
     best = (GdofTuple(np.zeros(alpha.K)), (), 0.0)
     for size in range(1, len(support) + 1):

@@ -600,6 +600,52 @@ def test_lp_call_loads_scipy(net_a):
                                                "--weights", "1,1,1", "--method", "lp"])
 
 
+def eye_network(tmp_path, k: int) -> str:
+    path = tmp_path / f"eye{k}.json"
+    path.write_text(json.dumps({"k": k, "alpha": np.eye(k).tolist()}))
+    return str(path)
+
+
+# One user past each cap of the README's scale contract: every link of an
+# interference-free network is scheduled, so num's itlinq+ slots and the
+# lp+assignment drops pose an LP over all of them.
+@pytest.mark.parametrize("argv, k, what, cap", [
+    (["region", "--network", "{net}"], 17, "subset table", 16),
+    (["region", "--network", "{net}", "--form", "cyclic"], 9, "cyclic oracle", 8),
+    (["sumgdof", "--network", "{net}", "--weights", "{ones}"], 17, "subset table", 16),
+    (["sumgdof", "--network", "{net}", "--weights", "{ones}", "--method", "exact"],
+     11, "exact search", 10),
+    (["num", "--network", "{net}", "--solver", "lp"], 17, "subset table", 16),
+    (["num", "--network", "{net}"], 11, "exact search", 10),
+    (["num", "--network", "{net}", "--solver", "itlinq+"], 17, "subset table", 16),
+    (["simulate", "--power-mode", "lp+assignment", "--links", "17", "--drops", "1"],
+     17, "subset table", 16),
+], ids=["region", "region-cyclic", "sumgdof-lp", "sumgdof-exact", "num-lp", "num-exact",
+        "num-itlinq+", "simulate-lp+assignment"])
+def test_one_user_past_each_cap_exits_2(capsys, tmp_path, argv, k, what, cap):
+    net, ones = eye_network(tmp_path, k), ",".join(["1"] * k)
+    code = dispatch([arg.format(net=net, ones=ones) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {what} of {k} users exceeds its cap of {cap}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--network", "{net}"],
+    ["sumgdof", "--network", "{net}", "--weights", "{ones}", "--method", "lp"],
+], ids=["region", "sumgdof-lp"])
+def test_scipy_stays_unloaded_past_the_subset_table_cap(tmp_path, argv):
+    # the cap is checked before any matching is solved or linprog imported
+    net, ones = eye_network(tmp_path, 17), ",".join(["1"] * 17)
+    assert loaded_modules([arg.format(net=net, ones=ones) for arg in argv]) == set()
+
+
+def test_check_skips_the_zero_edge_condition_past_its_cap(capsys, tmp_path):
+    code, out = run(capsys, ["check", "--network", eye_network(tmp_path, 13)])
+    assert code == 0
+    assert out["c2"] is None and out["c2_skipped"] is True
+
+
 def test_power_auction_rejects_unreachable_epsilon(net_a):
     # the bid cap for epsilon 1e-9 is about 1.35e11 bids: refused before the
     # first bid as a usage error

@@ -66,7 +66,8 @@ def test_lp_zero_weight_users_dropped():
 
 
 def test_lp_subset_cap():
-    with pytest.raises(SubsetTooLarge):
+    # the LP's rows are the subset table, so it shares that table's one cap
+    with pytest.raises(SubsetTooLarge, match="^subset table of 17 users exceeds its cap of 16$"):
         max_weighted_gdof_lp(ChannelMatrix(np.eye(17)))
 
 
@@ -90,7 +91,7 @@ def test_exact_single_user():
 
 
 def test_exact_cap():
-    with pytest.raises(SubsetTooLarge):
+    with pytest.raises(SubsetTooLarge, match="^exact search of 11 users exceeds its cap of 10$"):
         max_weighted_gdof_exact(ChannelMatrix(np.eye(11)))
 
 

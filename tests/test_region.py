@@ -33,7 +33,7 @@ from tinq import (
     tina_polytope,
     tina_polytope_cyclic,
 )
-from tinq.exceptions import OracleLimitExceeded, SubsetTooLarge
+from tinq.exceptions import SubsetTooLarge
 
 
 def fs(*ix):
@@ -78,12 +78,20 @@ def test_cyclic_pair_and_symmetric_example():
 
 
 def test_polytope_caps():
-    big = ChannelMatrix(np.eye(21))
-    with pytest.raises(SubsetTooLarge):
-        tina_polytope(big)
-    big9 = ChannelMatrix(np.eye(9))
-    with pytest.raises(OracleLimitExceeded):
-        tina_polytope_cyclic(big9)
+    # one user past each cap: one exception and one message shape, raised
+    # before the network's subset memo gets an entry
+    cases = [
+        (tina_polytope, 17, "subset table", 16),
+        (lambda a: region.halfspaces(a, tuple(range(a.K))), 17, "subset table", 16),
+        (tina_polytope_cyclic, 9, "cyclic oracle", 8),
+        (lambda a: converse_g_bound(a, range(a.K)), 8, "permutation bound", 7),
+    ]
+    for call, k, what, cap in cases:
+        net = ChannelMatrix(np.eye(k))
+        with pytest.raises(SubsetTooLarge) as exc:
+            call(net)
+        assert str(exc.value) == f"{what} of {k} users exceeds its cap of {cap}"
+        assert net not in region._MEMO
 
 
 def test_contains_examples():
