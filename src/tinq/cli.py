@@ -208,11 +208,9 @@ def _cmd_region(args) -> int:
     subset = _csv_ints(args.subset) if args.subset else None
     build = tina_polytope if args.form == "matching" else tina_polytope_cyclic
     poly = build(alpha, subset)
-    cons = [
-        {"users": sorted(users), "bound": bound}
-        for users, bound in poly.constraints.items()
-    ]
-    cons.sort(key=lambda c: (len(c["users"]), c["users"]))
+    # both forms keep region's (size, lexicographic) order
+    cons = [{"users": sorted(users), "bound": bound}
+            for users, bound in poly.constraints.items()]
     _emit({"k": poly.K, "subset": list(poly.subset), "constraints": cons}, args.out)
     return EXIT_OK
 
@@ -268,7 +266,7 @@ def _cmd_sumgdof(args) -> int:
         d, obj = max_weighted_gdof_lp(alpha, subset, w)
         out = {"method": "lp", "d": list(d.d), "objective": obj}
     elif args.method == "exact":
-        d, best_subset, obj = max_weighted_gdof_exact(alpha, w)
+        d, best_subset, obj = max_weighted_gdof_exact(alpha, w, subset)
         out = {"method": "exact", "d": list(d.d), "subset": list(best_subset),
                "objective": obj}
     elif args.method == "gp":

@@ -67,7 +67,8 @@ def max_matching_weight(alpha: ChannelMatrix, subset) -> float:
     Fast weight-only path; zero for singletons by construction.
     """
     idx = check_subset(alpha.K, subset)
-    w = alpha.alpha_prime()[np.ix_(idx, idx)]
+    w = alpha.alpha[np.ix_(idx, idx)]  # the block alone, a copy
+    np.fill_diagonal(w, 0.0)
     return _lsa_max(w)
 
 
@@ -81,7 +82,8 @@ def max_weight_matching(alpha: ChannelMatrix, subset) -> Matching:
     """
     idx = check_subset(alpha.K, subset)
     n = len(idx)
-    w = alpha.alpha_prime()[np.ix_(idx, idx)]
+    w = alpha.alpha[np.ix_(idx, idx)]  # the block alone, a copy
+    np.fill_diagonal(w, 0.0)
     total = _lsa_max(w)
 
     sigma = [-1] * n

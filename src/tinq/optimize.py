@@ -9,7 +9,6 @@ operation chains the GP with the assignment-based power minimizer.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ from .model import (
     strength_from_physical,
 )
 from .power import _active_target, solve_power_auction, solve_power_potentials
-from .region import halfspaces
+from .region import _nonempty_subsets, halfspaces
 
 __all__ = [
     "GpSolution",
@@ -82,8 +81,8 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[Gdo
     interval [0, alpha_kk], answered in closed form. Otherwise linprog gets
     all 2^n - 1 constraints from ``region.halfspaces``, so the effective
     subset is capped at ``region.SUBSET_MAX`` (16) users, checked there before
-    scipy.optimize is imported; the constraints are built once per network
-    and subset, so repeated calls on one network only re-solve the LP.
+    scipy.optimize is imported; each bound is solved once per network, so
+    repeated calls on one network only re-solve the LP.
     """
     wv = _as_weights(w, alpha.K)
     idx = tuple(k for k in check_subset(alpha.K, subset, allow_empty=True) if wv[k] > 0)
@@ -118,27 +117,30 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[Gdo
     return GdofTuple(d), float(-res.fun)
 
 
-def max_weighted_gdof_exact(alpha: ChannelMatrix, w=None) -> tuple[GdofTuple, tuple, float]:
-    """Global optimum of the weighted sum over the union of all subsets'
-    polytopes, by enumerating active subsets and solving each LP.
+def max_weighted_gdof_exact(alpha: ChannelMatrix, w=None,
+                            subset=None) -> tuple[GdofTuple, tuple, float]:
+    """Global optimum of the weighted sum over the union of the polytopes of
+    every active subset of ``subset`` (None means all users), by enumerating
+    those subsets in ``region``'s (size, lexicographic) order, which breaks
+    ties toward the first, and solving each LP.
 
     Restricting enumeration to subsets of the weight support is exact:
-    removing a zero-weight user relaxes every remaining bound. Capped at 10
-    users; larger networks should use the scheduling pipeline instead.
+    removing a zero-weight user relaxes every remaining bound; users outside
+    ``subset`` drop out the same way. Capped at 10 users; larger networks
+    should use the scheduling pipeline instead.
     """
     wv = _as_weights(w, alpha.K)
-    check_size("exact search", alpha.K, EXACT_K_MAX)
-    support = [k for k in range(alpha.K) if wv[k] > 0]
+    idx = check_subset(alpha.K, subset, allow_empty=True)
+    check_size("exact search", len(idx), EXACT_K_MAX)
     best = (GdofTuple(np.zeros(alpha.K)), (), 0.0)
-    for size in range(1, len(support) + 1):
-        for sub in itertools.combinations(support, size):
-            try:
-                d, obj = max_weighted_gdof_lp(alpha, sub, wv)
-            except EmptyPolytope:
-                # an empty member contributes nothing to the union
-                continue
-            if obj > best[2] + 1e-12:
-                best = (d, sub, obj)
+    for sub in _nonempty_subsets(tuple(k for k in idx if wv[k] > 0)):
+        try:
+            d, obj = max_weighted_gdof_lp(alpha, sub, wv)
+        except EmptyPolytope:
+            # an empty member contributes nothing to the union
+            continue
+        if obj > best[2] + 1e-12:
+            best = (d, sub, obj)
     return best
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import itertools
 import math
 import numbers
 import os
@@ -187,64 +188,35 @@ def pathloss_itu1411_los(distance_m, carrier_hz: float, h_m: float):
 
 def _place_receivers(rng: np.random.Generator, tx: np.ndarray, side: float,
                      lo: float, hi: float) -> np.ndarray:
-    """Receiver coordinates from the stream walk of ``generate_drop``.
+    """Receiver coordinates from the stream walk of ``generate_drop``, one
+    link at a time: the distance at the next stream position, then the
+    angles after it, in stream order, until one lands inside.
 
     Stream position p holds one uniform draw, read as a distance U[lo, hi]
     or an angle U[0, 2 pi] by the walk. Both readings of a block come from
     numpy's own ``uniform`` at the same stream state (the angles from a copy
     of ``rng``), so every value is the one a draw-by-draw walk would get.
     """
-    n = len(tx)
     angle_rng = copy.deepcopy(rng)
-    dist = cos = sin = np.empty(0)
 
-    def draw(need: int) -> None:
-        # extend the blocks to at least ``need`` positions, at least doubling
-        nonlocal dist, cos, sin
-        size = max(need, 2 * dist.size) - dist.size
-        theta = angle_rng.uniform(0.0, 2.0 * math.pi, size=size).tolist()
-        dist = np.concatenate([dist, rng.uniform(lo, hi, size=size)])
-        cos = np.concatenate([cos, [math.cos(t) for t in theta]])
-        sin = np.concatenate([sin, [math.sin(t) for t in theta]])
+    def stream(size: int):
+        while True:  # blocks of (distance, angle) readings, doubling
+            yield from zip(rng.uniform(lo, hi, size=size).tolist(),
+                           angle_rng.uniform(0.0, 2.0 * math.pi, size=size).tolist())
+            size *= 2
 
-    def inside(x, y):
-        return (0.0 <= x) & (x <= side) & (0.0 <= y) & (y <= side)
-
-    rx = np.empty((n, 2))
-    i = p = 0  # the next link and the stream position of its distance
-    while True:
-        # every remaining link takes the angle right after its distance...
-        m = n - i
-        if dist.size < p + 2 * m:
-            draw(p + 2 * m)
-        d = dist[p:p + 2 * m:2]
-        x = tx[i:, 0] + d * cos[p + 1:p + 2 * m:2]
-        y = tx[i:, 1] + d * sin[p + 1:p + 2 * m:2]
-        ok = inside(x, y)
-        f = m if ok.all() else int(ok.argmin())
-        rx[i:i + f, 0], rx[i:i + f, 1] = x[:f], y[:f]
-        i, p = i + f, p + 2 * f
-        if i == n:
-            return rx
-        # ...up to the first that lands outside: it keeps its distance and
-        # redraws the angle from the next positions on
-        q, last = p + 1, p + RESAMPLE_CAP
-        while True:
-            if q >= dist.size:
-                draw(q + 1)
-            x = tx[i, 0] + dist[p] * cos[q:last + 1]
-            y = tx[i, 1] + dist[p] * sin[q:last + 1]
-            ok = inside(x, y)
-            if ok.any():
+    draws = stream(2 * len(tx))
+    rx = []
+    for x0, y0 in tx.tolist():
+        d, _ = next(draws)
+        for _, theta in itertools.islice(draws, RESAMPLE_CAP):
+            x, y = x0 + d * math.cos(theta), y0 + d * math.sin(theta)
+            if 0.0 <= x <= side and 0.0 <= y <= side:
+                rx.append((x, y))
                 break
-            q += ok.size
-            if q > last:
-                raise RegionTooTight(
-                    f"receiver placement failed after {RESAMPLE_CAP} angle draws"
-                )
-        hit = int(ok.argmax())
-        rx[i] = x[hit], y[hit]
-        i, p = i + 1, q + hit + 1
+        else:
+            raise RegionTooTight(f"receiver placement failed after {RESAMPLE_CAP} angle draws")
+    return np.array(rx)
 
 
 def generate_drop(scenario: Scenario, seed: int) -> DropRecord:
@@ -256,8 +228,9 @@ def generate_drop(scenario: Scenario, seed: int) -> DropRecord:
     Stream contract: the seed's generator draws the n x 2 transmitter
     coordinates, then per link one distance and angles until one lands
     inside, up to ``RESAMPLE_CAP`` (else ``RegionTooTight``). The draws are
-    made in blocks, but each value is numpy's ``uniform`` at the same stream
-    position, so a seed gives bitwise the same drop as a draw-by-draw walk.
+    made in doubling blocks and walked link by link; each value is numpy's
+    ``uniform`` at the same stream position, so a seed gives bitwise the same
+    drop as a draw-by-draw walk.
     """
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     n = scenario.n_links
@@ -435,6 +408,8 @@ def run_experiment(scenario: Scenario, schemes, n_drops: int, master_seed: int,
     convergence) are excluded and counted; aggregates are flagged invalid
     when more than 1% of drops are lost. Any other error propagates."""
     schemes = tuple(schemes)
+    if not schemes:
+        raise ValueError("no schemes given")
     for s in schemes:
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}")

@@ -177,6 +177,23 @@ def test_sumgdof_lp_and_exact(capsys, net_b):
     assert out["subset"] == [0, 1, 2]
 
 
+def test_sumgdof_exact_honours_the_subset(capsys, tmp_path):
+    path = tmp_path / "six.json"
+    alpha = np.random.default_rng(7).uniform(0.0, 1.0, size=(6, 6))
+    np.fill_diagonal(alpha, 1.5)
+    path.write_text(json.dumps({"k": 6, "alpha": alpha.tolist()}))
+    base = ["sumgdof", "--network", str(path), "--weights", "1,1,1,1,1,1"]
+    code, exact = run(capsys, [*base, "--method", "exact", "--subset", "1,0"])
+    assert code == 0
+    assert set(exact["subset"]) <= {0, 1} and exact["d"][2:] == [0.0] * 4
+    # the pair's polytope holds both singletons', so its LP is the optimum
+    _, lp = run(capsys, [*base, "--method", "lp", "--subset", "0,1"])
+    assert exact["objective"] == pytest.approx(lp["objective"], abs=1e-9)
+    assert dispatch([*base, "--method", "exact", "--subset", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: subset [9] out of range for K=6\n"
+
+
 def test_sumgdof_gp(capsys, net_b):
     code, out = run(capsys, ["sumgdof", "--network", net_b, "--weights", "1,1,1",
                              "--method", "gp", "--snr-db", "40"])
@@ -427,6 +444,14 @@ def test_simulate_zero_drops_exits_2(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: need at least one drop" in captured.err
+
+
+def test_simulate_without_schemes_exits_2(capsys):
+    for schemes in ("", " , "):
+        assert dispatch(["simulate", "--schemes", schemes, "--links", "2",
+                         "--drops", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: no schemes given\n"
 
 
 def test_out_flag_writes_file(capsys, tmp_path, net_a):

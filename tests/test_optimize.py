@@ -95,6 +95,21 @@ def test_exact_cap():
         max_weighted_gdof_exact(ChannelMatrix(np.eye(11)))
 
 
+def test_exact_on_a_subset_drops_the_other_users():
+    # users outside the subset drop out as zero-weight users do, and the cap
+    # counts the users searched, not the network
+    alpha = random_alpha(np.random.default_rng(5), 6, diag_lo=1.0, cross_hi=1.0)
+    w = np.array([1.0, 2.0, 0.5, 1.5, 1.0, 3.0])
+    d, subset, obj = max_weighted_gdof_exact(alpha, w, [4, 1, 3])
+    d_zeroed, subset_zeroed, obj_zeroed = max_weighted_gdof_exact(alpha, w * [0, 1, 0, 1, 1, 0])
+    assert set(subset) <= {1, 3, 4} and subset == subset_zeroed
+    assert d.d.tobytes() == d_zeroed.d.tobytes() and obj == obj_zeroed
+    eleven = random_alpha(np.random.default_rng(5), 11)
+    assert max_weighted_gdof_exact(eleven, None, [0, 5, 10])[1] != ()
+    with pytest.raises(IndexError, match=r"^subset \[11\] out of range for K=11$"):
+        max_weighted_gdof_exact(eleven, None, [11])
+
+
 def test_gp_single_link_full_power():
     net = realize_network(ChannelMatrix(np.array([[1.7]])), 100.0)
     sol = gp_power_control(net)

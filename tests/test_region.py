@@ -418,6 +418,28 @@ def test_memo_entry_dies_with_the_network():
     assert len(region._MEMO) == entries
 
 
+def test_rows_are_shared_and_the_memo_keeps_bounds_only():
+    # the 0/1 rows depend on the subset size alone: one read-only table per
+    # size for every network; a network's memo holds {user tuple: c_S}
+    gc.collect()
+    entries = len(region._MEMO)
+    net, other = weak_six(), weak_six(8)
+    rows, bounds = region.halfspaces(net, (0, 2, 5))
+    other_rows, _ = region.halfspaces(other, (1, 3, 4))
+    assert rows is other_rows and not rows.flags.writeable
+    memo = region._MEMO[net]
+    assert type(memo) is dict
+    assert list(memo) == [(0,), (2,), (5,), (0, 2), (0, 5), (2, 5), (0, 2, 5)]
+    assert all(type(bound) is float for bound in memo.values())
+    assert list(memo.values()) == bounds.tolist()
+    ref = weakref.ref(net)
+    del net, memo
+    gc.collect()
+    assert ref() is None
+    assert len(region._MEMO) == entries + 1  # the other network's entry
+    assert other_rows is region.halfspaces(other, (0, 1, 2))[0]
+
+
 @given(st.integers(3, 8), st.integers(0, 2**31 - 1))
 @settings(max_examples=60)
 def test_lazy_zero_edge_test_matches_eager_reference(k, seed):

@@ -248,6 +248,8 @@ def test_aggregate_matches_rows():
 def test_runner_input_validation():
     with pytest.raises(ValueError):
         run_experiment(scenario1(2), ("foo",), 1, 0)
+    with pytest.raises(ValueError, match="^no schemes given$"):
+        run_experiment(scenario1(2), (), 1, 0)
     with pytest.raises(ValueError):
         run_experiment(scenario1(2), ("none",), 1, 0, power_mode="bar")
     with pytest.raises(ShapeError):
