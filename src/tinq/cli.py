@@ -10,6 +10,8 @@ null.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
@@ -46,6 +48,7 @@ from .sim import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
+EMIT_BATCH = 8192  # encoder chunks per write
 
 
 def _round12(x: float):
@@ -72,12 +75,14 @@ def _jsonable(obj):
 
 
 def _emit(obj, out_path=None) -> None:
-    text = json.dumps(_jsonable(obj), indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``obj`` as json.dumps(..., indent=2) text and a newline, joining
+    the encoder's chunks in batches of EMIT_BATCH, so that the whole text is
+    never held at once."""
+    chunks = json.JSONEncoder(indent=2).iterencode(_jsonable(obj))
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        while batch := list(itertools.islice(chunks, EMIT_BATCH)):
+            fh.write("".join(batch))
+        fh.write("\n")
 
 
 def _load_network(path: str):

@@ -5,7 +5,6 @@ __all__ = [
     "ShapeError",
     "SchemaError",
     "InvalidReferencePower",
-    "NotPerfect",
     "SubsetTooLarge",
     "EpsilonTooSmall",
     "Infeasible",
@@ -34,10 +33,6 @@ class SchemaError(TinqError, ValueError):
 
 class InvalidReferencePower(TinqError, ValueError):
     """Reference power P must be finite and exceed 1 for the log-P scale to exist."""
-
-
-class NotPerfect(TinqError, ValueError):
-    """A perfect matching on the subset was required but not given."""
 
 
 class SubsetTooLarge(TinqError, ValueError):

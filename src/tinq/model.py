@@ -1,4 +1,4 @@
-"""Core domain types and the GDoF/SINR arithmetic every other module consumes.
+"""Core domain types and the GDoF arithmetic every other module consumes.
 
 Matrix orientation is fixed everywhere as (row = transmitter, column = receiver):
 ``alpha[i, j]`` is the strength exponent of the link Tx-i -> Rx-j. Exponent
@@ -9,6 +9,7 @@ conversions use 10*log10.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +24,9 @@ __all__ = [
     "PhysicalNetwork",
     "strength_from_physical",
     "achieved_gdof",
-    "sinr",
     "realize_network",
     "parse_network",
-    "network_to_json",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 TOL = 1e-9  # absolute tolerance of every weight, bound and label comparison
@@ -72,17 +70,17 @@ def db_setting(name: str, value_db: float) -> float:
         raise DomainError(f"{name} of {value_db:g} dB overflows a float") from None
 
 
+def is_finite_real(x) -> bool:
+    """Is ``x`` a finite real number? A bool is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def check_reference_power(p) -> float:
     """``p`` as a float if it can anchor the log-P scale of every strength
     alpha = log SNR / log P: finite and above 1, else InvalidReferencePower."""
     if not (math.isfinite(p) and p > 1):
         raise InvalidReferencePower(f"reference power must be finite and exceed 1, got {p}")
     return float(p)
-
-
-def linear_to_db(x):
-    """10*log10(x), elementwise."""
-    return 10.0 * np.log10(np.asarray(x, dtype=float))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -123,9 +121,9 @@ class ChannelMatrix:
 
 @dataclass(frozen=True, eq=False)
 class GdofTuple:
-    """Per-user GDoF values. Achievable tuples (clamped evaluation) are
-    nonnegative, with zeros exactly for users outside the active subset; the
-    unclamped polyhedral-form evaluation may carry negative entries."""
+    """Per-user GDoF values. Achieved tuples (``achieved_gdof``) are
+    nonnegative, with zeros exactly for users outside the active subset; any
+    other tuple may carry negative entries."""
 
     d: np.ndarray
 
@@ -140,10 +138,6 @@ class GdofTuple:
     @property
     def K(self) -> int:
         return self.d.size
-
-    def support(self) -> tuple[int, ...]:
-        """Indices with d_k > TOL: the users a target keeps active."""
-        return tuple(np.flatnonzero(self.d > TOL).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,37 +248,15 @@ def _interference_exponent(alpha: ChannelMatrix, r: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, levels.max(axis=0))
 
 
-def achieved_gdof(alpha: ChannelMatrix, r: PowerAlloc, clamp: bool = True) -> GdofTuple:
+def achieved_gdof(alpha: ChannelMatrix, r: PowerAlloc) -> GdofTuple:
     """GDoF achieved by treating interference as noise under power exponents r:
 
-        d_j = alpha_jj + r_j - max{0, max_{i != j} (alpha_ij + r_i)}
-
-    With ``clamp`` on, the whole expression is clamped at 0 (achievable form);
-    with it off, the raw polyhedral form is returned and may be negative.
+        d_j = max{0, alpha_jj + r_j - max{0, max_{i != j} (alpha_ij + r_i)}}
     """
     if r.K != alpha.K:
         raise ShapeError(f"r has {r.K} entries for a {alpha.K}-user network")
-    d = np.diag(alpha.alpha) + r.r - _interference_exponent(alpha, r.r)
-    if clamp:
-        d = np.maximum(0.0, d)
-    return GdofTuple(d)
-
-
-def sinr(net: PhysicalNetwork, r: PowerAlloc) -> np.ndarray:
-    """Linear SINR at each receiver in the GDoF-normalized model:
-
-        SINR_j = P^{alpha_jj + r_j} / (1 + sum_{i != j} P^{alpha_ij + r_i})
-
-    log_P of this converges to the unclamped achieved GDoF as P grows.
-    """
-    alpha = strength_from_physical(net)
-    if r.K != alpha.K:
-        raise ShapeError(f"r has {r.K} entries for a {alpha.K}-user network")
-    p = net.reference_power
-    powers = np.power(p, alpha.alpha + r.r[:, None])  # (i, j) received power
-    signal = np.diag(powers).copy()
-    np.fill_diagonal(powers, 0.0)
-    return signal / (1.0 + powers.sum(axis=0))
+    return GdofTuple(np.maximum(0.0, np.diag(alpha.alpha) + r.r
+                                - _interference_exponent(alpha, r.r)))
 
 
 _ALPHA_KEYS = {"k", "alpha"}
@@ -331,7 +303,3 @@ def parse_network(obj: dict) -> tuple[ChannelMatrix, PhysicalNetwork | None]:
         f"got {sorted(keys)}"
     )
 
-
-def network_to_json(alpha: ChannelMatrix) -> dict:
-    """Object form accepted back by parse_network."""
-    return {"k": alpha.K, "alpha": alpha.alpha.tolist()}

@@ -18,6 +18,7 @@ from ._cores import scipy_core
 from .exceptions import (
     ConvergenceFailure,
     DivergenceDetected,
+    DomainError,
     EmptyPolytope,
     ShapeError,
 )
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 EXACT_K_MAX = 10
+LP_WEIGHT_MAX = 1e20  # HiGHS reads a cost at or above this (infinite_cost) as infinite
 Z_FLOOR = -80.0  # log-power box: e^-80 is numerically silent
 GP_MAX_ITER = 1000  # L-BFGS-B iterations per GP start
 
@@ -51,14 +53,12 @@ GP_MAX_ITER = 1000  # L-BFGS-B iterations per GP start
 @dataclass(frozen=True)
 class GpSolution:
     """Finite-SNR power-control solution: linear transmit power fractions in
-    (0, 1] on the solved subset (0 elsewhere), per-link SINR, the throughput
-    objective sum w*log2(1+SINR) and the inverse-SINR values t (constraint
-    tight by construction)."""
+    (0, 1] on the solved subset (0 elsewhere), per-link SINR and the
+    throughput objective sum w*log2(1+SINR)."""
 
     powers: np.ndarray
     sinr: np.ndarray
     objective: float
-    t: np.ndarray
     subset: tuple
 
 
@@ -82,7 +82,9 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[Gdo
     all 2^n - 1 constraints from ``region.halfspaces``, so the effective
     subset is capped at ``region.SUBSET_MAX`` (16) users, checked there before
     scipy.optimize is imported; each bound is solved once per network, so
-    repeated calls on one network only re-solve the LP.
+    repeated calls on one network only re-solve the LP. A weight at or above
+    ``LP_WEIGHT_MAX`` (1e20), which HiGHS would read as an infinite cost,
+    raises DomainError before the LP is built.
     """
     wv = _as_weights(w, alpha.K)
     idx = tuple(k for k in check_subset(alpha.K, subset, allow_empty=True) if wv[k] > 0)
@@ -93,6 +95,10 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[Gdo
         k = idx[0]
         d[k] = alpha.alpha[k, k]
         return GdofTuple(d), float(wv[k] * d[k])
+    cost = wv[list(idx)]
+    if cost.max() >= LP_WEIGHT_MAX:
+        raise DomainError(f"LP weight {cost.max():g} is not below {LP_WEIGHT_MAX:g}, "
+                          "which HiGHS reads as an infinite cost")
 
     rows, bounds = halfspaces(alpha, idx)
     lowest = float(bounds.min())
@@ -106,7 +112,7 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[Gdo
     from scipy.optimize import linprog
 
     res = linprog(
-        c=-wv[list(idx)],
+        c=-cost,
         A_ub=rows, b_ub=bounds,
         bounds=[(0, None)] * len(idx),
         method="highs",
@@ -124,7 +130,7 @@ def max_weighted_gdof_exact(alpha: ChannelMatrix, w=None,
     those subsets in ``region``'s (size, lexicographic) order, which breaks
     ties toward the first, and solving each LP.
 
-    Restricting enumeration to subsets of the weight support is exact:
+    Restricting enumeration to the positively weighted users is exact:
     removing a zero-weight user relaxes every remaining bound; users outside
     ``subset`` drop out the same way. Capped at 10 users; larger networks
     should use the scheduling pipeline instead.
@@ -243,19 +249,15 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None) -> GpSolution:
     x = np.exp(z)
     interference = cross.T @ x
     sinr_sub = np.diag(g) * x / (1.0 + interference)
-    t_sub = 1.0 / sinr_sub
 
     powers = np.zeros(net.K)
     powers[list(idx)] = x
     sinr_full = np.zeros(net.K)
     sinr_full[list(idx)] = sinr_sub
-    t_full = np.full(net.K, np.inf)
-    t_full[list(idx)] = t_sub
     return GpSolution(
         powers=powers,
         sinr=sinr_full,
         objective=float(np.sum(ww * np.log2(1.0 + sinr_sub))),
-        t=t_full,
         subset=idx,
     )
 
@@ -339,7 +341,7 @@ def decentralized_gp(alpha: ChannelMatrix, subset=None, w=None, step=None,
         r = np.full(alpha.K, -np.inf)
         r[idx[0]] = 0.0
         pa = PowerAlloc(r)
-        d = achieved_gdof(alpha, pa, clamp=True)
+        d = achieved_gdof(alpha, pa)
         return (pa, d, {"residuals": [0.0]}) if return_info else (pa, d)
 
     # Duals gamma[j, i] (pricing r'_ji = alpha_ji + r_j), estimates r'_ji
@@ -391,7 +393,7 @@ def decentralized_gp(alpha: ChannelMatrix, subset=None, w=None, step=None,
     r_full = np.full(alpha.K, -np.inf)
     r_full[list(idx)] = np.minimum(r_avg, 0.0)
     pa = PowerAlloc(r_full)
-    d = achieved_gdof(alpha, pa, clamp=True)
+    d = achieved_gdof(alpha, pa)
     if return_info:
         info = {
             "residuals": residuals,
@@ -446,5 +448,5 @@ def gp_then_assignment(net: PhysicalNetwork, subset=None, w=None,
     r_gp = np.full(net.K, -np.inf)
     for k in sol.subset:
         r_gp[k] = math.log(sol.powers[k]) / log_p
-    d_gp = achieved_gdof(alpha, PowerAlloc(r_gp), clamp=True)
+    d_gp = achieved_gdof(alpha, PowerAlloc(r_gp))
     return _target_powers(alpha, d_gp.d, sol.subset, solver, epsilon)

@@ -126,7 +126,7 @@ def halfspaces(alpha: ChannelMatrix, idx: tuple) -> tuple[np.ndarray, np.ndarray
 
 
 def tina_polytope(alpha: ChannelMatrix, subset=None) -> TinaPolytope:
-    """Matching-form polytope: c_{S'} = sum alpha_kk - w(M*_{S'}) for every
+    """Polytope in matching form: c_{S'} = sum alpha_kk - w(M*_{S'}) for every
     non-empty S' of the subset, in deterministic (size, lexicographic) order.
     The bounds come from the network's memo (``subset_bounds``, capped at
     SUBSET_MAX users, about 11 MB); the constraints dict is new on every

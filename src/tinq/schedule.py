@@ -2,30 +2,27 @@
 
 Three greedy priority-pass schedulers (an SIR-threshold baseline, a margin
 test on signal and interference levels, and the refined variant that
-normalizes by running per-link minimum interference), the independent-set
-test they approximate, and a drift-plus-penalty loop that alternates weighted
-sum-GDoF solves with closed-form virtual arrivals.
+normalizes by running per-link minimum interference) and a drift-plus-penalty
+loop that alternates weighted sum-GDoF solves with closed-form virtual
+arrivals.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ShapeError
-from .model import (TOL, ChannelMatrix, GdofTuple, check_reference_power, check_subset,
-                    db_setting)
+from .model import (TOL, ChannelMatrix, GdofTuple, check_reference_power, db_setting,
+                    is_finite_real)
 from .optimize import max_weighted_gdof_exact, max_weighted_gdof_lp
-from .region import _strength_conditions
 
 __all__ = [
     "ScheduleResult",
     "NumState",
     "NumTrajectory",
-    "itis_plus_check",
     "itlinq_plus_schedule",
     "itlinq_schedule",
     "flashlinq_schedule",
@@ -35,9 +32,9 @@ __all__ = [
 
 
 def _require_finite(**knobs) -> None:
-    """Reject a non-finite scheduler exponent or threshold by name."""
+    """Reject a scheduler or NUM setting that is not a finite real, by name."""
     for name, value in knobs.items():
-        if not math.isfinite(value):
+        if not is_finite_real(value):
             raise ShapeError(f"{name} must be finite, got {value}")
 
 
@@ -69,15 +66,6 @@ def _validate_levels(snr, inr):
     if not valid.all():
         raise ShapeError("cross INRs must be positive and finite")
     return snr, inr, n
-
-
-def itis_plus_check(alpha: ChannelMatrix, subset) -> bool:
-    """Relaxed independent-set test on a subnetwork: each member's direct
-    strength covers its worst incoming-plus-outgoing cross pair discounted by
-    the strongest path between the partners, i.e. the relaxed per-user
-    condition of ``check_conditions`` holds for every user of the subnetwork."""
-    idx = check_subset(alpha.K, subset)
-    return all(_strength_conditions(alpha.alpha[np.ix_(idx, idx)])[1])
 
 
 def itlinq_plus_schedule(snr, inr, eta: float = 0.9, gamma: float = 0.1,
@@ -213,6 +201,7 @@ class NumState:
         w = np.asarray(self.weights, dtype=float).reshape(-1).copy()
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ShapeError("weights must be finite and nonnegative")
+        _require_finite(v=self.v, a_max=self.a_max, fairness=self.fairness)
         if not (self.v > 0 and self.a_max > 0 and self.fairness >= 0):
             raise ShapeError("v, a_max must be positive and fairness nonnegative")
         w.setflags(write=False)

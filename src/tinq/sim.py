@@ -21,8 +21,8 @@ import numpy as np
 
 from .exceptions import (ConvergenceFailure, DomainError, Infeasible, RegionTooTight,
                          ShapeError)
-from .model import (ChannelMatrix, PhysicalNetwork, db_setting, realize_network,
-                    strength_from_physical)
+from .model import (ChannelMatrix, PhysicalNetwork, db_setting, is_finite_real,
+                    realize_network, strength_from_physical)
 from .optimize import (_target_powers, gp_power_control, gp_then_assignment,
                        max_weighted_gdof_lp)
 from .schedule import flashlinq_schedule, itlinq_plus_schedule, itlinq_schedule
@@ -53,10 +53,6 @@ CSV_COLUMNS = (
 )
 
 
-def _finite_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Drop geometry and radio parameters for one simulated deployment.
@@ -80,7 +76,7 @@ class Scenario:
     def __post_init__(self):
         pair = self.dist_range_m
         if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                and all(map(_finite_real, pair))):
+                and all(map(is_finite_real, pair))):
             raise ShapeError(f"scenario field dist_range_m must be a [min, max] pair "
                              f"of finite numbers, got {pair!r}")
         object.__setattr__(self, "dist_range_m", tuple(pair))
@@ -88,7 +84,7 @@ class Scenario:
             raise ShapeError(f"scenario field n_links must be an integer, got {self.n_links!r}")
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name not in ("n_links", "dist_range_m") and not _finite_real(value):
+            if f.name not in ("n_links", "dist_range_m") and not is_finite_real(value):
                 raise ShapeError(f"scenario field {f.name} must be a finite number, "
                                  f"got {value!r}")
         lo, hi = self.dist_range_m

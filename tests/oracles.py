@@ -23,11 +23,16 @@ the draw-by-draw drop, strengths built anew per call, the per-link scheduler
 loops and the full-round potentials. The pipeline's agreement with the
 Kuhn-Munkres solver is checked separately, to a tolerance. The GP solved
 through ``scipy.optimize.minimize`` is the reference for the library's own
-L-BFGS-B loop over scipy's compiled step, bit for bit.
+L-BFGS-B loop over scipy's compiled step, bit for bit. The tie-broken
+maximum-weight matching and its cyclic partition check the library's
+matching weights against the cyclic form, and the finite-P SINR and the
+unclamped GDoF formula are the references for ``achieved_gdof`` and its
+log-SINR/log-P limit.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import Bounds, linprog, minimize
@@ -128,6 +133,120 @@ def brute_matching_weight(a: np.ndarray) -> float:
     for perm in itertools.permutations(range(n)):
         best = max(best, sum(a[i, perm[i]] for i in range(n)))
     return float(best)
+
+
+@dataclass(frozen=True)
+class Matching:
+    """A set of (tx, rx) edges, no two sharing a transmitter or receiver, and
+    the sum of their cross-strength weights (diagonal edges count as 0)."""
+
+    pairs: frozenset
+    weight: float
+
+
+@dataclass(frozen=True)
+class CyclicPartition:
+    """Disjoint ordered user cycles covering the matched users; ``is_best`` is
+    true when the cycle supports' matching weights add up to the full subset's
+    maximum matching weight."""
+
+    cycles: tuple
+    is_best: bool
+
+
+def max_weight_matching(alpha: ChannelMatrix, subset) -> Matching:
+    """Maximum-weight perfect matching on the subset with cross weights.
+
+    Ties between equally-weighted optima are broken toward the
+    lexicographically smallest edge set (scanning transmitters in ascending
+    order, each taking the smallest receiver that still permits an optimal
+    completion), so results are deterministic.
+    """
+    idx = check_subset(alpha.K, subset)
+    n = len(idx)
+    w = alpha.alpha[np.ix_(idx, idx)]
+    np.fill_diagonal(w, 0.0)
+    total = _lsa_max(w)
+
+    sigma = [-1] * n
+    free_cols = list(range(n))
+    fixed = 0.0
+    remaining_rows = list(range(n))
+    for row in range(n):
+        remaining_rows = [r for r in remaining_rows if r != row]
+        for pos, col in enumerate(free_cols):
+            rest = free_cols[:pos] + free_cols[pos + 1:]
+            completion = _lsa_max(w[np.ix_(remaining_rows, rest)])
+            if fixed + w[row, col] + completion >= total - TOL:
+                sigma[row] = col
+                fixed += w[row, col]
+                free_cols = rest
+                break
+        if sigma[row] < 0:
+            raise RuntimeError(f"no receiver for transmitter {idx[row]} completes "
+                               f"a matching of weight {total}")
+
+    pairs = frozenset((idx[i], idx[sigma[i]]) for i in range(n))
+    weight = float(sum(w[i, sigma[i]] for i in range(n)))
+    return Matching(pairs=pairs, weight=weight)
+
+
+def cyclic_partition(alpha: ChannelMatrix, m: Matching, subset) -> CyclicPartition:
+    """Cycle decomposition of a perfect matching on the subset.
+
+    Each matched chain is closed with diagonal edges and the resulting
+    permutation j -> match(j) is decomposed into disjoint cycles, each listed
+    from its smallest user. ``is_best`` reports whether the cycle supports
+    split the subset's maximum matching weight (``max_matching_weight``)
+    exactly: w(M*_S) = sum_i w(M*_{S_i}).
+    """
+    idx = check_subset(alpha.K, subset)
+    if sorted(p[0] for p in m.pairs) != list(idx) or sorted(p[1] for p in m.pairs) != list(idx):
+        raise ValueError(f"matching does not cover subset {idx} exactly once per side")
+    succ = {tx: rx for tx, rx in m.pairs}
+
+    cycles = []
+    seen = set()
+    for start in idx:
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        nxt = succ[start]
+        while nxt != start:
+            cyc.append(nxt)
+            seen.add(nxt)
+            nxt = succ[nxt]
+        cycles.append(tuple(cyc))
+
+    total = max_matching_weight(alpha, idx)
+    parts = sum(max_matching_weight(alpha, c) for c in cycles)
+    return CyclicPartition(cycles=tuple(cycles), is_best=bool(abs(total - parts) <= TOL))
+
+
+def unclamped_gdof(alpha: ChannelMatrix, r: PowerAlloc) -> np.ndarray:
+    """The raw polyhedral form of the achieved GDoF, user by user:
+    d_j = alpha_jj + r_j - max{0, max_{i != j} (alpha_ij + r_i)}, which may
+    be negative; ``achieved_gdof`` is this clamped at 0."""
+    a, k = alpha.alpha, alpha.K
+    return np.array([a[j, j] + r.r[j] - max([0.0] + [a[i, j] + r.r[i]
+                                                     for i in range(k) if i != j])
+                     for j in range(k)])
+
+
+def sinr(net: PhysicalNetwork, r: PowerAlloc) -> np.ndarray:
+    """Linear SINR at each receiver in the GDoF-normalized model:
+
+        SINR_j = P^{alpha_jj + r_j} / (1 + sum_{i != j} P^{alpha_ij + r_i})
+
+    log_P of this converges to the unclamped achieved GDoF as P grows.
+    """
+    alpha = strength_from_physical(net)
+    p = net.reference_power
+    powers = np.power(p, alpha.alpha + r.r[:, None])  # (i, j) received power
+    signal = np.diag(powers).copy()
+    np.fill_diagonal(powers, 0.0)
+    return signal / (1.0 + powers.sum(axis=0))
 
 
 def gp_grid_best(g: np.ndarray, w: np.ndarray, grid: int = 220) -> float:
@@ -466,7 +585,7 @@ def dgp_loop(alpha: ChannelMatrix, subset=None, w=None, step=None, iters: int = 
         r = np.full(alpha.K, -np.inf)
         r[idx[0]] = 0.0
         pa = PowerAlloc(r)
-        return pa, achieved_gdof(alpha, pa, clamp=True), [0.0]
+        return pa, achieved_gdof(alpha, pa), [0.0]
 
     off = ~np.eye(n, dtype=bool)
     upper = a.copy()
@@ -510,7 +629,7 @@ def dgp_loop(alpha: ChannelMatrix, subset=None, w=None, step=None, iters: int = 
     r_full = np.full(alpha.K, -np.inf)
     r_full[list(idx)] = np.minimum(r_avg, 0.0)
     pa = PowerAlloc(r_full)
-    return pa, achieved_gdof(alpha, pa, clamp=True), residuals
+    return pa, achieved_gdof(alpha, pa), residuals
 
 
 def tina_polytope_fresh(alpha: ChannelMatrix, subset=None) -> TinaPolytope:
@@ -600,8 +719,9 @@ def check_conditions_loop(alpha: ChannelMatrix, c2_max_k: int = C2_MAX_K) -> Con
 
 
 def itis_plus_check_loop(alpha: ChannelMatrix, subset) -> bool:
-    """``itis_plus_check`` as C1 for every user of the subnetwork, through
-    ``check_conditions_loop`` on a new ``ChannelMatrix`` of its block."""
+    """The relaxed independent-set test on a subnetwork: C1 for every user
+    of the subnetwork, through ``check_conditions_loop`` on a new
+    ``ChannelMatrix`` of its block."""
     idx = check_subset(alpha.K, subset)
     sub = ChannelMatrix(alpha.alpha[np.ix_(idx, idx)])
     return all(check_conditions_loop(sub, c2_max_k=0).c1)
@@ -716,13 +836,10 @@ def gp_power_control_minimize(net, subset=None, w=None) -> GpSolution:
     powers[list(idx)] = x
     sinr_full = np.zeros(net.K)
     sinr_full[list(idx)] = sinr_sub
-    t_full = np.full(net.K, np.inf)
-    t_full[list(idx)] = 1.0 / sinr_sub
     return GpSolution(
         powers=powers,
         sinr=sinr_full,
         objective=float(np.sum(ww * np.log2(1.0 + sinr_sub))),
-        t=t_full,
         subset=idx,
     )
 
@@ -775,7 +892,7 @@ def gp_then_assignment_loop(net, subset):
     r_gp = np.full(net.K, -np.inf)
     for k in sol.subset:
         r_gp[k] = math.log(sol.powers[k]) / log_p
-    d_gp = achieved_gdof(alpha, PowerAlloc(r_gp), clamp=True)
+    d_gp = achieved_gdof(alpha, PowerAlloc(r_gp))
     active = tuple(k for k in sol.subset if d_gp.d[k] > TOL)
     d_target = np.zeros(net.K)
     for k in active:

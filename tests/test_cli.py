@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, JSON output, determinism."""
 
 import inspect
+import io
 import json
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 import tinq
 from tinq import optimize, power, schedule, sim
-from tinq.cli import _build_parser, dispatch
+from oracles import random_alpha
+from tinq.cli import EMIT_BATCH, _build_parser, _jsonable, dispatch
 from tinq.fixtures import fixture_checksums
 
 ALPHA_A = [[2, 0.5, 0.1], [0.2, 1, 0.5], [1, 0.5, 1.5]]
@@ -354,6 +356,34 @@ def test_num_rejects_a_meaningless_reference_power(capsys, net_b, solver, p):
                             f"got {float(p)}\n")
 
 
+@pytest.mark.parametrize("flag", ["--v", "--a-max", "--fairness"])
+def test_num_rejects_an_infinite_setting(capsys, net_b, flag):
+    code = dispatch(["num", "--network", net_b, flag, "inf", "--slots", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {flag[2:].replace('-', '_')} must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sumgdof", "--weights", "1e20,1,1", "--method", "lp"],
+    ["sumgdof", "--weights", "1e20,1,1", "--method", "exact"],
+    ["num", "--a-max", "1e20", "--fairness", "0", "--slots", "3"],
+    ["num", "--a-max", "1e20", "--fairness", "0", "--slots", "3", "--solver", "lp"],
+], ids=["lp", "exact", "num-exact", "num-lp"])
+def test_lp_weight_at_highs_infinite_cost_exits_2(capsys, net_b, argv):
+    # HiGHS reads a cost at or above its infinite_cost (1e20) as infinite;
+    # in num the weights pass it after one slot
+    assert dispatch([*argv, "--network", net_b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: LP weight 1e+20 is not below 1e+20, which HiGHS "
+                            "reads as an infinite cost\n")
+    if argv[0] == "sumgdof":
+        # a weight just below the bound still answers
+        code, out = run(capsys, [*argv, "--network", net_b, "--weights", "9.99e19,1,1"])
+        assert code == 0 and out["objective"] == 9.99e19
+
+
 def test_physical_network_with_infinite_reference_power_exits_2(capsys, tmp_path):
     # 10^(4000/10) is inf as a float: no log-P scale, so no region to print
     path = tmp_path / "phys.json"
@@ -461,6 +491,42 @@ def test_out_flag_writes_file(capsys, tmp_path, net_a):
     assert capsys.readouterr().out == ""
     _, direct = run(capsys, ["region", "--network", net_a])
     assert json.loads(out_path.read_text()) == direct
+
+
+class _Writes(io.StringIO):
+    """A text stream that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_region_prints_the_same_bytes_to_stdout_and_out(monkeypatch, tmp_path):
+    twelve = random_alpha(np.random.default_rng(0), 12, diag_lo=1.0, diag_hi=2.0,
+                          cross_hi=1.0)
+    for alpha in (tinq.NETWORK_A, twelve):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"k": alpha.K, "alpha": alpha.alpha.tolist()}))
+        poly = tinq.tina_polytope(alpha)
+        doc = {"k": alpha.K, "subset": list(poly.subset),
+               "constraints": [{"users": sorted(users), "bound": bound}
+                               for users, bound in poly.constraints.items()]}
+        want = json.dumps(_jsonable(doc), indent=2) + "\n"
+        out_path = tmp_path / "out.json"
+        assert dispatch(["region", "--network", str(path), "--out", str(out_path)]) == 0
+        stdout = _Writes()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert dispatch(["region", "--network", str(path)]) == 0
+        monkeypatch.undo()
+        assert stdout.getvalue() == out_path.read_text() == want
+    # the 12-user document (4,095 constraints, 528 kB) reaches the stream in
+    # batches of encoder chunks, none of them longer than 16 characters here,
+    # never as one whole string
+    assert max(stdout.sizes) <= 16 * EMIT_BATCH < len(want)
 
 
 def test_usage_errors(capsys, tmp_path, net_a):

@@ -1,4 +1,5 @@
-"""Max-weight matching over cross-link strengths and cyclic decomposition."""
+"""Max-weight matching over cross-link strengths, checked against the cyclic
+decomposition of the tie-broken matching oracle."""
 
 import math
 
@@ -8,19 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from oracles import assignment_lp_weight, brute_matching_weight, random_alpha
+from oracles import (Matching, assignment_lp_weight, brute_matching_weight, cyclic_partition,
+                     max_weight_matching, random_alpha)
 from tinq import (
     ChannelMatrix,
     NETWORK_A,
     NETWORK_B,
     build_assignment_matrix,
     converse_g_bound,
-    cyclic_partition,
     decentralized_gp,
     gp_power_control,
-    itis_plus_check,
     max_matching_weight,
-    max_weight_matching,
     max_weighted_gdof_lp,
     realize_network,
     solve_power_auction,
@@ -40,16 +39,15 @@ def cross_only(alpha: ChannelMatrix, subset) -> np.ndarray:
 
 
 def test_fixture_a_full_and_pair_weights():
-    assert max_weight_matching(NETWORK_A, (0, 1, 2)).weight == pytest.approx(2.0)
-    assert max_weight_matching(NETWORK_A, (0, 1)).weight == pytest.approx(0.7)
-    assert max_weight_matching(NETWORK_A, (0,)).weight == 0.0
+    assert max_matching_weight(NETWORK_A, (0, 1, 2)) == pytest.approx(2.0)
+    assert max_matching_weight(NETWORK_A, (0, 1)) == pytest.approx(0.7)
+    assert max_matching_weight(NETWORK_A, (0,)) == 0.0
 
 
 def test_fixture_b_weight_and_zero_edge_optimum():
-    m = max_weight_matching(NETWORK_B, (0, 1, 2))
-    assert m.weight == pytest.approx(1.2)
+    assert max_matching_weight(NETWORK_B, (0, 1, 2)) == pytest.approx(1.2)
     # some optimum contains the zero-strength edge (0, 2): forcing it keeps
-    # the weight, even though the returned tie-break picks another matching
+    # the weight
     a = cross_only(NETWORK_B, (0, 1, 2))
     assert a[0, 2] == 0.0
     forced = a[np.ix_([1, 2], [0, 1])]
@@ -57,18 +55,9 @@ def test_fixture_b_weight_and_zero_edge_optimum():
     assert a[0, 2] + forced[rows, cols].sum() == pytest.approx(1.2)
 
 
-def test_matching_pairs_orientation():
-    m = max_weight_matching(NETWORK_A, (0, 1, 2))
-    assert m.pairs == frozenset({(0, 1), (1, 2), (2, 0)})
-    a = cross_only(NETWORK_A, (0, 1, 2))
-    assert sum(a[i, j] for i, j in m.pairs) == pytest.approx(m.weight)
-
-
 def test_subset_indexing_uses_original_labels():
-    m = max_weight_matching(NETWORK_A, (0, 2))
-    # cross weights between 0 and 2: 0.1 forward, 1.0 back; swap wins
-    assert m.weight == pytest.approx(1.1)
-    assert m.pairs == frozenset({(0, 2), (2, 0)})
+    # cross weights between users 0 and 2: 0.1 forward, 1.0 back; swap wins
+    assert max_matching_weight(NETWORK_A, (0, 2)) == pytest.approx(1.1)
 
 
 # Every subset-taking function on NETWORK_A, reduced to a comparable value.
@@ -77,8 +66,6 @@ D = (0.5, 0.0, 0.7)
 PHYS_A = realize_network(NETWORK_A, 1e4)
 SUBSET_FUNCS = {
     "max_matching_weight": lambda s: max_matching_weight(NETWORK_A, s),
-    "max_weight_matching": lambda s: max_weight_matching(NETWORK_A, s),
-    "itis_plus_check": lambda s: itis_plus_check(NETWORK_A, s),
     "tina_polytope": lambda s: tina_polytope(NETWORK_A, s),
     "tina_polytope_cyclic": lambda s: tina_polytope_cyclic(NETWORK_A, s),
     "converse_g_bound": lambda s: converse_g_bound(NETWORK_A, s),
@@ -93,8 +80,6 @@ ALL, SUPPORT, OFF = (0, 1, 2), (0, 2), [-math.inf] * 3
 # function -> (None, ()): a subset to compare against, a value, or an error
 SUBSET_TABLE = {
     "max_matching_weight": (None, IndexError),
-    "max_weight_matching": (None, IndexError),
-    "itis_plus_check": (None, IndexError),
     "tina_polytope": (ALL, IndexError),
     "tina_polytope_cyclic": (ALL, IndexError),
     "converse_g_bound": (ALL, IndexError),
@@ -139,8 +124,6 @@ def test_cyclic_partition_identity_is_singletons():
     m = max_weight_matching(alpha, (0, 1))
     # the identity matching has weight 0, worse than the swap; build it by
     # hand to check the decomposition of a non-optimal matching
-    from tinq import Matching
-
     ident = Matching(pairs=frozenset({(0, 0), (1, 1)}), weight=0.0)
     part = cyclic_partition(alpha, ident, (0, 1))
     assert part.cycles == ((0,), (1,))
@@ -158,19 +141,6 @@ def test_cyclic_partition_two_disjoint_swaps():
     part = cyclic_partition(alpha, m, (0, 1, 2, 3))
     assert sorted(tuple(sorted(c)) for c in part.cycles) == [(0, 1), (2, 3)]
     assert part.is_best
-
-
-def test_lexicographic_tie_break():
-    # both swaps have equal weight; lex-smallest assignment picks columns in
-    # order, which is the swap through the lower column index first
-    a = np.zeros((3, 3))
-    a[0, 1] = a[1, 0] = 1.0
-    a[0, 2] = a[2, 0] = 1.0
-    np.fill_diagonal(a, 1.0)
-    alpha = ChannelMatrix(a)
-    m = max_weight_matching(alpha, (0, 1, 2))
-    assert m.weight == pytest.approx(2.0)
-    assert m.pairs == frozenset({(0, 1), (1, 0), (2, 2)})
 
 
 @given(st.integers(2, 6), st.integers(0, 2**31 - 1))
@@ -198,7 +168,7 @@ def test_lp_relaxation_is_integral(k, seed):
 def test_brute_force_agreement(k, seed):
     alpha = random_alpha(np.random.default_rng(seed), k)
     subset = tuple(range(k))
-    assert max_weight_matching(alpha, subset).weight == pytest.approx(
+    assert max_matching_weight(alpha, subset) == pytest.approx(
         brute_matching_weight(cross_only(alpha, subset)), abs=1e-9
     )
 
@@ -213,21 +183,6 @@ def test_cyclic_partition_covers_subset(k, seed):
     seen = sorted(i for c in part.cycles for i in c)
     assert seen == list(subset)
     assert part.is_best
-
-
-def test_max_weight_matching_raises_when_no_completion_fits(monkeypatch):
-    # a total no completion can reach: the row scan finds no receiver, which
-    # must raise even under python -O, where an assert would vanish
-    sizes = []
-
-    def lsa_max(w):
-        sizes.append(w.shape[0])
-        return 1e9 if len(sizes) == 1 else 0.0
-
-    monkeypatch.setattr(matching, "_lsa_max", lsa_max)
-    with pytest.raises(RuntimeError, match="transmitter 0"):
-        max_weight_matching(NETWORK_A, (0, 1, 2))
-    assert sizes == [3, 2, 2, 2]
 
 
 @given(st.floats(0.0, 1e6) | st.sampled_from([0.0, -0.0]))

@@ -115,7 +115,6 @@ def test_gp_single_link_full_power():
     sol = gp_power_control(net)
     assert sol.powers[0] == pytest.approx(1.0, abs=1e-6)
     assert sol.sinr[0] == pytest.approx(net.gains[0, 0], rel=1e-6)
-    assert sol.t[0] == pytest.approx(1.0 / net.gains[0, 0], rel=1e-6)
 
 
 def test_gp_two_user_matches_grid_oracle():
@@ -248,13 +247,13 @@ def test_dgp_divergence_matches_loop_reference(seed):
 
 
 def _gp_outcome(solve, net, subset=None, w=None):
-    """The bytes of powers, sinr and t with the objective and subset, or the
+    """The bytes of powers and sinr with the objective and subset, or the
     failure's text and last-iterate bytes."""
     try:
         sol = solve(net, subset, w)
     except ConvergenceFailure as e:
         return str(e), e.last_iterate.tobytes()
-    return sol.powers.tobytes(), sol.sinr.tobytes(), sol.t.tobytes(), sol.objective, sol.subset
+    return sol.powers.tobytes(), sol.sinr.tobytes(), sol.objective, sol.subset
 
 
 def _random_gp_instance(k, seed, log_p):
@@ -531,7 +530,7 @@ def test_gp_agrees_with_grid_on_random_pairs(seed):
     num = np.diag(g) * sol.powers
     interference = g.T @ sol.powers - num
     np.testing.assert_allclose(
-        sol.t, (net.noise_power + interference) / num, rtol=1e-6
+        sol.sinr, num / (net.noise_power + interference), rtol=1e-6
     )
 
 

@@ -457,7 +457,7 @@ def test_is_feasible_matches_region_membership():
             alpha = ChannelMatrix(np.round(alpha.alpha * 4) / 4)
             d = np.round(d * 4) / 4
         d = GdofTuple(d)
-        support = d.support()
+        support = tuple(np.flatnonzero(d.d > TOL).tolist())
         if not support:
             assert is_feasible(alpha, d)  # all users off
             continue

@@ -16,7 +16,6 @@ from tinq.sim import generate_drop, scenario1, scenario2
 from tinq.schedule import (
     NumState,
     flashlinq_schedule,
-    itis_plus_check,
     itlinq_plus_schedule,
     itlinq_schedule,
     num_run,
@@ -30,28 +29,33 @@ NETWORK_B = ChannelMatrix([[1, 0.3, 0], [0.6, 1, 0.1], [0.8, 0.6, 1]])
 
 
 # ---------------------------------------------------------------------------
-# independent-set test
+# independent-set test: C1 of check_conditions on the subnetwork's block
+
+
+def c1_holds_on(alpha: ChannelMatrix, subset) -> bool:
+    idx = sorted(subset)
+    return all(check_conditions(ChannelMatrix(alpha.alpha[np.ix_(idx, idx)]), c2_max_k=0).c1)
 
 
 def test_itis_plus_network_b_full():
-    assert itis_plus_check(NETWORK_B, (0, 1, 2))
+    assert c1_holds_on(NETWORK_B, (0, 1, 2))
 
 
 def test_itis_plus_singletons():
     for k in range(3):
-        assert itis_plus_check(NETWORK_A, (k,))
-        assert itis_plus_check(NETWORK_B, (k,))
+        assert c1_holds_on(NETWORK_A, (k,))
+        assert c1_holds_on(NETWORK_B, (k,))
 
 
 def test_itis_plus_network_a_pair():
     # alpha_00 = 2 and alpha_22 = 1.5 both cover
     # alpha_20 + alpha_02 = 1 + 0.1 = 1.1
-    assert itis_plus_check(NETWORK_A, (0, 2))
+    assert c1_holds_on(NETWORK_A, (0, 2))
 
 
 def test_itis_plus_rejects_strong_cross_pair():
     alpha = ChannelMatrix([[0.5, 1.0], [1.0, 0.5]])
-    assert not itis_plus_check(alpha, (0, 1))
+    assert not c1_holds_on(alpha, (0, 1))
 
 
 @settings(max_examples=60)
@@ -63,9 +67,7 @@ def test_itis_plus_matches_c1_on_subnetwork(seed):
     alpha = random_alpha_tied(rng, k, (None, 0.25, 0.1)[seed % 3])
     size = int(rng.integers(1, k + 1))
     sub = tuple(rng.choice(k, size=size, replace=False).tolist())
-    idx = sorted(sub)
-    rep = check_conditions(ChannelMatrix(alpha.alpha[np.ix_(idx, idx)]), c2_max_k=0)
-    assert itis_plus_check(alpha, sub) == itis_plus_check_loop(alpha, sub) == all(rep.c1)
+    assert c1_holds_on(alpha, sub) == itis_plus_check_loop(alpha, sub)
 
 
 def test_itis_contained_in_itis_plus():
@@ -83,7 +85,7 @@ def test_itis_contained_in_itis_plus():
         rep = check_conditions(ChannelMatrix(m[np.ix_(sub, sub)]), c2_max_k=0)
         if all(rep.gnaj):
             hits += 1
-            assert itis_plus_check(alpha, sub)
+            assert c1_holds_on(alpha, sub)
     assert hits > 0
 
 
