@@ -28,7 +28,7 @@ from .optimize import (
     max_weighted_gdof_exact,
     max_weighted_gdof_lp,
 )
-from .power import is_feasible, solve_power_auction, solve_power_hungarian
+from .power import DEFAULT_EPSILON, is_feasible, solve_power_auction, solve_power_hungarian
 from .region import check_conditions, tina_polytope, tina_polytope_cyclic
 from .schedule import (
     flashlinq_schedule,
@@ -37,6 +37,7 @@ from .schedule import (
     num_run,
 )
 from .sim import (
+    POWER_MODES,
     Scenario,
     run_experiment,
     run_synthetic_experiment,
@@ -142,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gdof", required=True, help="comma-separated targets")
     sp.add_argument("--subset", help="active users (default: support of the target)")
     sp.add_argument("--solver", choices=("hungarian", "auction"), default="hungarian")
-    sp.add_argument("--epsilon", type=float, default=1e-5)
+    sp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     sp.add_argument("--snap", action="store_true",
                     help="auction only: re-derive exact labels centrally")
 
@@ -193,8 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--links", type=int, default=16)
     sp.add_argument("--drops", type=int, default=10)
     sp.add_argument("--schemes", default="none,flashlinq,itlinq,itlinq+")
-    sp.add_argument("--power-mode", default="full",
-                    choices=("full", "gp", "gp+assignment", "lp+assignment"))
+    sp.add_argument("--power-mode", default="full", choices=POWER_MODES)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--csv", help="also write per-drop rows to this CSV file")
@@ -258,7 +258,7 @@ def _cmd_check(args) -> int:
         "gnaj_violations": sorted(rep.gnaj_witnesses),
         "c1_violations": sorted(rep.c1_witnesses),
         "c2_witness": list(rep.c2_witness) if rep.c2_witness else None,
-        "c2_skipped": rep.c2_skipped,
+        "c2_skipped": rep.c2 is None,
     }, args.out)
     return EXIT_OK
 

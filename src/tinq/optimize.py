@@ -23,6 +23,7 @@ from .exceptions import (
     ShapeError,
 )
 from .model import (
+    TOL,
     ChannelMatrix,
     GdofTuple,
     PhysicalNetwork,
@@ -32,7 +33,7 @@ from .model import (
     check_subset,
     strength_from_physical,
 )
-from .power import _active_target, solve_power_auction, solve_power_potentials
+from .power import solve_power_potentials
 from .region import _nonempty_subsets, halfspaces
 
 __all__ = [
@@ -84,7 +85,9 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[Gdo
     scipy.optimize is imported; each bound is solved once per network, so
     repeated calls on one network only re-solve the LP. A weight at or above
     ``LP_WEIGHT_MAX`` (1e20), which HiGHS would read as an infinite cost,
-    raises DomainError before the LP is built.
+    raises DomainError before the LP is built; so does a solve that HiGHS
+    reports as failed (several weights of 1e18 or more can end in its solve
+    error), naming HiGHS's message and the largest weight.
     """
     wv = _as_weights(w, alpha.K)
     idx = tuple(k for k in check_subset(alpha.K, subset, allow_empty=True) if wv[k] > 0)
@@ -118,7 +121,7 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[Gdo
         method="highs",
     )
     if not res.success:
-        raise RuntimeError(f"LP solve failed: {res.message}")
+        raise DomainError(f"LP solve failed at largest weight {cost.max():g}: {res.message}")
     d[list(idx)] = np.maximum(res.x, 0.0)
     return GdofTuple(d), float(-res.fun)
 
@@ -321,8 +324,8 @@ def decentralized_gp(alpha: ChannelMatrix, subset=None, w=None, step=None,
     Raises DivergenceDetected if the consistency residual grows for 100
     consecutive iterations, and ValueError for fewer than one iteration.
 
-    Returns (PowerAlloc, GdofTuple), plus an info dict (residuals, objective)
-    when ``return_info``.
+    Returns (PowerAlloc, GdofTuple), plus an info dict of the per-iteration
+    consistency residuals when ``return_info``.
     """
     if iters < 1:
         raise ValueError(f"need at least one iteration, got {iters}")
@@ -394,59 +397,26 @@ def decentralized_gp(alpha: ChannelMatrix, subset=None, w=None, step=None,
     r_full[list(idx)] = np.minimum(r_avg, 0.0)
     pa = PowerAlloc(r_full)
     d = achieved_gdof(alpha, pa)
-    if return_info:
-        info = {
-            "residuals": residuals,
-            "objective": float(wv @ d.d),
-            "subset": idx,
-        }
-        return pa, d, info
-    return pa, d
+    return (pa, d, {"residuals": residuals}) if return_info else (pa, d)
 
 
-def _target_powers(alpha: ChannelMatrix, target, subset, solver: str = "hungarian",
-                   epsilon: float = 1e-5) -> tuple[PowerAlloc, GdofTuple]:
-    """Minimal power exponents that achieve ``target`` on ``subset``: users
-    that the target rule of ``power._active_target`` leaves off are switched
-    off (all of them when none is left), the rest go to the exact or the
-    auction solver. ``"hungarian"`` gives the exact minimal labels of the
-    Kuhn-Munkres solver, computed as the least potentials of the TIN
-    constraints (``power.solve_power_potentials``)."""
-    picked = np.zeros(alpha.K)
-    picked[list(subset)] = target[list(subset)]
-    _, active = _active_target(alpha, picked)
-    d_target = np.zeros(alpha.K)
-    d_target[list(active)] = picked[list(active)]
-    if not active:
-        return PowerAlloc(np.full(alpha.K, -np.inf)), GdofTuple(d_target)
-    if solver == "hungarian":
-        r_min, _ = solve_power_potentials(alpha, d_target, subset=active)
-    elif solver == "auction":
-        r_min, _ = solve_power_auction(alpha, d_target, subset=active, epsilon=epsilon)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-    return r_min, GdofTuple(d_target)
-
-
-def gp_then_assignment(net: PhysicalNetwork, subset=None, w=None,
-                       solver: str = "hungarian", epsilon: float = 1e-5,
-                       ) -> tuple[PowerAlloc, GdofTuple]:
+def gp_then_assignment(net: PhysicalNetwork, subset=None) -> tuple[PowerAlloc, GdofTuple]:
     """Finite-SNR pipeline: GP power control, map powers to the log-P scale,
     read off the achieved GDoF, then re-solve for the minimal powers that
     achieve exactly that tuple.
 
     The achieved GDoF is preserved and no link's power increases; links whose
-    GP-implied GDoF is at most TOL are switched off before the solve. The
-    default ``"hungarian"`` solver returns the exact minimal powers, found by
-    the array relaxation ``power.solve_power_potentials`` rather than by
-    Kuhn-Munkres label rounds; ``"auction"`` runs the decentralized auction.
+    GP-implied GDoF is at most TOL are switched off (zeroed in the returned
+    tuple) by the target rule of ``power.solve_power_potentials``, which
+    returns the exact minimal powers of the Kuhn-Munkres labels.
     """
-    sol = gp_power_control(net, subset, w)
+    sol = gp_power_control(net, subset)
     alpha = strength_from_physical(net)
     log_p = math.log(net.reference_power)
 
     r_gp = np.full(net.K, -np.inf)
     for k in sol.subset:
         r_gp[k] = math.log(sol.powers[k]) / log_p
-    d_gp = achieved_gdof(alpha, PowerAlloc(r_gp))
-    return _target_powers(alpha, d_gp.d, sol.subset, solver, epsilon)
+    d_gp = achieved_gdof(alpha, PowerAlloc(r_gp)).d
+    r_min, _ = solve_power_potentials(alpha, d_gp)
+    return r_min, GdofTuple(np.where(d_gp > TOL, d_gp, 0.0))

@@ -50,9 +50,6 @@ class TinaPolytope:
     subset: tuple
     constraints: dict  # frozenset of users -> bound on their GDoF sum
 
-    def bound(self, users) -> float:
-        return self.constraints[frozenset(int(u) for u in users)]
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -69,7 +66,6 @@ class ConditionReport:
     gnaj_witnesses: dict = field(default_factory=dict)
     c1_witnesses: dict = field(default_factory=dict)
     c2_witness: tuple | None = None
-    c2_skipped: bool = False
 
 
 def _nonempty_subsets(idx):
@@ -228,10 +224,8 @@ def check_conditions(alpha: ChannelMatrix, c2_max_k: int = C2_MAX_K) -> Conditio
 
     c2: bool | None
     c2_witness = None
-    c2_skipped = False
     if K > c2_max_k:
         c2 = None
-        c2_skipped = True
     else:
         c2 = True
         for sub in _nonempty_subsets(tuple(range(K))):
@@ -244,7 +238,7 @@ def check_conditions(alpha: ChannelMatrix, c2_max_k: int = C2_MAX_K) -> Conditio
     return ConditionReport(
         gnaj=gnaj, c1=c1, c2=c2,
         gnaj_witnesses=gnaj_w, c1_witnesses=c1_w,
-        c2_witness=c2_witness, c2_skipped=c2_skipped,
+        c2_witness=c2_witness,
     )
 
 

@@ -292,11 +292,10 @@ def num_step(state: NumState, alpha: ChannelMatrix, solver: str = "exact",
 
 @dataclass(frozen=True)
 class NumTrajectory:
-    """Per-slot services and arrivals, the running time-averaged GDoF after
-    each slot, the utility of each running average, and the final weights."""
+    """Per-slot services, the running time-averaged GDoF after each slot, the
+    utility of each running average, and the final weights."""
 
     d_star: np.ndarray
-    a_star: np.ndarray
     avg_d: np.ndarray
     utility: np.ndarray
     final_weights: np.ndarray
@@ -318,15 +317,13 @@ def num_run(alpha: ChannelMatrix, fairness: float = 1.0, v: float = 10.0,
         raise ShapeError("need at least one slot")
     state = NumState(np.ones(alpha.K), v=v, a_max=a_max, fairness=fairness)
     ds = np.zeros((t_slots, alpha.K))
-    as_ = np.zeros((t_slots, alpha.K))
     avg = np.zeros((t_slots, alpha.K))
     util = np.zeros(t_slots)
     running = np.zeros(alpha.K)
     for t in range(t_slots):
-        d, a, state = num_step(state, alpha, solver, ref_power)
+        d, _, state = num_step(state, alpha, solver, ref_power)
         ds[t] = d.d
-        as_[t] = a
         running += (d.d - running) / (t + 1)
         avg[t] = running
         util[t] = utility_value(running, fairness)
-    return NumTrajectory(ds, as_, avg, util, state.weights.copy())
+    return NumTrajectory(ds, avg, util, state.weights.copy())

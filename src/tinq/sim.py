@@ -23,8 +23,8 @@ from .exceptions import (ConvergenceFailure, DomainError, Infeasible, RegionTooT
                          ShapeError)
 from .model import (ChannelMatrix, PhysicalNetwork, db_setting, is_finite_real,
                     realize_network, strength_from_physical)
-from .optimize import (_target_powers, gp_power_control, gp_then_assignment,
-                       max_weighted_gdof_lp)
+from .optimize import gp_power_control, gp_then_assignment, max_weighted_gdof_lp
+from .power import solve_power_potentials
 from .schedule import flashlinq_schedule, itlinq_plus_schedule, itlinq_schedule
 
 __all__ = [
@@ -284,7 +284,7 @@ def _allocate(net: PhysicalNetwork, alpha: ChannelMatrix, selected: tuple,
         r, _ = gp_then_assignment(net, subset=selected)
     elif power_mode == "lp+assignment":
         d, _ = max_weighted_gdof_lp(alpha, selected)
-        r, _ = _target_powers(alpha, np.minimum(d.d, np.diag(alpha.alpha)), selected)
+        r, _ = solve_power_potentials(alpha, np.minimum(d.d, np.diag(alpha.alpha)))
     else:
         raise ValueError(f"unknown power mode {power_mode!r}")
     live = np.isfinite(r.r)

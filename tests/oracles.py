@@ -698,10 +698,8 @@ def check_conditions_loop(alpha: ChannelMatrix, c2_max_k: int = C2_MAX_K) -> Con
 
     c2: bool | None
     c2_witness = None
-    c2_skipped = False
     if K > c2_max_k:
         c2 = None
-        c2_skipped = True
     else:
         c2 = True
         for size in range(3, K + 1):
@@ -714,7 +712,7 @@ def check_conditions_loop(alpha: ChannelMatrix, c2_max_k: int = C2_MAX_K) -> Con
     return ConditionReport(
         gnaj=tuple(gnaj), c1=tuple(c1), c2=c2,
         gnaj_witnesses=gnaj_w, c1_witnesses=c1_w,
-        c2_witness=c2_witness, c2_skipped=c2_skipped,
+        c2_witness=c2_witness,
     )
 
 

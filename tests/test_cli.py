@@ -13,6 +13,7 @@ import tinq
 from tinq import optimize, power, schedule, sim
 from oracles import random_alpha
 from tinq.cli import EMIT_BATCH, _build_parser, _jsonable, dispatch
+from tinq.exceptions import DomainError
 from tinq.fixtures import fixture_checksums
 
 ALPHA_A = [[2, 0.5, 0.1], [0.2, 1, 0.5], [1, 0.5, 1.5]]
@@ -382,6 +383,38 @@ def test_lp_weight_at_highs_infinite_cost_exits_2(capsys, net_b, argv):
         # a weight just below the bound still answers
         code, out = run(capsys, [*argv, "--network", net_b, "--weights", "9.99e19,1,1"])
         assert code == 0 and out["objective"] == 9.99e19
+
+
+def test_failed_highs_solve_is_a_domain_error(capsys, monkeypatch, net_b):
+    # a solve HiGHS reports as failed is a usage error naming its message and
+    # the largest weight, not a crash
+    import scipy.optimize
+
+    failed = scipy.optimize.OptimizeResult(success=False,
+                                           message="(HiGHS Status 4: Solve error)")
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(DomainError):
+        optimize.max_weighted_gdof_lp(tinq.NETWORK_B, w=[3, 1, 2])
+    assert dispatch(["sumgdof", "--network", net_b, "--weights", "3,1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: LP solve failed at largest weight 3: "
+                            "(HiGHS Status 4: Solve error)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sumgdof", "--weights", "1e18,1e18,1e18"],
+    ["num", "--a-max", "9e19", "--fairness", "0", "--solver", "lp", "--slots", "3"],
+], ids=["sumgdof", "num-lp"])
+def test_highs_solve_error_never_exits_1(net_b, argv):
+    # several huge weights below 1e20 can end in HiGHS's solve error; on any
+    # HiGHS build the call answers or exits 2, without a traceback
+    proc = subprocess.run([sys.executable, "-m", "tinq.cli", *argv, "--network", net_b],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (0, 2) and "Traceback" not in proc.stderr
+    if proc.returncode == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: LP solve failed at largest weight ")
 
 
 def test_physical_network_with_infinite_reference_power_exits_2(capsys, tmp_path):

@@ -37,6 +37,7 @@ from tinq import (
     max_weighted_gdof_lp,
     realize_network,
     region,
+    strength_from_physical,
     tina_polytope,
 )
 import tinq.optimize
@@ -44,8 +45,7 @@ from tinq import sim
 from tinq.exceptions import (ConvergenceFailure, DivergenceDetected, ShapeError,
                              SubsetTooLarge)
 from tinq.model import TOL, PhysicalNetwork
-from tinq.optimize import _target_powers
-from tinq.power import PowerAlloc, solve_power_auction, solve_power_hungarian
+from tinq.power import PowerAlloc, solve_power_hungarian, solve_power_potentials
 
 
 def test_lp_reference_objectives():
@@ -550,29 +550,52 @@ def test_pipeline_minimality(k, seed):
 
 
 def test_target_powers_switch_off_negligible_targets():
-    # targets at or below TOL are zeroed and their users left off
-    r, d = _target_powers(NETWORK_A, np.array([0.5, TOL, 0.7]), (0, 1, 2))
+    # targets at or below TOL leave their users off
+    r, _ = solve_power_potentials(NETWORK_A, np.array([0.5, TOL, 0.7]))
     r_ref, _ = solve_power_hungarian(NETWORK_A, [0.5, 0.0, 0.7], subset=(0, 2))
     assert r.r.tobytes() == r_ref.r.tobytes() and r.r[1] == -np.inf
-    assert d.d.tolist() == [0.5, 0.0, 0.7]
-    # users outside the subset stay off whatever their target
-    r, d = _target_powers(NETWORK_A, np.array([0.5, 0.6, 0.7]), (0, 2), "auction", 1e-5)
-    r_ref, _ = solve_power_auction(NETWORK_A, [0.5, 0.0, 0.7], subset=(0, 2), epsilon=1e-5)
+    r, _ = solve_power_potentials(NETWORK_A, np.array([TOL, 0.0, TOL / 2]))
+    assert np.all(r.r == -np.inf)
+    # the pipeline switches off a user whose GP-achieved GDoF is 0: user 1
+    # has direct strength 0 and hears Tx-0 at 1.0
+    net = realize_network(ChannelMatrix(np.array([[1.0, 1.0], [0.0, 0.0]])), 1e4)
+    r, d = gp_then_assignment(net)
+    assert r.r[1] == -np.inf and d.d.tolist() == [1.0, 0.0]
+    # every user off: user 0 outside the subset, user 1 at GDoF 0
+    r, d = gp_then_assignment(net, subset=(1,))
+    assert np.all(r.r == -np.inf) and d.d.tolist() == [0.0, 0.0]
+
+
+@given(st.integers(1, 6), st.integers(0, 2**31 - 1), st.booleans())
+@settings(max_examples=40)
+def test_pipeline_target_goes_straight_to_potentials(k, seed, grid):
+    """gp_then_assignment's powers are bitwise those of the potentials solve
+    over the users switched on explicitly, those whose GP-achieved GDoF is
+    above TOL, with some achieved entries pushed to 0 or into (0, TOL]."""
+    rng = np.random.default_rng(seed)
+    alpha = random_alpha(rng, k)
+    if grid:
+        alpha = ChannelMatrix(np.round(alpha.alpha * 4) / 4)
+    net = realize_network(alpha, 1e4)
+    subset = tuple(np.flatnonzero(rng.uniform(size=k) < 0.8).tolist()) or (0,)
+    squeeze = rng.uniform(size=k) < 0.3
+    small = rng.choice([0.0, TOL / 3, TOL], size=k)
+    achieved = []
+
+    def squeezed(alpha, r):
+        d = achieved_gdof(alpha, r).d.copy()
+        d[squeeze] = np.minimum(d[squeeze], small[squeeze])
+        achieved.append(d)
+        return GdofTuple(d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tinq.optimize, "achieved_gdof", squeezed)
+        r, d = gp_then_assignment(net, subset)
+    target = achieved[0]
+    on = tuple(u for u in range(k) if target[u] > TOL)
+    r_ref, _ = solve_power_potentials(strength_from_physical(net), target, subset=on)
     assert r.r.tobytes() == r_ref.r.tobytes()
-    assert d.d.tolist() == [0.5, 0.0, 0.7]
-    r, d = _target_powers(NETWORK_A, np.array([TOL, 0.0, 0.7]), (0, 1), "bogus")
-    assert np.all(r.r == -np.inf) and d.d.tolist() == [0.0, 0.0, 0.0]
-    with pytest.raises(ValueError, match="unknown solver"):
-        _target_powers(NETWORK_A, np.array([0.5, 0.6, 0.7]), (0,), "bogus")
-
-
-def test_pipeline_auction_matches_hungarian():
-    net = realize_network(NETWORK_A, 1e4)
-    r_h, d_h = gp_then_assignment(net, solver="hungarian")
-    r_a, d_a = gp_then_assignment(net, solver="auction", epsilon=1e-5)
-    np.testing.assert_allclose(d_a.d, d_h.d, atol=1e-9)
-    on = np.isfinite(r_h.r)
-    assert np.all(np.abs(r_a.r[on] - r_h.r[on]) <= 3 * 1e-5 + 1e-12)
+    assert d.d.tobytes() == np.where(target > TOL, target, 0.0).tobytes()
 
 
 @given(st.integers(2, 4), st.integers(0, 2**31 - 1))

@@ -395,7 +395,7 @@ def test_potentials_match_hungarian_on_drop_instances(monkeypatch):
     # 101 to 214 active links each
     outcomes = []
 
-    def both(alpha, d, subset):
+    def both(alpha, d, subset=None):
         outcomes.append(assert_potentials_match_hungarian(alpha, d, subset))
         return solve_power_potentials(alpha, d, subset)
 

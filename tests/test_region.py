@@ -113,7 +113,7 @@ def test_conditions_fixture_b():
     rep = check_conditions(NETWORK_B)
     assert rep.c1 == (True, True, True)
     assert rep.gnaj == (False, False, True)
-    assert rep.c2 and not rep.c2_skipped
+    assert rep.c2 is True
 
 
 def test_conditions_diagonal_dominant():
@@ -165,7 +165,7 @@ def test_c2_fails_without_zero_edges():
 def test_c2_skipped_above_cap():
     alpha = ChannelMatrix(np.eye(13))
     rep = check_conditions(alpha)
-    assert rep.c2_skipped
+    assert rep.c2 is None and rep.c2_witness is None
 
 
 def test_converse_fixture_b():
@@ -302,7 +302,7 @@ def test_converse_tight_under_c1_c2(k, seed):
         a[np.diag_indices(k)] = rng.uniform(1.0, 2.0, size=k)
         alpha = ChannelMatrix(np.round(a, 6))
         rep = check_conditions(alpha)
-        if all(rep.c1) and rep.c2 and not rep.c2_skipped:
+        if all(rep.c1) and rep.c2 is True:
             break
     else:
         raise AssertionError("no C1+C2 sample found")
@@ -337,7 +337,7 @@ def test_converse_tight_one_direction_class(k, seed):
                         a[j, i] = rng.uniform(0.05, 0.8)
         alpha = ChannelMatrix(np.round(a, 6))
         rep = check_conditions(alpha)
-        if all(rep.c1) and rep.c2 and not rep.c2_skipped:
+        if all(rep.c1) and rep.c2 is True:
             break
     else:
         raise AssertionError("no C1+C2 sample found")

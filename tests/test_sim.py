@@ -363,7 +363,8 @@ def test_assignment_modes_match_hungarian_pipeline(monkeypatch, scenario, mode):
     # the pipeline's minimal powers come from the potentials relaxation; the
     # Kuhn-Munkres labels must give the same drops and links, to rounding
     res = run_experiment(scenario, SCHEMES, 6, 3, power_mode=mode)
-    monkeypatch.setattr(tinq.optimize, "solve_power_potentials", solve_power_hungarian)
+    for module in (tinq.optimize, tinq.sim):  # gp+ and lp+assignment call it there
+        monkeypatch.setattr(module, "solve_power_potentials", solve_power_hungarian)
     _assert_rows_close(res, run_experiment(scenario, SCHEMES, 6, 3, power_mode=mode))
 
 
