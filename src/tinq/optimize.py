@@ -34,7 +34,7 @@ from .model import (
     strength_from_physical,
 )
 from .power import solve_power_potentials
-from .region import _nonempty_subsets, halfspaces
+from .region import _nonempty_subsets, halfspaces, subset_bounds
 
 __all__ = [
     "GpSolution",
@@ -131,18 +131,35 @@ def max_weighted_gdof_exact(alpha: ChannelMatrix, w=None,
     """Global optimum of the weighted sum over the union of the polytopes of
     every active subset of ``subset`` (None means all users), by enumerating
     those subsets in ``region``'s (size, lexicographic) order, which breaks
-    ties toward the first, and solving each LP.
+    ties toward the first, and solving the LP of each one that might win.
 
     Restricting enumeration to the positively weighted users is exact:
     removing a zero-weight user relaxes every remaining bound; users outside
     ``subset`` drop out the same way. Capped at 10 users; larger networks
-    should use the scheduling pipeline instead.
+    should use the scheduling pipeline instead. A subset skipped as unable
+    to win never has its LP solved, so it cannot end the search in HiGHS's
+    solve error either.
     """
     wv = _as_weights(w, alpha.K)
     idx = check_subset(alpha.K, subset, allow_empty=True)
     check_size("exact search", len(idx), EXACT_K_MAX)
+    users = tuple(k for k in idx if wv[k] > 0)
+    w_of, top = wv.tolist(), np.diag(alpha.alpha).tolist()
     best = (GdofTuple(np.zeros(alpha.K)), (), 0.0)
-    for sub in _nonempty_subsets(tuple(k for k in idx if wv[k] > 0)):
+    for sub, cap in zip(_nonempty_subsets(users), subset_bounds(alpha, users).tolist()):
+        # The greedy keeps only S's own row and its singleton rows, so it
+        # bounds S's LP optimum from above. HiGHS's optimal x meets every
+        # row and bound to its primal feasibility tolerance (1e-7), so its
+        # objective exceeds the greedy by at most 2e-7 * sum_S w, which the
+        # margin 1e-6 * sum_S w covers with the rounding of both sums. So a
+        # skipped S could not replace the best (that takes obj > best +
+        # 1e-12), and by induction the best after each subset, and so the
+        # answer, are bitwise those of solving every LP. A weight at HiGHS's
+        # infinite cost is never skipped, so its LP raises as before.
+        w_sub = [w_of[k] for k in sub]
+        if (max(w_sub) < LP_WEIGHT_MAX
+                and _greedy_bound(w_of, top, sub, cap) + 1e-6 * sum(w_sub) <= best[2]):
+            continue
         try:
             d, obj = max_weighted_gdof_lp(alpha, sub, wv)
         except EmptyPolytope:
@@ -151,6 +168,20 @@ def max_weighted_gdof_exact(alpha: ChannelMatrix, w=None,
         if obj > best[2] + 1e-12:
             best = (d, sub, obj)
     return best
+
+
+def _greedy_bound(w: list, top: list, sub: tuple, cap: float) -> float:
+    """max sum_{k in sub} w_k d_k subject to sum_{k in sub} d_k <= cap and
+    0 <= d_k <= top_k, filled greedily by weight (a fractional knapsack);
+    -inf when cap < 0 leaves it empty."""
+    if cap < 0:
+        return -math.inf
+    total = 0.0
+    for k in sorted(sub, key=w.__getitem__, reverse=True):
+        take = min(top[k], cap)
+        total += w[k] * take
+        cap -= take
+    return total
 
 
 def _lbfgsb(fun, z0, ftol):

@@ -1,11 +1,12 @@
 """Achievable-region builders, optimality conditions, and the outer bound."""
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -186,15 +187,28 @@ def test_converse_zero_cross():
     assert converse_g_bound(alpha, (0, 1, 2)) == pytest.approx(3.5)
 
 
-@given(st.integers(2, 5), st.integers(0, 2**31 - 1))
+@given(st.integers(2, 8), st.integers(0, 2**31 - 1))
+@example(7, 0)
+@example(8, 0)  # the largest permutation table the cyclic form reads
 @settings(max_examples=60)
 def test_representation_equivalence(k, seed):
     alpha = random_alpha(np.random.default_rng(seed), k)
     direct = tina_polytope(alpha).constraints
     cyclic = tina_polytope_cyclic(alpha).constraints
-    assert direct.keys() == cyclic.keys()
+    assert list(direct) == list(cyclic)
     for subset, bound in direct.items():
         assert bound == pytest.approx(cyclic[subset], abs=1e-9)
+
+
+def test_converse_at_its_cap_matches_an_ordering_loop():
+    alpha = random_alpha(np.random.default_rng(11), 9)
+    a = alpha.alpha
+    sub = (0, 2, 3, 5, 6, 7, 8)
+    best = np.inf
+    for perm in itertools.permutations(sub):
+        edges = [a[perm[t - 1], perm[t]] for t in range(len(perm))]
+        best = min(best, sum(a[u, u] for u in perm) - sum(edges) + min(edges))
+    assert converse_g_bound(alpha, sub) == pytest.approx(best, abs=1e-9)
 
 
 @given(st.integers(2, 5), st.integers(0, 2**31 - 1))
