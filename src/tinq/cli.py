@@ -30,12 +30,7 @@ from .optimize import (
 )
 from .power import DEFAULT_EPSILON, is_feasible, solve_power_auction, solve_power_hungarian
 from .region import check_conditions, tina_polytope, tina_polytope_cyclic
-from .schedule import (
-    flashlinq_schedule,
-    itlinq_plus_schedule,
-    itlinq_schedule,
-    num_run,
-)
+from .schedule import _PASSES, _run_pass, num_run
 from .sim import (
     POWER_MODES,
     Scenario,
@@ -84,11 +79,6 @@ def _emit(obj, out_path=None) -> None:
         while batch := list(itertools.islice(chunks, EMIT_BATCH)):
             fh.write("".join(batch))
         fh.write("\n")
-
-
-def _load_network(path: str):
-    with open(path) as fh:
-        return parse_network(json.load(fh))
 
 
 def _csv_floats(text: str) -> list:
@@ -165,8 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("schedule", help="run one distributed scheduling pass")
     add_common(sp)
-    sp.add_argument("--scheme", choices=("flashlinq", "itlinq", "itlinq+"),
-                    required=True)
+    sp.add_argument("--scheme", choices=_PASSES, required=True)
     # the thresholds start unset: a pass receives only the flags given, so
     # each scheme runs its own library default
     sp.add_argument("--eta", type=float, help="itlinq and itlinq+ SNR exponent")
@@ -208,20 +197,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_region(args) -> int:
-    alpha, _ = _load_network(args.network)
+def _cmd_region(args, alpha, _net) -> tuple[dict, int]:
     subset = _csv_ints(args.subset) if args.subset else None
     build = tina_polytope if args.form == "matching" else tina_polytope_cyclic
     poly = build(alpha, subset)
     # both forms keep region's (size, lexicographic) order
     cons = [{"users": sorted(users), "bound": bound}
             for users, bound in poly.constraints.items()]
-    _emit({"k": poly.K, "subset": list(poly.subset), "constraints": cons}, args.out)
-    return EXIT_OK
+    return {"k": poly.K, "subset": list(poly.subset), "constraints": cons}, EXIT_OK
 
 
-def _cmd_power(args) -> int:
-    alpha, _ = _load_network(args.network)
+def _cmd_power(args, alpha, _net) -> tuple[dict, int]:
     d = np.array(_csv_floats(args.gdof))
     subset = _csv_ints(args.subset) if args.subset else None
     rounds = None
@@ -231,27 +217,23 @@ def _cmd_power(args) -> int:
     else:
         r, labels = solve_power_auction(alpha, d, subset,
                                         epsilon=args.epsilon, snap=args.snap)
-    _emit({
+    return {
         "r": list(r.r),
         "y_u": list(labels.y_u),
         "y_v": list(labels.y_v),
         "rounds": rounds,
-    }, args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_feasible(args) -> int:
-    alpha, _ = _load_network(args.network)
+def _cmd_feasible(args, alpha, _net) -> tuple[dict, int]:
     d = np.array(_csv_floats(args.gdof))
     ok = is_feasible(alpha, d)
-    _emit({"feasible": bool(ok)}, args.out)
-    return EXIT_OK if ok else EXIT_INFEASIBLE
+    return {"feasible": bool(ok)}, EXIT_OK if ok else EXIT_INFEASIBLE
 
 
-def _cmd_check(args) -> int:
-    alpha, _ = _load_network(args.network)
+def _cmd_check(args, alpha, _net) -> tuple[dict, int]:
     rep = check_conditions(alpha)
-    _emit({
+    return {
         "gnaj": list(rep.gnaj),
         "c1": list(rep.c1),
         "c2": rep.c2,
@@ -259,12 +241,10 @@ def _cmd_check(args) -> int:
         "c1_violations": sorted(rep.c1_witnesses),
         "c2_witness": list(rep.c2_witness) if rep.c2_witness else None,
         "c2_skipped": rep.c2 is None,
-    }, args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_sumgdof(args) -> int:
-    alpha, net = _load_network(args.network)
+def _cmd_sumgdof(args, alpha, net) -> tuple[dict, int]:
     w = np.array(_csv_floats(args.weights))
     subset = _csv_ints(args.subset) if args.subset else None
     if args.method == "lp":
@@ -288,49 +268,43 @@ def _cmd_sumgdof(args) -> int:
         r, d = decentralized_gp(alpha, subset, w, iters=args.iters)
         out = {"method": "dgp", "r": list(r.r), "d": list(d.d),
                "objective": float(w @ d.d)}
-    _emit(out, args.out)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def _cmd_schedule(args) -> int:
-    alpha, net = _load_network(args.network)
+def _cmd_schedule(args, alpha, net) -> tuple[dict, int]:
     phys = _physical(args, alpha, net)
     snr_tab = phys.nominal_snr()
     snr = np.diag(snr_tab).copy()
     # 'rr' is the identity order for a single standalone pass
     priority = None if args.priority == "rr" else _csv_ints(args.priority)
 
-    run_pass, knobs = {"itlinq+": (itlinq_plus_schedule, ("eta", "gamma")),
-                       "itlinq": (itlinq_schedule, ("eta", "m_db")),
-                       "flashlinq": (flashlinq_schedule, ("sir_db",))}[args.scheme]
-    res = run_pass(snr, snr_tab, priority=priority,
-                   **{n: getattr(args, n) for n in knobs if getattr(args, n) is not None})
-    _emit({
+    knobs = {"itlinq+": ("eta", "gamma"), "itlinq": ("eta", "m_db"),
+             "flashlinq": ("sir_db",)}[args.scheme]
+    res = _run_pass(args.scheme, snr, snr_tab, priority=priority,
+                    **{n: getattr(args, n) for n in knobs if getattr(args, n) is not None})
+    return {
         "scheme": args.scheme,
         "selected": list(res.selected),
         "messages": res.messages,
         "min_in": {str(k): v for k, v in sorted(res.min_in.items())},
         "min_out": {str(k): v for k, v in sorted(res.min_out.items())},
-    }, args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_num(args) -> int:
-    alpha, _ = _load_network(args.network)
+def _cmd_num(args, alpha, _net) -> tuple[dict, int]:
     traj = num_run(alpha, fairness=args.fairness, v=args.v, a_max=args.a_max,
                    t_slots=args.slots, solver=args.solver,
                    ref_power=args.ref_power)
-    _emit({
+    return {
         "slots": args.slots,
         "solver": args.solver,
         "avg_d": list(traj.final_avg_d),
         "utility": traj.final_utility,
         "final_weights": list(traj.final_weights),
-    }, args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[dict, int]:
     if args.synthetic:
         res = run_synthetic_experiment(args.links, args.drops, args.seed,
                                        snr_db=args.snr_db)
@@ -355,7 +329,7 @@ def _cmd_simulate(args) -> int:
         n_links = scenario.n_links
     if args.csv:
         write_rows_csv(res.rows, args.csv)
-    _emit({
+    return {
         "setup": scenario_name,
         "n_links": n_links,
         "n_drops": args.drops,
@@ -374,8 +348,7 @@ def _cmd_simulate(args) -> int:
             }
             for a in res.aggregates
         ],
-    }, args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 _HANDLERS = {
@@ -391,17 +364,25 @@ _HANDLERS = {
 
 
 def dispatch(argv) -> int:
-    """Parse argv (no program name) and run the chosen subcommand."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv (no program name), run the chosen subcommand on its network
+    and write the one JSON document that results. An infeasibility verdict is
+    such a document, with exit 3; a failure to read, validate or write is a
+    usage error, with exit 2."""
+    args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except Infeasible as e:
-        _emit({"infeasible": True, "error": str(e)},
-              getattr(args, "out", None))
-        print(f"infeasible: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (TinqError, ValueError, IndexError, OSError, json.JSONDecodeError) as e:
+        try:
+            network = ()
+            if "network" in args:
+                with open(args.network) as fh:
+                    network = parse_network(json.load(fh))
+            doc, code = _HANDLERS[args.command](args, *network)
+        except Infeasible as e:
+            doc, code = {"infeasible": True, "error": str(e)}, EXIT_INFEASIBLE
+        _emit(doc, args.out)
+        if doc.get("infeasible"):
+            print(f"infeasible: {doc['error']}", file=sys.stderr)
+        return code
+    except (TinqError, ValueError, IndexError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

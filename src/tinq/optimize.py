@@ -379,41 +379,37 @@ def decentralized_gp(alpha: ChannelMatrix, subset=None, w=None, step=None,
         return (pa, d, {"residuals": [0.0]}) if return_info else (pa, d)
 
     # Duals gamma[j, i] (pricing r'_ji = alpha_ji + r_j), estimates r'_ji
-    # and their averages live in row layout: row j lists the entries i != j,
-    # so the flat array is X[off] of the n x n matrix. ``to_cols`` reorders
-    # it into column layout, row i holding column i without its diagonal
-    # entry, as the local solves read it; ``to_rows`` reorders back.
+    # and their averages are n x n matrices whose diagonals are never read.
+    # User i's local solve reads column i without its diagonal entry,
+    # gathered as row i of X.T[off].reshape(n, m).
     m = n - 1
     off = ~np.eye(n, dtype=bool)
-    cells = np.arange(n * n).reshape(n, n)
-    to_cols = np.searchsorted(cells[off], cells.T[off])
-    to_rows = np.argsort(to_cols)
-    a_rows = a[off]
     upper = a.T[off].reshape(n, m)  # r'_ji <= alpha_ji (r_j <= 0)
     lower = upper - r_box           # r'_ji >= alpha_ji - r_box
     order = (np.argsort(upper, axis=1, kind="stable") + m * np.arange(n)[:, None]).ravel()
     breaks = upper.ravel()[order].reshape(n, m)
     breaks[breaks <= 0] = np.inf
 
-    gamma = np.zeros(n * m)
+    gamma = np.zeros((n, n))
+    rp = np.zeros((n, n))
     r_avg = np.zeros(n)
-    rp_avg = np.zeros(n * m)
+    rp_avg = np.zeros((n, n))
     wsum = 0.0
     residuals = []
     grow = 0
     for t in range(1, iters + 1):
         delta = float(step(t))
         # every user's local solve reads only last iteration's duals
-        coef = -ww - gamma.reshape(n, m).sum(axis=1)
+        coef = -ww - gamma[off].reshape(n, m).sum(axis=1)
         r = np.where(coef > 0, -r_box, 0.0)
-        rp = _local_estimate_solves(ww, gamma[to_cols].reshape(n, m), lower, upper,
-                                    order, breaks).ravel()[to_rows]
-        gamma += delta * (rp - (a_rows + r.repeat(m)))
+        rp.T[off] = _local_estimate_solves(ww, gamma.T[off].reshape(n, m), lower, upper,
+                                           order, breaks).ravel()
+        gamma += delta * (rp - (a + r[:, None]))
 
         wsum += delta
         r_avg += delta * (r - r_avg) / wsum
         rp_avg += delta * (rp - rp_avg) / wsum
-        res = float(np.abs(rp_avg - (a_rows + r_avg.repeat(m))).sum())
+        res = float(np.abs(rp_avg - (a + r_avg[:, None]))[off].sum())
         residuals.append(res)
         if len(residuals) >= 2 and res > residuals[-2] + 1e-12:
             grow += 1

@@ -186,6 +186,17 @@ def flashlinq_schedule(snr, inr, sir_db: float = 9.0, priority=None) -> Schedule
         return _greedy_pass(n, priority, lambda k, _: bool(ok[k]), admit)
 
 
+# Each scheme's pass by the name that simulations and the CLI give it. The
+# pass is looked up when it runs, so a rebinding of the module's function (as
+# perfbench's tracing makes) reaches every caller.
+_PASSES = {"flashlinq": "flashlinq_schedule", "itlinq": "itlinq_schedule",
+           "itlinq+": "itlinq_plus_schedule"}
+
+
+def _run_pass(scheme: str, snr, inr, **kwargs) -> ScheduleResult:
+    return globals()[_PASSES[scheme]](snr, inr, **kwargs)
+
+
 @dataclass(frozen=True)
 class NumState:
     """Drift-plus-penalty state: per-user virtual queue weights, the utility

@@ -25,7 +25,7 @@ from .model import (ChannelMatrix, PhysicalNetwork, db_setting, is_finite_real,
                     realize_network, strength_from_physical)
 from .optimize import gp_power_control, gp_then_assignment, max_weighted_gdof_lp
 from .power import solve_power_potentials
-from .schedule import flashlinq_schedule, itlinq_plus_schedule, itlinq_schedule
+from .schedule import _PASSES, _run_pass
 
 __all__ = [
     "Scenario",
@@ -44,7 +44,7 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299792458.0
 RESAMPLE_CAP = 10_000
-SCHEMES = ("none", "flashlinq", "itlinq", "itlinq+")
+SCHEMES = ("none", *_PASSES)
 POWER_MODES = ("full", "gp", "gp+assignment", "lp+assignment")
 SYNTHETIC_MODES = ("full", "gp", "gp+assignment")
 CSV_COLUMNS = (
@@ -260,13 +260,7 @@ def generate_drop(scenario: Scenario, seed: int) -> DropRecord:
 def _select(scheme: str, snr: np.ndarray, inr: np.ndarray) -> tuple:
     if scheme == "none":
         return tuple(range(snr.size))
-    if scheme == "flashlinq":
-        return flashlinq_schedule(snr, inr).selected
-    if scheme == "itlinq":
-        return itlinq_schedule(snr, inr).selected
-    if scheme == "itlinq+":
-        return itlinq_plus_schedule(snr, inr).selected
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return _run_pass(scheme, snr, inr).selected
 
 
 def _allocate(net: PhysicalNetwork, alpha: ChannelMatrix, selected: tuple,

@@ -140,6 +140,7 @@ def test_feasible_exit_codes(capsys, net_a):
     ([[1, 0.9], [0.9, 1]], "0.95,1e-10", 0),
     ([[1, 0.9], [0.9, 1]], "0.95,-0.1", 2),
 ], ids=["outside", "entry-below-tol", "negative-entry"])
+@pytest.mark.oldest_pins
 def test_feasible_power_and_auction_give_one_exit_code(capsys, tmp_path, alpha, gdof, want):
     # one target rule and one verdict: outside the region (the auction used
     # to return powers here), an entry at or below TOL that is switched off
@@ -371,6 +372,7 @@ def test_num_rejects_an_infinite_setting(capsys, net_b, flag):
     ["num", "--a-max", "1e20", "--fairness", "0", "--slots", "3"],
     ["num", "--a-max", "1e20", "--fairness", "0", "--slots", "3", "--solver", "lp"],
 ], ids=["lp", "exact", "num-exact", "num-lp"])
+@pytest.mark.oldest_pins
 def test_lp_weight_at_highs_infinite_cost_exits_2(capsys, net_b, argv):
     # HiGHS reads a cost at or above its infinite_cost (1e20) as infinite;
     # in num the weights pass it after one slot
@@ -385,6 +387,7 @@ def test_lp_weight_at_highs_infinite_cost_exits_2(capsys, net_b, argv):
         assert code == 0 and out["objective"] == 9.99e19
 
 
+@pytest.mark.oldest_pins
 def test_failed_highs_solve_is_a_domain_error(capsys, monkeypatch, net_b):
     # a solve HiGHS reports as failed is a usage error naming its message and
     # the largest weight, not a crash
@@ -406,6 +409,7 @@ def test_failed_highs_solve_is_a_domain_error(capsys, monkeypatch, net_b):
     ["sumgdof", "--weights", "1e18,1e18,1e18"],
     ["num", "--a-max", "9e19", "--fairness", "0", "--solver", "lp", "--slots", "3"],
 ], ids=["sumgdof", "num-lp"])
+@pytest.mark.oldest_pins
 def test_highs_solve_error_never_exits_1(net_b, argv):
     # several huge weights below 1e20 can end in HiGHS's solve error; on any
     # HiGHS build the call answers or exits 2, without a traceback
@@ -517,13 +521,66 @@ def test_simulate_without_schemes_exits_2(capsys):
         assert captured.out == "" and captured.err == "error: no schemes given\n"
 
 
-def test_out_flag_writes_file(capsys, tmp_path, net_a):
-    out_path = tmp_path / "result.json"
-    code = dispatch(["region", "--network", net_a, "--out", str(out_path)])
-    assert code == 0
+STRONG = {"k": 2, "alpha": [[1, 1.5], [1.5, 1]]}  # cross above direct: no region
+
+
+# Every subcommand form writes one document: --out gets exactly the bytes
+# stdout gets, with the same exit code, infeasibility verdicts included.
+@pytest.mark.parametrize("argv, code", [
+    (["region", "--network", "{a}"], 0),
+    (["region", "--network", "{a}", "--form", "cyclic"], 0),
+    (["power", "--network", "{a}", "--gdof", "0.5,0.6,0.7"], 0),
+    (["power", "--network", "{a}", "--gdof", "0.5,0.6,0.7", "--solver", "auction"], 0),
+    (["power", "--network", "{a}", "--gdof", "0.5,0.6,0.7", "--solver", "auction",
+      "--snap"], 0),
+    (["power", "--network", "{a}", "--gdof", "2,1,1.5"], 3),
+    (["feasible", "--network", "{a}", "--gdof", "0.5,0.6,0.7"], 0),
+    (["feasible", "--network", "{a}", "--gdof", "2,1,1.5"], 3),
+    (["check", "--network", "{b}"], 0),
+    (["sumgdof", "--network", "{b}", "--weights", "1,2,1"], 0),
+    (["sumgdof", "--network", "{strong}", "--weights", "1,1"], 3),
+    (["sumgdof", "--network", "{b}", "--weights", "1,2,1", "--method", "exact"], 0),
+    (["sumgdof", "--network", "{b}", "--weights", "1,2,1", "--method", "gp"], 0),
+    (["sumgdof", "--network", "{b}", "--weights", "1,2,1", "--method", "dgp",
+      "--iters", "200"], 0),
+    (["schedule", "--network", "{a}", "--scheme", "flashlinq"], 0),
+    (["schedule", "--network", "{a}", "--scheme", "itlinq"], 0),
+    (["schedule", "--network", "{a}", "--scheme", "itlinq+"], 0),
+    (["num", "--network", "{b}", "--slots", "5"], 0),
+    (["simulate", "--links", "4", "--drops", "2", "--seed", "1"], 0),
+], ids=["region", "region-cyclic", "power-hungarian", "power-auction", "power-snap",
+        "power-infeasible", "feasible-true", "feasible-false", "check", "sumgdof-lp",
+        "sumgdof-lp-infeasible", "sumgdof-exact", "sumgdof-gp", "sumgdof-dgp",
+        "schedule-flashlinq", "schedule-itlinq", "schedule-itlinq+", "num", "simulate"])
+def test_out_flag_writes_file(capsys, tmp_path, net_a, net_b, argv, code):
+    strong = tmp_path / "strong.json"
+    strong.write_text(json.dumps(STRONG))
+    argv = [arg.format(a=net_a, b=net_b, strong=strong) for arg in argv]
+    assert dispatch(argv) == code
+    stdout = capsys.readouterr().out
+    out_path = tmp_path / "out.json"
+    assert dispatch([*argv, "--out", str(out_path)]) == code
     assert capsys.readouterr().out == ""
-    _, direct = run(capsys, ["region", "--network", net_a])
-    assert json.loads(out_path.read_text()) == direct
+    assert out_path.read_bytes() == stdout.encode() and stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--network", "{a}"],
+    ["feasible", "--network", "{a}", "--gdof", "2,1,1.5"],
+    ["power", "--network", "{a}", "--gdof", "2,1,1.5"],
+    ["sumgdof", "--network", "{strong}", "--weights", "1,1"],
+], ids=["region", "feasible-false", "power-infeasible", "sumgdof-lp-infeasible"])
+def test_unwritable_out_exits_2(tmp_path, net_a, argv):
+    strong = tmp_path / "strong.json"
+    strong.write_text(json.dumps(STRONG))
+    out_path = tmp_path / "missing" / "x.json"
+    proc = subprocess.run([sys.executable, "-m", "tinq.cli",
+                           *(arg.format(a=net_a, strong=strong) for arg in argv),
+                           "--out", str(out_path)], capture_output=True, text=True)
+    # an infeasibility verdict that cannot be written is a usage error too,
+    # with one error line and no traceback
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: [Errno 2] No such file or directory: '{out_path}'\n"
 
 
 class _Writes(io.StringIO):
@@ -643,6 +700,7 @@ def loaded_modules(argv) -> set:
 ], ids=["import", "version", "power", "power-auction", "feasible", "schedule",
         "simulate", "check-without-zero-edge", "region-one-user", "region-matching",
         "sumgdof-gp", "simulate-gp+assignment", "simulate-synthetic"])
+@pytest.mark.oldest_pins
 def test_scipy_solvers_load_only_when_called(net_a, argv, cores):
     # no call here solves an LP, and none starts a worker pool (simulate runs
     # its drops serially by default), so none imports the scipy.optimize
@@ -653,6 +711,7 @@ def test_scipy_solvers_load_only_when_called(net_a, argv, cores):
     assert loaded_modules([arg.format(a=net_a) for arg in argv]) == cores
 
 
+@pytest.mark.oldest_pins
 def test_check_with_a_zero_edge_solves_matchings(net_b):
     # network B has a zero-strength edge: its report still needs matchings,
     # from the compiled assignment core alone, and keeps its verdict
@@ -690,6 +749,7 @@ print("ok")
 
 
 @pytest.mark.parametrize("order", ["cores-first", "package-first"])
+@pytest.mark.oldest_pins
 def test_scipy_cores_are_the_packages_modules(order):
     proc = subprocess.run([sys.executable, "-c", CORE_PROBE, order],
                           capture_output=True, text=True)
@@ -719,6 +779,7 @@ def test_openssl_hashlib_loads_only_for_version(net_a, argv, hashes):
         assert proc.stdout == VERSION_OUT
 
 
+@pytest.mark.oldest_pins
 def test_lp_call_loads_scipy(net_a):
     assert "scipy.optimize" in loaded_modules(["sumgdof", "--network", net_a,
                                                "--weights", "1,1,1", "--method", "lp"])
@@ -758,12 +819,14 @@ def test_one_user_past_each_cap_exits_2(capsys, tmp_path, argv, k, what, cap):
     ["region", "--network", "{net}"],
     ["sumgdof", "--network", "{net}", "--weights", "{ones}", "--method", "lp"],
 ], ids=["region", "sumgdof-lp"])
+@pytest.mark.oldest_pins
 def test_scipy_stays_unloaded_past_the_subset_table_cap(tmp_path, argv):
     # the cap is checked before any matching is solved or linprog imported
     net, ones = eye_network(tmp_path, 17), ",".join(["1"] * 17)
     assert loaded_modules([arg.format(net=net, ones=ones) for arg in argv]) == set()
 
 
+@pytest.mark.oldest_pins
 def test_check_skips_the_zero_edge_condition_past_its_cap(capsys, tmp_path):
     code, out = run(capsys, ["check", "--network", eye_network(tmp_path, 13)])
     assert code == 0

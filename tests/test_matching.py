@@ -186,6 +186,7 @@ def test_cyclic_partition_covers_subset(k, seed):
 
 
 @given(st.floats(0.0, 1e6) | st.sampled_from([0.0, -0.0]))
+@pytest.mark.oldest_pins
 def test_small_blocks_match_linear_sum_assignment(x):
     # 0x0 and 1x1 blocks are answered without scipy, with the bytes of its
     # value (a -0.0 weight sums to +0.0 there too)

@@ -112,6 +112,7 @@ def test_exact_on_a_subset_drops_the_other_users():
 
 @given(st.integers(1, 8), st.integers(0, 2**31 - 1))
 @settings(max_examples=40)
+@pytest.mark.oldest_pins
 def test_pruned_exact_search_matches_fresh(k, seed):
     # the search skips subsets whose greedy bound cannot beat the best so
     # far; its answer must still be bitwise that of solving every LP. Cross
@@ -127,6 +128,7 @@ def test_pruned_exact_search_matches_fresh(k, seed):
     assert outcome(max_weighted_gdof_exact, alpha, w) == outcome(exact_fresh, alpha, w)
 
 
+@pytest.mark.oldest_pins
 def test_exact_search_skips_subsets_that_cannot_win():
     # unit weights on a weak network: a four-user set wins, and most
     # subsets cannot beat the best one found before them
@@ -140,6 +142,7 @@ def test_exact_search_skips_subsets_that_cannot_win():
     (np.eye(3), [1.0, 1.0, 1e-8]),
     ([[1.0, 0.2], [0.1, 1.0]], [1.0, 1e-6]),  # the pair's sum bound is 1.7
 ], ids=["silent", "interfering"])
+@pytest.mark.oldest_pins
 def test_exact_search_keeps_a_subset_that_wins_by_a_hair(a, w):
     # the full set beats the best before it by 1e-6 or less: a greedy
     # bound that fell short of the LP optimum would skip the winner
@@ -188,28 +191,33 @@ def test_gap_orthogonal_links():
     assert gp_gdof_equivalence_gap(net) <= 1e-6
 
 
+@pytest.mark.oldest_pins
 def test_dgp_single_user():
     r, d = decentralized_gp(ChannelMatrix(np.array([[1.3]])), iters=10)
     assert r.r[0] == pytest.approx(0.0, abs=1e-9)
     assert d.d[0] == pytest.approx(1.3, abs=1e-9)
 
 
+@pytest.mark.oldest_pins
 def test_dgp_rejects_zero_iterations():
     with pytest.raises(ValueError):
         decentralized_gp(NETWORK_A, iters=0)
 
 
+@pytest.mark.oldest_pins
 def test_dgp_reference_convergence():
     _, d = decentralized_gp(NETWORK_B, iters=5000)
     assert d.d.sum() == pytest.approx(1.8, abs=0.05)
 
 
+@pytest.mark.oldest_pins
 def test_dgp_weak_two_user():
     alpha = ChannelMatrix(np.array([[1.0, 0.1], [0.1, 1.0]]))
     _, d = decentralized_gp(alpha, iters=5000)
     assert d.d.sum() == pytest.approx(1.8, abs=0.05)
 
 
+@pytest.mark.oldest_pins
 def test_dgp_residual_trends_down():
     _, _, info = decentralized_gp(NETWORK_B, iters=300, return_info=True)
     res = info["residuals"]
@@ -240,6 +248,7 @@ STEPS = {
 
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=80)
+@pytest.mark.oldest_pins
 def test_dgp_matches_loop_reference(seed):
     # the batched local solves must reproduce the user-by-user loop bit for
     # bit: a 0.25 grid makes duals, breakpoints and costs tie, a zero weight
@@ -261,6 +270,7 @@ def test_dgp_matches_loop_reference(seed):
 
 
 @pytest.mark.parametrize("k", [17, 24])
+@pytest.mark.oldest_pins
 def test_dgp_matches_loop_reference_on_long_columns(k):
     # columns of 16 or more nonpositive duals, where a dot product's
     # rounding depends on its length
@@ -272,6 +282,7 @@ def test_dgp_matches_loop_reference_on_long_columns(k):
 
 
 @pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.oldest_pins
 def test_dgp_divergence_matches_loop_reference(seed):
     rng = np.random.default_rng(seed)
     alpha = random_alpha(rng, 5)
@@ -307,6 +318,7 @@ def _random_gp_instance(k, seed, log_p):
 
 @given(st.integers(1, 40), st.integers(0, 2**31 - 1), st.floats(1.0, 6.0))
 @settings(max_examples=60)
+@pytest.mark.oldest_pins
 def test_gp_matches_minimize_reference(k, seed, log_p):
     # the setulb loop must reproduce minimize's L-BFGS-B bit for bit
     net, w = _random_gp_instance(k, seed, log_p)
@@ -315,6 +327,7 @@ def test_gp_matches_minimize_reference(k, seed, log_p):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.oldest_pins
 def test_gp_matches_minimize_reference_on_scheduled_drops(seed):
     net = sim.generate_drop(sim.scenario1(256), seed).net
     snr_tab = net.nominal_snr()
@@ -328,6 +341,7 @@ def test_gp_matches_minimize_reference_on_scheduled_drops(seed):
 @pytest.mark.parametrize("cap", [1, 3])
 @given(st.integers(1, 40), st.integers(0, 2**31 - 1), st.floats(1.0, 6.0))
 @settings(max_examples=30)
+@pytest.mark.oldest_pins
 def test_gp_matches_minimize_reference_at_an_iteration_cap(cap, k, seed, log_p):
     # a cap of 1 or 3 iterations stops most starts early: every restart runs
     # and the failure carries the same text and last iterate
@@ -338,6 +352,7 @@ def test_gp_matches_minimize_reference_at_an_iteration_cap(cap, k, seed, log_p):
         assert _gp_outcome(gp_power_control, net, None, w) == want
 
 
+@pytest.mark.oldest_pins
 def test_gp_failure_names_the_stop_reason(monkeypatch):
     monkeypatch.setattr(tinq.optimize, "GP_MAX_ITER", 1)
     net = realize_network(NETWORK_A, 1e4)
@@ -518,6 +533,7 @@ def test_memoized_lp_matches_fresh_reference_edge_cases(a, calls):
 
 @given(st.integers(1, 8), st.integers(0, 2**31 - 1))
 @settings(max_examples=200)
+@pytest.mark.oldest_pins
 def test_one_user_lp_matches_linprog(k, seed):
     # a single user's polytope [0, alpha_kk], answered in closed form, against
     # the LP the library hands linprog for larger subsets; on the 0.25 grid
@@ -545,6 +561,7 @@ def test_one_user_lp_matches_linprog(k, seed):
     assert d_all.d.tobytes() == want.tobytes() and obj_all.hex() == obj.hex()
 
 
+@pytest.mark.oldest_pins
 def test_one_user_lp_with_zero_direct_strength():
     # linprog returns x = -0.0 and fun = 0.0 here, an objective of -0.0; the
     # closed form reports the same d and +0.0
@@ -613,6 +630,7 @@ def test_target_powers_switch_off_negligible_targets():
 
 @given(st.integers(1, 6), st.integers(0, 2**31 - 1), st.booleans())
 @settings(max_examples=40)
+@pytest.mark.oldest_pins
 def test_pipeline_target_goes_straight_to_potentials(k, seed, grid):
     """gp_then_assignment's powers are bitwise those of the potentials solve
     over the users switched on explicitly, those whose GP-achieved GDoF is

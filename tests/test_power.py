@@ -26,6 +26,8 @@ from tinq.power import InfeasibleGdof, PowerAlloc, solve_power_potentials
 from tinq.region import contains, tina_polytope
 from tinq.sim import SCHEMES, run_experiment, scenario1
 
+pytestmark = pytest.mark.oldest_pins
+
 D_REF = GdofTuple([0.5, 0.6, 0.7])
 
 

@@ -140,6 +140,7 @@ def test_conditions_cyclic_pattern():
     assert rep.c1 == (False, False, False)
 
 
+@pytest.mark.oldest_pins
 def test_conditions_match_loop_reference():
     # reprs compare witness types too (Python ints, not numpy scalars); the
     # grids tie maxima, make zero edges for c2 and put verdicts on their TOL

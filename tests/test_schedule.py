@@ -24,6 +24,8 @@ from tinq.schedule import (
     utility_value,
 )
 
+pytestmark = pytest.mark.oldest_pins
+
 NETWORK_A = ChannelMatrix([[2, 0.5, 0.1], [0.2, 1, 0.5], [1, 0.5, 1.5]])
 NETWORK_B = ChannelMatrix([[1, 0.3, 0], [0.6, 1, 0.1], [0.8, 0.6, 1]])
 

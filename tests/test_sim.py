@@ -32,6 +32,8 @@ from tinq.sim import (
     write_rows_csv,
 )
 
+pytestmark = pytest.mark.oldest_pins
+
 F_C = 2.4e9
 H_M = 1.5
 # breakpoint 4 h^2 / lambda and its loss for h = 1.5 m at 2.4 GHz
