@@ -189,7 +189,8 @@ class PhysicalNetwork:
         object.__setattr__(self, "gains", _readonly(g))
         object.__setattr__(self, "max_tx_power", _readonly(p))
         object.__setattr__(self, "noise_power", float(self.noise_power))
-        snr = self.gains * self.max_tx_power[:, None] / self.noise_power
+        snr = self.gains * self.max_tx_power[:, None]
+        snr /= self.noise_power
         snr.setflags(write=False)
         object.__setattr__(self, "_nominal_snr", snr)
 
@@ -212,8 +213,10 @@ def strength_from_physical(net: PhysicalNetwork) -> ChannelMatrix:
     """
     alpha = getattr(net, "_strength", None)
     if alpha is None:
-        snr = np.maximum(1.0, net.nominal_snr())
-        alpha = ChannelMatrix(np.log(snr) / math.log(net.reference_power))
+        levels = np.maximum(1.0, net.nominal_snr())
+        np.log(levels, out=levels)
+        levels /= math.log(net.reference_power)
+        alpha = ChannelMatrix(levels)
         object.__setattr__(net, "_strength", alpha)
     return alpha
 

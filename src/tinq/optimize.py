@@ -240,14 +240,14 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None) -> GpSolution:
     idx = tuple(k for k in check_subset(net.K, subset, allow_empty=True) if wv[k] > 0)
     if len(idx) == 0:
         raise ShapeError("no positively weighted users in subset")
-    g = net.nominal_snr()[np.ix_(idx, idx)]
-    if np.any(np.diag(g) <= 0):
+    cross = net.nominal_snr()[np.ix_(idx, idx)]  # a fresh block, zeroed in place
+    gdiag = np.diag(cross).copy()
+    if np.any(gdiag <= 0):
         raise ShapeError("direct gains must be positive on the solved subset")
     n = len(idx)
     ww = wv[list(idx)]
-    cross = g.copy()
+    log_gdiag = np.log(np.diag(cross))
     np.fill_diagonal(cross, 0.0)
-    log_gdiag = np.log(np.diag(g))
 
     def objective(z):
         x = np.exp(z)
@@ -282,7 +282,7 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None) -> GpSolution:
 
     x = np.exp(z)
     interference = cross.T @ x
-    sinr_sub = np.diag(g) * x / (1.0 + interference)
+    sinr_sub = gdiag * x / (1.0 + interference)
 
     powers = np.zeros(net.K)
     powers[list(idx)] = x

@@ -282,11 +282,10 @@ def solve_power_potentials(alpha: ChannelMatrix, d, subset=None):
     Returns (PowerAlloc, LabelPair).
     """
     am = build_assignment_matrix(alpha, d, subset)
-    n, A = am.n, am.A
+    n, cross = am.n, am.A
     if n == 0:
         return PowerAlloc(np.full(alpha.K, -np.inf)), LabelPair(np.zeros(0), np.zeros(0))
-    base = -np.diag(A)
-    cross = A.copy()
+    base = -np.diag(cross)
     np.fill_diagonal(cross, -np.inf)  # (i, j): interference of Tx-i at Rx-j
     r = base
     inner = (cross + r[:, None]).max(axis=0)

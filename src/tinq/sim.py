@@ -8,7 +8,6 @@ can be regenerated in isolation and runs are byte-identical.
 
 from __future__ import annotations
 
-import copy
 import csv
 import itertools
 import math
@@ -169,16 +168,22 @@ class ExperimentResult:
 
 def pathloss_itu1411_los(distance_m, carrier_hz: float, h_m: float):
     """Dual-slope line-of-sight path loss (dB): 20 dB/decade up to the
-    breakpoint 4 h^2 / lambda, 40 dB/decade beyond, continuous at the knee."""
+    breakpoint 4 h^2 / lambda, 40 dB/decade beyond, continuous at the knee.
+
+    A scalar distance gives a float; an array gives a new array of its
+    shape, and the argument is left as it is."""
     d = np.asarray(distance_m, dtype=float)
     if np.any(d <= 0):
         raise DomainError("distances must be positive")
     lam = SPEED_OF_LIGHT / carrier_hz
     r_bp = 4.0 * h_m * h_m / lam
     l_bp = abs(20.0 * math.log10(lam * lam / (8.0 * math.pi * h_m * h_m)))
-    ratio = d / r_bp
-    lg = np.log10(ratio)
-    loss = l_bp + np.where(ratio <= 1.0, 20.0 * lg, 40.0 * lg)
+    loss = np.divide(d, r_bp, out=np.empty(d.shape))  # d / r_bp, an array even for a scalar
+    near = loss <= 1.0
+    np.log10(loss, out=loss)
+    np.multiply(loss, 20.0, out=loss, where=near)
+    np.multiply(loss, 40.0, out=loss, where=~near)
+    loss += l_bp
     return float(loss) if np.isscalar(distance_m) else loss
 
 
@@ -188,24 +193,23 @@ def _place_receivers(rng: np.random.Generator, tx: np.ndarray, side: float,
     link at a time: the distance at the next stream position, then the
     angles after it, in stream order, until one lands inside.
 
-    Stream position p holds one uniform draw, read as a distance U[lo, hi]
-    or an angle U[0, 2 pi] by the walk. Both readings of a block come from
-    numpy's own ``uniform`` at the same stream state (the angles from a copy
-    of ``rng``), so every value is the one a draw-by-draw walk would get.
+    Stream position p holds one raw draw u of ``rng.random``, read as the
+    distance lo + (hi - lo) u or the angle 2 pi u. These are the operations
+    of numpy's ``uniform(lo, hi)`` and ``uniform(0, 2 pi)`` on the same
+    draw, so every value is the one a draw-by-draw walk would get.
     """
-    angle_rng = copy.deepcopy(rng)
-
     def stream(size: int):
-        while True:  # blocks of (distance, angle) readings, doubling
-            yield from zip(rng.uniform(lo, hi, size=size).tolist(),
-                           angle_rng.uniform(0.0, 2.0 * math.pi, size=size).tolist())
+        while True:  # blocks of raw draws, doubling
+            yield from rng.random(size).tolist()
             size *= 2
 
     draws = stream(2 * len(tx))
+    lo, span, turn = float(lo), float(hi) - float(lo), 2.0 * math.pi
     rx = []
     for x0, y0 in tx.tolist():
-        d, _ = next(draws)
-        for _, theta in itertools.islice(draws, RESAMPLE_CAP):
+        d = lo + span * next(draws)
+        for u in itertools.islice(draws, RESAMPLE_CAP):
+            theta = turn * u
             x, y = x0 + d * math.cos(theta), y0 + d * math.sin(theta)
             if 0.0 <= x <= side and 0.0 <= y <= side:
                 rx.append((x, y))
@@ -223,10 +227,10 @@ def generate_drop(scenario: Scenario, seed: int) -> DropRecord:
 
     Stream contract: the seed's generator draws the n x 2 transmitter
     coordinates, then per link one distance and angles until one lands
-    inside, up to ``RESAMPLE_CAP`` (else ``RegionTooTight``). The draws are
-    made in doubling blocks and walked link by link; each value is numpy's
-    ``uniform`` at the same stream position, so a seed gives bitwise the same
-    drop as a draw-by-draw walk.
+    inside, up to ``RESAMPLE_CAP`` (else ``RegionTooTight``). The receiver
+    draws are made in doubling blocks and walked link by link; each value is
+    numpy's ``uniform`` arithmetic on the draw at the same stream position,
+    so a seed gives bitwise the same drop as a draw-by-draw walk.
     """
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     n = scenario.n_links
@@ -236,14 +240,15 @@ def generate_drop(scenario: Scenario, seed: int) -> DropRecord:
     rx = _place_receivers(rng, tx, side, lo, hi)
 
     # Tx i -> Rx j distances; cross paths shorter than 1 m are clamped so the
-    # path loss model stays in its valid range.
-    dx = np.subtract.outer(tx[:, 0], rx[:, 0])
-    dy = np.subtract.outer(tx[:, 1], rx[:, 1])
-    dist_m = np.maximum(np.hypot(dx, dy), 1.0)
-    loss_db = pathloss_itu1411_los(dist_m, scenario.carrier_hz,
-                                   scenario.antenna_height_m)
-    gain_db = 2.0 * scenario.antenna_gain_db - loss_db
-    gains = 10.0 ** (gain_db / 10.0)
+    # path loss model stays in its valid range. Each step writes into the
+    # array the one before it made.
+    dist_m = np.subtract.outer(tx[:, 0], rx[:, 0])
+    np.hypot(dist_m, np.subtract.outer(tx[:, 1], rx[:, 1]), out=dist_m)
+    np.maximum(dist_m, 1.0, out=dist_m)
+    gains = pathloss_itu1411_los(dist_m, scenario.carrier_hz, scenario.antenna_height_m)
+    np.subtract(2.0 * scenario.antenna_gain_db, gains, out=gains)  # gain in dB
+    gains /= 10.0
+    np.power(10.0, gains, out=gains)
 
     p_mw = db_setting("tx_power_dbm", scenario.tx_power_dbm)
     noise_mw = db_setting("noise_dbm", scenario.noise_dbm)

@@ -63,12 +63,19 @@ def test_nominal_snr_is_one_read_only_table():
 
 def test_strength_is_one_read_only_matrix_per_network():
     gains = np.array([[100.0, 25.0], [0.2, 100.0]])
-    net = PhysicalNetwork(gains=gains, max_tx_power=np.array([4.0, 3.0]),
+    caps = np.array([4.0, 3.0])
+    net = PhysicalNetwork(gains=gains, max_tx_power=caps,
                           noise_power=0.7, reference_power=400.0)
+    snr = (gains * caps[:, None] / 0.7).tobytes()
     alpha = strength_from_physical(net)
     assert alpha is strength_from_physical(net) and not alpha.alpha.flags.writeable
     want = np.log(np.maximum(1.0, net.nominal_snr())) / math.log(400.0)
     assert alpha.alpha.tobytes() == want.tobytes()
+    # the network and its strengths are built in arrays of their own: the
+    # caller's gains and the nominal SNR table are left as they were
+    assert gains.tobytes() == np.array([[100.0, 25.0], [0.2, 100.0]]).tobytes()
+    assert gains.flags.writeable and not np.shares_memory(net.gains, gains)
+    assert net.nominal_snr().tobytes() == snr
     # a network of its own gets a matrix of its own
     assert strength_from_physical(dataclasses.replace(net)) is not alpha
 

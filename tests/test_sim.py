@@ -71,6 +71,19 @@ def test_pathloss_continuous_and_monotone():
     assert loss[0] == pytest.approx(pathloss_itu1411_los(1.0, F_C, H_M))
 
 
+def test_pathloss_leaves_its_argument_and_gives_scalars_the_array_bits():
+    # below and at 1 m, the knee, and both sides of it
+    d = np.array([[0.5, 1.0, R_BP], [R_BP * (1 + 1e-9), 100.0, 400.0]])
+    before = d.copy()
+    loss = pathloss_itu1411_los(d, F_C, H_M)
+    assert d.tobytes() == before.tobytes() and d.flags.writeable
+    assert loss.shape == d.shape and not np.shares_memory(loss, d)
+    for x, want in zip(d.ravel().tolist(), loss.ravel().tolist()):
+        got = pathloss_itu1411_los(x, F_C, H_M)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_pathloss_rejects_nonpositive_distance():
     with pytest.raises(DomainError):
         pathloss_itu1411_los(0.0, F_C, H_M)
