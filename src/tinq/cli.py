@@ -33,6 +33,7 @@ from .region import check_conditions, tina_polytope, tina_polytope_cyclic
 from .schedule import _PASSES, _run_pass, num_run
 from .sim import (
     POWER_MODES,
+    SCHEMES,
     Scenario,
     run_experiment,
     run_synthetic_experiment,
@@ -182,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", help="JSON file with Scenario fields (overrides --scenario)")
     sp.add_argument("--links", type=int, default=16)
     sp.add_argument("--drops", type=int, default=10)
-    sp.add_argument("--schemes", default="none,flashlinq,itlinq,itlinq+")
+    sp.add_argument("--schemes", default=",".join(SCHEMES))
     sp.add_argument("--power-mode", default="full", choices=POWER_MODES)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1)

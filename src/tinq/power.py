@@ -8,14 +8,14 @@ active) defines over its active subset the square input matrix
 whose assignment-problem dual labels (y_u, y_v) encode power: the
 componentwise-maximal left labels over all dual optima with a tight diagonal
 give the componentwise-minimal feasible powers r_j = -y_{u_j}. Three solvers
-are provided: a centralized Kuhn-Munkres label algorithm whose intermediate
-states (initial labels, per-round label decrements, round count) are
-observable, an array relaxation of the same labels as least potentials of the
-TIN difference constraints (what the pipelines and the feasibility test run),
-and a decentralized fixed-increment auction that reaches the same labels up to
-a documented |subset|*epsilon gap. A target is achievable exactly when the
-diagonal is an optimal assignment of A; all three solvers raise an
-``Infeasible`` error when it is not.
+are provided: the one label-updating solver, a centralized Kuhn-Munkres loop
+over the matrix elements whose intermediate states (initial labels, per-round
+label decrements, round count) are observable, a relaxation of the same
+labels as least potentials of the TIN difference constraints (what the
+pipelines and the feasibility test run), and a decentralized fixed-increment
+auction that reaches the same labels up to a documented |subset|*epsilon gap.
+A target is achievable exactly when the diagonal is an optimal assignment of
+A; all three solvers raise an ``Infeasible`` error when it is not.
 """
 
 from __future__ import annotations
@@ -178,11 +178,12 @@ def solve_power_hungarian(alpha: ChannelMatrix, d, subset=None,
 
     # deterministic greedy matching inside the equality subgraph: row by row,
     # each row takes its first free tight column
-    rows, cols = np.nonzero(y_u[:, None] + y_v - A <= TOL)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if match_of_row[i] < 0 and match_of_col[j] < 0:
-            match_of_col[j] = i
-            match_of_row[i] = j
+    for i in range(n):
+        for j in range(n):
+            if match_of_col[j] < 0 and y_u[i] + y_v[j] - A[i, j] <= TOL:
+                match_of_col[j] = i
+                match_of_row[i] = j
+                break
 
     def make_result():
         labels = LabelPair(y_u=y_u.copy(), y_v=y_v.copy())
@@ -206,27 +207,29 @@ def solve_power_hungarian(alpha: ChannelMatrix, d, subset=None,
             # optimal assignment, so the target lies outside the region
             raise InfeasibleGdof("no feasible power allocation achieves d")
 
-        in_tree_row = np.zeros(n, dtype=bool)
-        in_tree_col = np.zeros(n, dtype=bool)
+        in_tree_row = [False] * n
+        in_tree_col = [False] * n
         in_tree_row[root] = True
         prev_col = [-1] * n  # tree row that discovered each column
         slack = y_u[root] + y_v - A[root]
-        slack_row = np.full(n, root)
+        slack_row = [root] * n
 
         augmented = False
         while not augmented:
-            open_col = ~in_tree_col
-            tight = open_col & (slack <= TOL)
-            j = int(tight.argmax())
-            if not tight[j]:
-                alpha_l = slack.min(where=open_col, initial=np.inf)
+            j = next((j for j in range(n) if not in_tree_col[j] and slack[j] <= TOL), -1)
+            if j < 0:
+                alpha_l = min(slack[j] for j in range(n) if not in_tree_col[j])
                 if rounds > n * n + n:
                     # each update adds a tight column to some tree, so this
                     # bound cannot be reached; guard against stalls anyway
                     raise RuntimeError("label updates exceeded the n^2 bound")
-                np.subtract(y_u, alpha_l, out=y_u, where=in_tree_row)
-                np.add(y_v, alpha_l, out=y_v, where=in_tree_col)
-                np.subtract(slack, alpha_l, out=slack, where=open_col)
+                for i in range(n):
+                    if in_tree_row[i]:
+                        y_u[i] -= alpha_l
+                    if in_tree_col[i]:
+                        y_v[i] += alpha_l
+                    else:
+                        slack[i] -= alpha_l
                 rounds += 1
                 if return_trace:
                     trace_alpha.append(float(alpha_l))
@@ -236,7 +239,7 @@ def solve_power_hungarian(alpha: ChannelMatrix, d, subset=None,
                     return make_result()
                 continue
 
-            prev_col[j] = int(slack_row[j])
+            prev_col[j] = slack_row[j]
             owner = match_of_col[j]
             if owner < 0:
                 # augmenting path found: flip matches back to the root
@@ -253,9 +256,10 @@ def solve_power_hungarian(alpha: ChannelMatrix, d, subset=None,
                 in_tree_col[j] = True
                 in_tree_row[owner] = True
                 new_slack = y_u[owner] + y_v - A[owner]
-                better = new_slack < slack
-                np.copyto(slack, new_slack, where=better)
-                slack_row[better] = owner
+                for jj in range(n):
+                    if new_slack[jj] < slack[jj]:
+                        slack[jj] = new_slack[jj]
+                        slack_row[jj] = owner
 
 
 def solve_power_potentials(alpha: ChannelMatrix, d, subset=None):

@@ -46,10 +46,6 @@ RESAMPLE_CAP = 10_000
 SCHEMES = ("none", *_PASSES)
 POWER_MODES = ("full", "gp", "gp+assignment", "lp+assignment")
 SYNTHETIC_MODES = ("full", "gp", "gp+assignment")
-CSV_COLUMNS = (
-    "scheme", "power_mode", "n_links", "drop_seed",
-    "sum_tput_bps_hz", "energy_bits_per_joule", "active_links",
-)
 
 
 @dataclass(frozen=True)
@@ -281,11 +277,9 @@ def _allocate(net: PhysicalNetwork, alpha: ChannelMatrix, selected: tuple,
         return gp_power_control(net, subset=selected).powers
     if power_mode == "gp+assignment":
         r, _ = gp_then_assignment(net, subset=selected)
-    elif power_mode == "lp+assignment":
+    else:  # lp+assignment
         d, _ = max_weighted_gdof_lp(alpha, selected)
         r, _ = solve_power_potentials(alpha, np.minimum(d.d, np.diag(alpha.alpha)))
-    else:
-        raise ValueError(f"unknown power mode {power_mode!r}")
     live = np.isfinite(r.r)
     frac[live] = net.reference_power ** r.r[live]
     return frac
@@ -433,7 +427,7 @@ def write_rows_csv(rows, path) -> None:
     """Exact-column CSV (12 significant digits) for per-drop rows."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(f.name for f in fields(MetricRow))
         for r in rows:
             writer.writerow([
                 r.scheme, r.power_mode, r.n_links, r.drop_seed,

@@ -5,11 +5,11 @@ the library: scipy linprog for the dual labels and the matching relaxation,
 dense grid search for the power optimum, and direct formula evaluation for
 achieved GDoF. Tests freeze expected values through these functions instead
 of trusting the implementation under test. The per-element loop versions of
-the Kuhn-Munkres label solver and the three greedy scheduler passes are the
-references that their array versions in the library must match bit for bit,
-and so are the user-by-user loop of the decentralized GP, the draw-by-draw
-drop generator, the user-by-user assignment matrix and the potentials solve
-that takes every row in every round. The per-call polytope and LP builds are
+the three greedy scheduler passes are the references that their array
+versions in the library must match bit for bit, and so are the user-by-user
+loop of the decentralized GP, the draw-by-draw drop generator, the
+user-by-user assignment matrix and the potentials solve that takes every row
+in every round. The per-call polytope and LP builds are
 the references for the library's per-network memo of subset bounds, and the
 zero-edge test that solves each block's matching up front is the reference
 for the condition report's lazy one, and the user-by-user scans of the
@@ -60,7 +60,7 @@ from tinq.optimize import (
     gp_power_control,
     max_weighted_gdof_lp,
 )
-from tinq.power import KmTrace, LabelPair, build_assignment_matrix, solve_power_hungarian
+from tinq.power import LabelPair
 from tinq.region import C2_MAX_K, SUBSET_MAX, ConditionReport
 from tinq.sim import (
     RESAMPLE_CAP,
@@ -277,123 +277,6 @@ def random_alpha_tied(rng: np.random.Generator, k: int, grid: float | None) -> C
     decimal value by an ulp, so verdicts rest on the TOL slack."""
     alpha = random_alpha(rng, k, cross_hi=1.2)
     return alpha if grid is None else ChannelMatrix(np.round(alpha.alpha / grid) * grid)
-
-
-def random_feasible_instance(rng: np.random.Generator, k: int):
-    """A random channel with a target known to be achievable: evaluate the
-    GDoF actually achieved by a random power allocation and keep its support.
-
-    Returns (alpha, d, subset) with d zero off the support.
-    """
-    alpha = random_alpha(rng, k)
-    r = PowerAlloc(-rng.uniform(0.0, 1.5, size=k))
-    d = achieved_gdof(alpha, r).d
-    keep = d > 1e-9
-    subset = tuple(int(i) for i in np.flatnonzero(keep))
-    return alpha, np.where(keep, d, 0.0), subset
-
-
-def hungarian_loop(alpha: ChannelMatrix, d, subset=None):
-    """Kuhn-Munkres minimal-power solve, one matrix element at a time.
-
-    Same algorithm and tie rules as ``solve_power_hungarian``: greedy
-    equality-subgraph matching row by row taking the first free tight
-    column, trees grown from the first unmatched row, the first tight
-    non-tree column wins, and label updates by the minimum non-tree slack.
-    Returns (PowerAlloc, LabelPair, KmTrace).
-    """
-    am = build_assignment_matrix(alpha, d, subset)
-    n, A = am.n, am.A
-    r = np.full(alpha.K, -np.inf)
-    if n == 0:
-        trace = KmTrace(np.zeros(0), np.zeros(0), (), (), ())
-        return PowerAlloc(r), LabelPair(np.zeros(0), np.zeros(0)), trace
-
-    y_u = A.max(axis=1).astype(float)
-    y_v = np.zeros(n)
-    match_of_col = [-1] * n
-    match_of_row = [-1] * n
-    trace_alpha, trace_yu, trace_yv = [], [], []
-    initial_y_u, initial_y_v = y_u.copy(), y_v.copy()
-
-    def diag_tight() -> bool:
-        return bool(np.all(y_u + y_v - np.diag(A) <= TOL))
-
-    def result():
-        for p, k in enumerate(am.subset):
-            r[k] = -y_u[p]
-        trace = KmTrace(initial_y_u, initial_y_v, tuple(trace_alpha),
-                        tuple(trace_yu), tuple(trace_yv))
-        return PowerAlloc(r), LabelPair(y_u.copy(), y_v.copy()), trace
-
-    for i in range(n):
-        for j in range(n):
-            if match_of_col[j] < 0 and y_u[i] + y_v[j] - A[i, j] <= TOL:
-                match_of_col[j] = i
-                match_of_row[i] = j
-                break
-
-    while True:
-        if diag_tight():
-            return result()
-        if -1 not in match_of_row:
-            raise InfeasibleGdof("no feasible power allocation achieves d")
-        root = match_of_row.index(-1)
-        in_tree_row = [False] * n
-        in_tree_col = [False] * n
-        in_tree_row[root] = True
-        prev_col = [-1] * n
-        slack = y_u[root] + y_v - A[root]
-        slack_row = [root] * n
-
-        augmented = False
-        while not augmented:
-            j_tight = -1
-            for j in range(n):
-                if not in_tree_col[j] and slack[j] <= TOL:
-                    j_tight = j
-                    break
-            if j_tight < 0:
-                alpha_l = min(slack[j] for j in range(n) if not in_tree_col[j])
-                if len(trace_alpha) > n * n + n:
-                    raise RuntimeError("label updates exceeded the n^2 bound")
-                for i in range(n):
-                    if in_tree_row[i]:
-                        y_u[i] -= alpha_l
-                for j in range(n):
-                    if in_tree_col[j]:
-                        y_v[j] += alpha_l
-                    else:
-                        slack[j] -= alpha_l
-                trace_alpha.append(float(alpha_l))
-                trace_yu.append(y_u.copy())
-                trace_yv.append(y_v.copy())
-                if diag_tight():
-                    return result()
-                continue
-
-            j = j_tight
-            prev_col[j] = slack_row[j]
-            owner = match_of_col[j]
-            if owner < 0:
-                while True:
-                    row = prev_col[j]
-                    old = match_of_row[row]
-                    match_of_col[j] = row
-                    match_of_row[row] = j
-                    if old < 0:
-                        break
-                    j = old
-                augmented = True
-            else:
-                in_tree_col[j] = True
-                in_tree_row[owner] = True
-                new_slack = y_u[owner] + y_v - A[owner]
-                better = new_slack < slack
-                slack = np.where(better, new_slack, slack)
-                for jj in range(n):
-                    if better[jj]:
-                        slack_row[jj] = owner
 
 
 def assignment_matrix_loop(alpha: ChannelMatrix, d, subset=None):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import (assignment_matrix_loop, hungarian_loop, lp_dual_labels,
-                     potentials_full_rounds, random_alpha)
+from oracles import (assignment_matrix_loop, lp_dual_labels, potentials_full_rounds,
+                     random_alpha)
 from tinq import (
     ChannelMatrix,
     GdofTuple,
@@ -211,7 +211,8 @@ def test_feasibility_matches_solver(k, seed):
 
 
 # ---------------------------------------------------------------------------
-# the array solver against the per-element loop reference
+# the potentials relaxation against the Kuhn-Munkres solver it replaces in
+# the pipelines and the feasibility test
 
 
 def _bits(a) -> tuple:
@@ -224,78 +225,6 @@ def _outcome(solve):
         return solve()
     except Infeasible as e:
         return type(e), str(e)
-
-
-def assert_matches_loop(alpha, d, subset=None):
-    """Powers, labels and every trace field bit for bit, or the same
-    infeasibility verdict; returns the reference outcome."""
-    want = _outcome(lambda: hungarian_loop(alpha, d, subset))
-    got = _outcome(lambda: solve_power_hungarian(alpha, d, subset, return_trace=True))
-    plain = _outcome(lambda: solve_power_hungarian(alpha, d, subset))
-    if isinstance(want[0], type):
-        assert got == want and plain == want
-        return want
-    (r, labels, trace), (r0, labels0, trace0) = got, want
-    assert len(plain) == 2
-    for a, a0 in ((r.r, r0.r), (labels.y_u, labels0.y_u), (labels.y_v, labels0.y_v),
-                  (plain[0].r, r0.r), (plain[1].y_u, labels0.y_u),
-                  (plain[1].y_v, labels0.y_v),
-                  (trace.initial_y_u, trace0.initial_y_u),
-                  (trace.initial_y_v, trace0.initial_y_v),
-                  (trace.alpha_l, trace0.alpha_l)):
-        assert _bits(a) == _bits(a0)
-    for after, after0 in ((trace.y_u_after, trace0.y_u_after),
-                          (trace.y_v_after, trace0.y_v_after)):
-        assert len(after) == len(after0) == trace0.rounds
-        assert [_bits(a) for a in after] == [_bits(a) for a in after0]
-    return want
-
-
-@given(st.integers(1, 9), st.floats(0.5, 1.4), st.booleans(), st.integers(0, 2**31 - 1))
-def test_hungarian_matches_loop_reference(k, scale, coarse, seed):
-    # scale > 1 pushes many targets out of the region (InfeasibleGdof) and
-    # some past their direct strength (ImmediatelyInfeasible); a coarse grid
-    # of strengths and targets makes tight cells and slacks tie, so the
-    # first-index choices are exercised
-    rng = np.random.default_rng(seed)
-    alpha = random_alpha(rng, k)
-    _, d = feasible_target(rng, alpha)
-    d = d.d * scale
-    if coarse:
-        alpha = ChannelMatrix(np.round(alpha.alpha * 4) / 4)
-        d = np.round(d * 4) / 4
-    assert_matches_loop(alpha, np.round(d, 9))
-
-
-def test_hungarian_loop_reference_covers_every_outcome():
-    rng = np.random.default_rng(7)
-    seen = set()
-    for _ in range(300):
-        k = int(rng.integers(1, 8))
-        alpha = random_alpha(rng, k)
-        _, d = feasible_target(rng, alpha)
-        want = assert_matches_loop(alpha, np.round(d.d * rng.uniform(0.5, 1.4), 9))
-        seen.add(want[0] if isinstance(want[0], type) else "solved")
-    assert seen == {"solved", InfeasibleGdof, ImmediatelyInfeasible}
-
-
-def test_hungarian_matches_loop_reference_edge_cases():
-    # diagonal tight at the start: dominant direct links and small targets
-    # make every diagonal entry its row maximum, so no label round runs
-    alpha = random_alpha(np.random.default_rng(3), 6,
-                         diag_lo=2.5, diag_hi=3.0, cross_hi=1.0)
-    assert assert_matches_loop(alpha, np.full(6, 0.1))[2].rounds == 0
-    # one link (its diagonal is its row maximum), and subsets that leave
-    # links out
-    assert assert_matches_loop(ChannelMatrix([[1.3]]), [0.7])[2].rounds == 0
-    assert_matches_loop(NETWORK_A, [1.0, 0.5, 0.0], (0, 1))
-    assert_matches_loop(NETWORK_A, [0.0, 0.0, 0.0])
-    assert assert_matches_loop(NETWORK_A, D_REF)[2].alpha_l == pytest.approx((0.2, 0.1))
-
-
-# ---------------------------------------------------------------------------
-# the potentials relaxation against the Kuhn-Munkres solver it replaces in
-# the pipelines and the feasibility test
 
 
 def assert_potentials_match_full_rounds(alpha, d, subset=None):
@@ -315,13 +244,19 @@ def assert_potentials_match_full_rounds(alpha, d, subset=None):
 def assert_potentials_match_hungarian(alpha, d, subset=None):
     """The same verdict and message, or powers within 1e-12 of the
     Hungarian's and dual-feasible labels with a tight diagonal; returns the
-    Hungarian's outcome. The potentials also match their full-round
-    reference bit for bit."""
+    Hungarian's untraced outcome. The Hungarian gives the same verdict, or
+    bitwise the same powers and labels, with and without its trace, and the
+    potentials match their full-round reference bit for bit."""
     want = _outcome(lambda: solve_power_hungarian(alpha, d, subset))
+    traced = _outcome(lambda: solve_power_hungarian(alpha, d, subset, return_trace=True))
     got = assert_potentials_match_full_rounds(alpha, d, subset)
     if isinstance(want[0], type) or isinstance(got[0], type):
-        assert got == want
+        assert got == want and traced == want
         return want
+    assert len(want) == 2 and len(traced) == 3
+    for a, a0 in ((traced[0].r, want[0].r), (traced[1].y_u, want[1].y_u),
+                  (traced[1].y_v, want[1].y_v)):
+        assert _bits(a) == _bits(a0)
     (r, labels), (r0, _) = got, want
     live = np.isfinite(r0.r)
     np.testing.assert_array_equal(np.isfinite(r.r), live)
@@ -419,6 +354,29 @@ def test_potentials_edge_cases():
     for solve in (solve_power_hungarian, solve_power_potentials):
         with pytest.raises(ValueError, match="zero-GDoF users"):
             solve(NETWORK_A, [0.5, 0.0, 0.7], (0, 1, 2))
+
+
+def test_hungarian_matches_loop_reference_edge_cases():
+    # solve_power_hungarian is the per-element loop; its edge cases are
+    # checked directly, traced and untraced. One link (its diagonal is its
+    # row maximum), and dominant direct links with small targets, which make
+    # every diagonal entry its row maximum: the diagonal is tight at the
+    # start, so no label round runs
+    dominant = random_alpha(np.random.default_rng(3), 6,
+                            diag_lo=2.5, diag_hi=3.0, cross_hi=1.0)
+    for alpha, d in ((ChannelMatrix([[1.3]]), np.array([0.7])),
+                     (dominant, np.full(6, 0.1))):
+        r, _ = assert_potentials_match_hungarian(alpha, d)
+        assert r.r.tolist() == pytest.approx(d - np.diag(alpha.alpha))
+        assert solve_power_hungarian(alpha, d, return_trace=True)[2].rounds == 0
+    # a subset that leaves a link out, and all-zero targets
+    r, _ = assert_potentials_match_hungarian(NETWORK_A, [1.0, 0.5, 0.0], (0, 1))
+    assert r.r[:2].tolist() == pytest.approx([-1.0, -0.5]) and r.r[2] == -np.inf
+    r, labels = assert_potentials_match_hungarian(NETWORK_A, [0.0, 0.0, 0.0])
+    assert np.all(r.r == -np.inf) and labels.y_u.size == labels.y_v.size == 0
+    # two label rounds on the reference target
+    trace = solve_power_hungarian(NETWORK_A, D_REF, return_trace=True)[2]
+    assert trace.alpha_l == pytest.approx((0.2, 0.1))
 
 
 def test_potentials_settle_a_longest_chain_on_the_last_round():
