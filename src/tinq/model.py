@@ -83,20 +83,36 @@ def check_reference_power(p) -> float:
     return float(p)
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _readonly(a, own: bool = False) -> np.ndarray:
+    """``a`` as a read-only float array: a copy, or with ``own`` the float64
+    array itself, which the caller hands over and no longer writes."""
+    a = np.asarray(a, dtype=float) if own else np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _handed_over(cls, **fields):
+    """A ``cls`` built from arrays its caller made for it and drops: the
+    checks of ``__post_init__`` run, and the float64 matrix (``alpha`` or
+    ``gains``) is marked read-only in place instead of copied."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    obj.__post_init__(own=True)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelMatrix:
     """K x K matrix of channel strength exponents (log-P scale), entry (i, j)
-    is the strength of link Tx-i -> Rx-j. Entries finite and >= 0."""
+    is the strength of link Tx-i -> Rx-j. Entries finite and >= 0.
+
+    The constructor copies the caller's array into a read-only one of its
+    own; tinq's own builders hand over the arrays they made instead."""
 
     alpha: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, own: bool = False):
         a = np.asarray(self.alpha, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ShapeError(f"alpha must be square, got shape {a.shape}")
@@ -106,7 +122,7 @@ class ChannelMatrix:
             raise ShapeError("alpha entries must be finite")
         if np.any(a < 0):
             raise ShapeError("alpha entries must be nonnegative")
-        object.__setattr__(self, "alpha", _readonly(a))
+        object.__setattr__(self, "alpha", _readonly(a, own))
 
     @property
     def K(self) -> int:
@@ -167,14 +183,17 @@ class PowerAlloc:
 class PhysicalNetwork:
     """Finite-SNR description: linear power gains G_ij = |h_ij|^2, per-Tx power
     caps (watts), receiver noise power (watts), and the reference power P
-    (finite, > 1) that anchors the log-P scale."""
+    (finite, > 1) that anchors the log-P scale.
+
+    The constructor copies the caller's arrays into read-only ones of its
+    own; tinq's own builders hand over the arrays they made instead."""
 
     gains: np.ndarray
     max_tx_power: np.ndarray
     noise_power: float
     reference_power: float
 
-    def __post_init__(self):
+    def __post_init__(self, own: bool = False):
         g = np.asarray(self.gains, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
             raise ShapeError(f"gains must be square, got shape {g.shape}")
@@ -186,7 +205,7 @@ class PhysicalNetwork:
         if not (self.noise_power > 0 and math.isfinite(self.noise_power)):
             raise ShapeError("noise power must be positive and finite")
         object.__setattr__(self, "reference_power", check_reference_power(self.reference_power))
-        object.__setattr__(self, "gains", _readonly(g))
+        object.__setattr__(self, "gains", _readonly(g, own))
         object.__setattr__(self, "max_tx_power", _readonly(p))
         object.__setattr__(self, "noise_power", float(self.noise_power))
         snr = self.gains * self.max_tx_power[:, None]
@@ -216,7 +235,7 @@ def strength_from_physical(net: PhysicalNetwork) -> ChannelMatrix:
         levels = np.maximum(1.0, net.nominal_snr())
         np.log(levels, out=levels)
         levels /= math.log(net.reference_power)
-        alpha = ChannelMatrix(levels)
+        alpha = _handed_over(ChannelMatrix, alpha=levels)
         object.__setattr__(net, "_strength", alpha)
     return alpha
 
@@ -233,7 +252,8 @@ def realize_network(alpha: ChannelMatrix, reference_power: float) -> PhysicalNet
             f"reference power {reference_power:g} raised to strength "
             f"{alpha.alpha.max():g} overflows a float"
         )
-    return PhysicalNetwork(
+    return _handed_over(
+        PhysicalNetwork,
         gains=gains,
         max_tx_power=np.ones(alpha.K),
         noise_power=1.0,

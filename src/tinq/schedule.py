@@ -82,9 +82,10 @@ def itlinq_plus_schedule(snr, inr, eta: float = 0.9, gamma: float = 0.1,
     and are re-broadcast after every admission. Both exponents lie in [0, 1].
 
     The tables are kept by admission position p, and each admission copies
-    its link's column and row of ``inr`` into column p of an n x 2 x n
-    buffer, so a candidate's test is one quotient of its own buffer row by
-    the tables, with no gather. Each quotient, comparison and minimum is the
+    its link's column and row of ``inr`` into slab p of a position-major
+    n x 2 x n buffer, so a candidate's test is one quotient of its own
+    column of the admitted slabs by the tables. Only the slabs of admitted
+    positions are ever written. Each quotient, comparison and minimum is the
     same float operation as in the per-link loop, so the selections and
     tables are bitwise the loop's.
     """
@@ -92,33 +93,33 @@ def itlinq_plus_schedule(snr, inr, eta: float = 0.9, gamma: float = 0.1,
     if not (0.0 <= eta <= 1.0 and 0.0 <= gamma <= 1.0):
         raise ShapeError("exponents must lie in [0, 1]")
     snr, inr, n = _validate_levels(snr, inr)
-    # levels[k, 0, p] = inr[k, s_p]: k at the p-th selected link's receiver;
-    # levels[k, 1, p] = inr[s_p, k]: that link's transmitter at k
+    # levels[p, 0, k] = inr[k, s_p]: k at the p-th selected link's receiver;
+    # levels[p, 1, k] = inr[s_p, k]: that link's transmitter at k
     levels = np.empty((n, 2, n))
-    # mins[0] / mins[1]: min_in / min_out by position; g holds mins**gamma,
-    # raised one scalar at a time whenever a minimum drops: numpy's array
-    # power may differ from the scalar one in the last bit
-    mins, g = np.ones((2, n)), np.ones((2, n))
+    # mins[:, 0] / mins[:, 1]: min_in / min_out by position; g holds
+    # mins**gamma, raised one scalar at a time whenever a minimum drops:
+    # numpy's array power may differ from the scalar one in the last bit
+    mins, g = np.ones((n, 2)), np.ones((n, 2))
 
     def admits(k, m):
-        return bool((snr[k] ** eta >= levels[k, :, :m] / g[:, :m]).all())
+        return bool((snr[k] ** eta >= levels[:m, :, k] / g[:m]).all())
 
     def admit(k, m):
-        new = levels[k, :, :m]
-        drop = new < mins[:, :m]
+        new = levels[:m, :, k]
+        drop = new < mins[:m]
         lower = new[drop]
-        mins[:, :m][drop] = lower
-        g[:, :m][drop] = [v ** gamma for v in lower]
+        mins[:m][drop] = lower
+        g[:m][drop] = [v ** gamma for v in lower]
         # min_in of k is the least level at k, min_out the least k causes
-        mins[:, m] = new[::-1].min(axis=1, initial=1.0)
-        g[:, m] = [v ** gamma for v in mins[:, m]]
-        levels[:, 0, m] = inr[:, k]
-        levels[:, 1, m] = inr[k]
+        mins[m] = new.min(axis=0, initial=1.0)[::-1]
+        g[m] = [v ** gamma for v in mins[m]]
+        levels[m, 0] = inr[:, k]
+        levels[m, 1] = inr[k]
 
     res = _greedy_pass(n, priority, admits, admit)
     return dataclasses.replace(
-        res, min_in={k: float(v) for k, v in zip(res.selected, mins[0])},
-        min_out={k: float(v) for k, v in zip(res.selected, mins[1])})
+        res, min_in={k: float(v) for k, v in zip(res.selected, mins[:, 0])},
+        min_out={k: float(v) for k, v in zip(res.selected, mins[:, 1])})
 
 
 def _greedy_pass(n: int, priority, admits, admit) -> ScheduleResult:

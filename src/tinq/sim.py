@@ -20,8 +20,8 @@ import numpy as np
 
 from .exceptions import (ConvergenceFailure, DomainError, Infeasible, RegionTooTight,
                          ShapeError)
-from .model import (ChannelMatrix, PhysicalNetwork, db_setting, is_finite_real,
-                    realize_network, strength_from_physical)
+from .model import (ChannelMatrix, PhysicalNetwork, _handed_over, db_setting,
+                    is_finite_real, realize_network, strength_from_physical)
 from .optimize import gp_power_control, gp_then_assignment, max_weighted_gdof_lp
 from .power import solve_power_potentials
 from .schedule import _PASSES, _run_pass
@@ -167,10 +167,15 @@ def pathloss_itu1411_los(distance_m, carrier_hz: float, h_m: float):
     breakpoint 4 h^2 / lambda, 40 dB/decade beyond, continuous at the knee.
 
     A scalar distance gives a float; an array gives a new array of its
-    shape, and the argument is left as it is."""
+    shape, and the argument is left as it is. A distance that is not
+    positive (NaN included), or a carrier or antenna height that is not
+    finite and positive, raises DomainError."""
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0):
+    if not np.all(d > 0):
         raise DomainError("distances must be positive")
+    for name, value in (("carrier_hz", carrier_hz), ("h_m", h_m)):
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and positive, got {value}")
     lam = SPEED_OF_LIGHT / carrier_hz
     r_bp = 4.0 * h_m * h_m / lam
     l_bp = abs(20.0 * math.log10(lam * lam / (8.0 * math.pi * h_m * h_m)))
@@ -249,7 +254,8 @@ def generate_drop(scenario: Scenario, seed: int) -> DropRecord:
     p_mw = db_setting("tx_power_dbm", scenario.tx_power_dbm)
     noise_mw = db_setting("noise_dbm", scenario.noise_dbm)
     ref = float(np.max(np.diag(gains)) * p_mw / noise_mw)
-    net = PhysicalNetwork(
+    net = _handed_over(
+        PhysicalNetwork,
         gains=gains,
         max_tx_power=np.full(n, p_mw),
         noise_power=noise_mw,
@@ -312,7 +318,7 @@ def _synthetic_drop(n_links: int, p_ref: float, seed: int) -> tuple:
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     a = rng.uniform(0.0, 1.0, size=(n_links, n_links))
     np.fill_diagonal(a, rng.uniform(1.0, 2.0, size=n_links))
-    alpha = ChannelMatrix(a)
+    alpha = _handed_over(ChannelMatrix, alpha=a)
     return realize_network(alpha, p_ref), alpha, 1.0, lambda frac: float(frac.sum())
 
 

@@ -24,6 +24,7 @@ from tinq import (
     strength_from_physical,
 )
 from tinq.exceptions import DomainError, InvalidReferencePower, SchemaError, ShapeError
+from tinq.model import _handed_over
 
 
 def single_link_net(snr: float, p: float) -> PhysicalNetwork:
@@ -78,6 +79,37 @@ def test_strength_is_one_read_only_matrix_per_network():
     assert net.nominal_snr().tobytes() == snr
     # a network of its own gets a matrix of its own
     assert strength_from_physical(dataclasses.replace(net)) is not alpha
+
+
+@pytest.mark.parametrize("make, name, values", [
+    (ChannelMatrix, "alpha", [[1.0, 0.3], [0.2, 1.5]]),
+    (GdofTuple, "d", [0.5, 0.25, 0.0]),
+    (PowerAlloc, "r", [-0.5, 0.0, -np.inf]),
+], ids=["ChannelMatrix", "GdofTuple", "PowerAlloc"])
+def test_public_constructors_copy_the_callers_array(make, name, values):
+    # as PhysicalNetwork does (above): the caller's array stays writable and
+    # its own, and a later write to it does not reach the object
+    given = np.array(values)
+    obj = make(given)
+    held = getattr(obj, name)
+    assert given.flags.writeable and not held.flags.writeable
+    assert not np.shares_memory(held, given)
+    before = held.tobytes()
+    given.fill(0.125)
+    assert held.tobytes() == before
+
+
+def test_builders_hand_over_their_arrays_through_the_same_checks():
+    # the private path marks the array read-only in place, after the checks
+    # the public constructor runs
+    levels = np.array([[1.0, 0.3], [0.2, 1.5]])
+    assert _handed_over(ChannelMatrix, alpha=levels).alpha is levels
+    assert not levels.flags.writeable
+    with pytest.raises(ShapeError, match="nonnegative"):
+        _handed_over(ChannelMatrix, alpha=np.array([[1.0, -0.3], [0.2, 1.5]]))
+    with pytest.raises(InvalidReferencePower):
+        _handed_over(PhysicalNetwork, gains=np.ones((2, 2)), max_tx_power=np.ones(2),
+                     noise_power=1.0, reference_power=1.0)
 
 
 def test_achieved_gdof_example_allocation():

@@ -2,6 +2,8 @@
 
 import concurrent.futures
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import tinq.sim
 
 from oracles import drop_loop, experiment_loop, synthetic_loop
 from tinq.exceptions import DomainError, InfeasibleGdof, RegionTooTight, ShapeError
+from tinq.model import strength_from_physical
 from tinq.power import solve_power_hungarian
 from tinq.sim import (
     POWER_MODES,
@@ -89,6 +92,23 @@ def test_pathloss_rejects_nonpositive_distance():
         pathloss_itu1411_los(0.0, F_C, H_M)
     with pytest.raises(DomainError):
         pathloss_itu1411_los(np.array([10.0, -1.0]), F_C, H_M)
+
+
+@pytest.mark.parametrize("distance, carrier, height", [
+    (np.array([10.0, np.nan]), F_C, H_M),
+    (10.0, 0.0, H_M),
+    (10.0, F_C, 0.0),
+    (10.0, -F_C, H_M),
+    (10.0, np.nan, H_M),
+    (10.0, F_C, np.nan),
+], ids=["nan-distance", "zero-carrier", "zero-height", "negative-carrier", "nan-carrier",
+        "nan-height"])
+def test_pathloss_rejects_every_bad_input(distance, carrier, height):
+    # each would otherwise give NaN, a RuntimeWarning or ZeroDivisionError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            pathloss_itu1411_los(distance, carrier, height)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +228,22 @@ def test_drop_distances_uniform():
     assert dists.size == 10_000
     p = stats.kstest(dists, "uniform", args=(5.0, 25.0)).pvalue
     assert p > 0.01
+
+
+def test_drop_working_set_is_its_networks_three_tables():
+    # gains, nominal SNR and strength levels, each handed over rather than
+    # copied; numpy reports its data buffers to tracemalloc
+    sc = scenario1(256)
+    strength_from_physical(generate_drop(sc, 0).net)  # warm
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        strength_from_physical(generate_drop(sc, 0).net)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 256 * 256 * 8  # 3.25 tables of 256 x 256 float64
 
 
 # ---------------------------------------------------------------------------
