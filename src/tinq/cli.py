@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -257,14 +258,7 @@ def _cmd_sumgdof(args, alpha, net) -> tuple[dict, int]:
                "objective": obj}
     elif args.method == "gp":
         phys = _physical(args, alpha, net)
-        sol = gp_power_control(phys, subset, w)
-        out = {
-            "method": "gp",
-            "powers": list(sol.powers),
-            "sinr": list(sol.sinr),
-            "objective_bits": sol.objective,
-            "subset": list(sol.subset),
-        }
+        out = {"method": "gp", **asdict(gp_power_control(phys, subset, w))}
     else:
         r, d = decentralized_gp(alpha, subset, w, iters=args.iters)
         out = {"method": "dgp", "r": list(r.r), "d": list(d.d),
@@ -336,19 +330,7 @@ def _cmd_simulate(args) -> tuple[dict, int]:
         "n_drops": args.drops,
         "excluded": res.excluded,
         "valid": res.valid,
-        "aggregates": [
-            {
-                "scheme": a.scheme,
-                "power_mode": a.power_mode,
-                "n": a.n,
-                "mean_tput_bps_hz": a.mean_tput,
-                "ci95_tput": a.ci95_tput,
-                "mean_energy_bits_per_joule": a.mean_energy,
-                "ci95_energy": a.ci95_energy,
-                "mean_active_links": a.mean_active,
-            }
-            for a in res.aggregates
-        ],
+        "aggregates": [asdict(a) for a in res.aggregates],
     }, EXIT_OK
 
 

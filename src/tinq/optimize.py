@@ -55,11 +55,12 @@ GP_MAX_ITER = 1000  # L-BFGS-B iterations per GP start
 class GpSolution:
     """Finite-SNR power-control solution: linear transmit power fractions in
     (0, 1] on the solved subset (0 elsewhere), per-link SINR and the
-    throughput objective sum w*log2(1+SINR)."""
+    throughput objective sum w*log2(1+SINR). The field names are the keys
+    `tinq sumgdof --method gp` prints after "method", in its order."""
 
     powers: np.ndarray
     sinr: np.ndarray
-    objective: float
+    objective_bits: float
     subset: tuple
 
 
@@ -291,7 +292,7 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None) -> GpSolution:
     return GpSolution(
         powers=powers,
         sinr=sinr_full,
-        objective=float(np.sum(ww * np.log2(1.0 + sinr_sub))),
+        objective_bits=float(np.sum(ww * np.log2(1.0 + sinr_sub))),
         subset=idx,
     )
 

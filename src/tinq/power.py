@@ -8,12 +8,12 @@ active) defines over its active subset the square input matrix
 whose assignment-problem dual labels (y_u, y_v) encode power: the
 componentwise-maximal left labels over all dual optima with a tight diagonal
 give the componentwise-minimal feasible powers r_j = -y_{u_j}. Three solvers
-are provided: the one label-updating solver, a centralized Kuhn-Munkres loop
-over the matrix elements whose intermediate states (initial labels, per-round
-label decrements, round count) are observable, a relaxation of the same
-labels as least potentials of the TIN difference constraints (what the
-pipelines and the feasibility test run), and a decentralized fixed-increment
-auction that reaches the same labels up to a documented |subset|*epsilon gap.
+are provided: a centralized Kuhn-Munkres label-updating solver whose
+intermediate states (initial labels, per-round label decrements, round
+count) are observable, a relaxation of the same labels as least potentials
+of the TIN difference constraints (what the pipelines and the feasibility
+test run), and a decentralized fixed-increment auction that reaches the
+same labels up to a documented |subset|*epsilon gap.
 A target is achievable exactly when the diagonal is an optimal assignment of
 A; all three solvers raise an ``Infeasible`` error when it is not.
 """

@@ -186,7 +186,7 @@ def contains(poly: TinaPolytope, d: GdofTuple, tol: float = TOL) -> bool:
     return True
 
 
-def check_conditions(alpha: ChannelMatrix, c2_max_k: int = C2_MAX_K) -> ConditionReport:
+def check_conditions(alpha: ChannelMatrix) -> ConditionReport:
     """Evaluate the per-user strength conditions and the zero-edge condition.
 
     Strict per-user condition:  alpha_kk >= max_{i!=k} alpha_ik + max_{j!=k} alpha_kj.
@@ -195,7 +195,7 @@ def check_conditions(alpha: ChannelMatrix, c2_max_k: int = C2_MAX_K) -> Conditio
     Zero-edge condition: every subset S with |S| > 2 has some maximum matching
     containing an edge of strength zero; checked by forcing each zero edge and
     asking whether the constrained matching still reaches w(M*_S). Subsets of
-    size <= 2 are exempt. Skipped (c2 = None) above ``c2_max_k`` users.
+    size <= 2 are exempt. Skipped (c2 = None) above ``C2_MAX_K`` (12) users.
     """
     K = alpha.K
     a = alpha.alpha
@@ -204,7 +204,7 @@ def check_conditions(alpha: ChannelMatrix, c2_max_k: int = C2_MAX_K) -> Conditio
 
     c2: bool | None
     c2_witness = None
-    if K > c2_max_k:
+    if K > C2_MAX_K:
         c2 = None
     else:
         c2 = True

@@ -13,14 +13,14 @@ import itertools
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
 from .exceptions import (ConvergenceFailure, DomainError, Infeasible, RegionTooTight,
                          ShapeError)
-from .model import (ChannelMatrix, PhysicalNetwork, _handed_over, db_setting,
+from .model import (ChannelMatrix, PhysicalNetwork, _handed_over, check_size, db_setting,
                     is_finite_real, realize_network, strength_from_physical)
 from .optimize import gp_power_control, gp_then_assignment, max_weighted_gdof_lp
 from .power import solve_power_potentials
@@ -43,6 +43,7 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299792458.0
 RESAMPLE_CAP = 10_000
+LINKS_MAX = 2048  # links per drop: one n x n float64 table takes 33.6 MB at the cap
 SCHEMES = ("none", *_PASSES)
 POWER_MODES = ("full", "gp", "gp+assignment", "lp+assignment")
 SYNTHETIC_MODES = ("full", "gp", "gp+assignment")
@@ -55,7 +56,7 @@ class Scenario:
     Every field is checked on construction, so a malformed scenario raises
     ShapeError naming its field: n_links is an integer, dist_range_m a
     (min, max) pair (a list is stored as a tuple) and every other field a
-    finite real."""
+    finite real. More than LINKS_MAX links raise SubsetTooLarge."""
 
     area_m: float
     n_links: int
@@ -85,6 +86,7 @@ class Scenario:
         lo, hi = self.dist_range_m
         if not (self.area_m > 0 and self.n_links >= 1 and 0 < lo <= hi):
             raise ShapeError("area, link count, and distance range must be positive")
+        check_size("drop", self.n_links, LINKS_MAX)
         if hi >= self.area_m:
             raise ShapeError("max pair distance must be below the area side")
         if not (self.bandwidth_hz > 0 and self.carrier_hz > 0
@@ -132,16 +134,17 @@ class MetricRow:
 @dataclass(frozen=True)
 class Aggregate:
     """Per (scheme, power mode) summary over drops: means with 95% normal
-    confidence half-widths."""
+    confidence half-widths. The field names are the keys `tinq simulate`
+    prints for each aggregate, in its order."""
 
     scheme: str
     power_mode: str
     n: int
-    mean_tput: float
+    mean_tput_bps_hz: float
     ci95_tput: float
-    mean_energy: float
+    mean_energy_bits_per_joule: float
     ci95_energy: float
-    mean_active: float
+    mean_active_links: float
 
 
 @dataclass(frozen=True)
@@ -421,7 +424,11 @@ def run_synthetic_experiment(n_links: int, n_drops: int, master_seed: int,
     """Small random-exponent networks (direct strengths uniform in [1, 2],
     cross strengths uniform in [0, 1]) realized at reference power
     10^(snr_db/10), compared across the full, gp and gp+assignment power
-    modes with all links scheduled and unit bandwidth."""
+    modes with all links scheduled and unit bandwidth. A link count below 1
+    raises ShapeError, and one above LINKS_MAX SubsetTooLarge."""
+    if n_links < 1:
+        raise ShapeError(f"link count must be positive, got {n_links}")
+    check_size("drop", n_links, LINKS_MAX)
     make_drop = partial(_synthetic_drop, n_links, db_setting("snr_db", snr_db))
     rows, fracs, excluded = _run_drops(make_drop, [("none", m) for m in SYNTHETIC_MODES],
                                        n_drops, master_seed)
@@ -435,8 +442,4 @@ def write_rows_csv(rows, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(f.name for f in fields(MetricRow))
         for r in rows:
-            writer.writerow([
-                r.scheme, r.power_mode, r.n_links, r.drop_seed,
-                f"{r.sum_tput_bps_hz:.12g}", f"{r.energy_bits_per_joule:.12g}",
-                r.active_links,
-            ])
+            writer.writerow(f"{v:.12g}" if isinstance(v, float) else v for v in astuple(r))

@@ -720,7 +720,7 @@ def gp_power_control_minimize(net, subset=None, w=None) -> GpSolution:
     return GpSolution(
         powers=powers,
         sinr=sinr_full,
-        objective=float(np.sum(ww * np.log2(1.0 + sinr_sub))),
+        objective_bits=float(np.sum(ww * np.log2(1.0 + sinr_sub))),
         subset=idx,
     )
 

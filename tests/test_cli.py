@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -813,6 +814,34 @@ def test_one_user_past_each_cap_exits_2(capsys, tmp_path, argv, k, what, cap):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {what} of {k} users exceeds its cap of {cap}\n"
+
+
+@pytest.mark.parametrize("setup", [[], ["--synthetic"]], ids=["geometric", "synthetic"])
+def test_one_link_past_the_drop_cap_exits_2_before_any_table(capsys, setup):
+    # one n x n float64 table of a drop this size would take 33.6 MB
+    links = sim.LINKS_MAX + 1
+    tracemalloc.start()
+    try:
+        code = dispatch(["simulate", *setup, "--links", str(links), "--drops", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: drop of {links} users exceeds its cap of {sim.LINKS_MAX}\n"
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("setup, message", [
+    ([], "area, link count, and distance range must be positive"),
+    (["--synthetic"], "link count must be positive, got {links}"),
+], ids=["geometric", "synthetic"])
+@pytest.mark.parametrize("links", [0, -1])
+def test_link_count_below_one_exits_2(capsys, setup, message, links):
+    code = dispatch(["simulate", *setup, "--links", str(links), "--drops", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message.format(links=links)}\n"
 
 
 @pytest.mark.parametrize("argv", [

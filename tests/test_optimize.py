@@ -302,7 +302,7 @@ def _gp_outcome(solve, net, subset=None, w=None):
         sol = solve(net, subset, w)
     except ConvergenceFailure as e:
         return str(e), e.last_iterate.tobytes()
-    return sol.powers.tobytes(), sol.sinr.tobytes(), sol.objective, sol.subset
+    return sol.powers.tobytes(), sol.sinr.tobytes(), sol.objective_bits, sol.subset
 
 
 def _random_gp_instance(k, seed, log_p):
@@ -416,7 +416,7 @@ def test_exact_dominates_lp(k, seed):
     _, lp_obj = max_weighted_gdof_lp(alpha)
     _, _, exact_obj = max_weighted_gdof_exact(alpha)
     assert exact_obj >= lp_obj - 1e-8
-    rep = check_conditions(alpha, c2_max_k=0)
+    rep = check_conditions(alpha)
     if all(rep.c1):
         assert exact_obj == pytest.approx(lp_obj, abs=1e-8)
 

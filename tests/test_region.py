@@ -229,7 +229,7 @@ def test_membership_verdicts_agree(k, seed):
 @settings(max_examples=80)
 def test_gnaj_implies_c1(k, seed):
     alpha = random_alpha(np.random.default_rng(seed), k, cross_hi=1.2)
-    rep = check_conditions(alpha, c2_max_k=0)
+    rep = check_conditions(alpha)
     for g, c in zip(rep.gnaj, rep.c1):
         assert c or not g
 
@@ -238,7 +238,7 @@ def c1_instance(rng, k):
     """Rejection-sample a channel where C1 holds for every user."""
     for _ in range(400):
         alpha = random_alpha(rng, k, diag_lo=1.0, diag_hi=2.5, cross_hi=0.9)
-        if all(check_conditions(alpha, c2_max_k=0).c1):
+        if all(check_conditions(alpha).c1):
             return alpha
     raise AssertionError("could not sample a C1 instance")
 

@@ -36,7 +36,7 @@ NETWORK_B = ChannelMatrix([[1, 0.3, 0], [0.6, 1, 0.1], [0.8, 0.6, 1]])
 
 def c1_holds_on(alpha: ChannelMatrix, subset) -> bool:
     idx = sorted(subset)
-    return all(check_conditions(ChannelMatrix(alpha.alpha[np.ix_(idx, idx)]), c2_max_k=0).c1)
+    return all(check_conditions(ChannelMatrix(alpha.alpha[np.ix_(idx, idx)])).c1)
 
 
 def test_itis_plus_network_b_full():
@@ -84,7 +84,7 @@ def test_itis_contained_in_itis_plus():
         alpha = ChannelMatrix(m)
         size = int(rng.integers(2, k + 1))
         sub = tuple(sorted(rng.choice(k, size=size, replace=False).tolist()))
-        rep = check_conditions(ChannelMatrix(m[np.ix_(sub, sub)]), c2_max_k=0)
+        rep = check_conditions(ChannelMatrix(m[np.ix_(sub, sub)]))
         if all(rep.gnaj):
             hits += 1
             assert c1_holds_on(alpha, sub)

@@ -289,10 +289,10 @@ def test_aggregate_matches_rows():
                if (r.scheme, r.power_mode) == (agg.scheme, agg.power_mode)]
         tputs = np.array([r.sum_tput_bps_hz for r in grp])
         assert agg.n == len(grp) == 10
-        assert agg.mean_tput == pytest.approx(tputs.mean(), rel=1e-12)
+        assert agg.mean_tput_bps_hz == pytest.approx(tputs.mean(), rel=1e-12)
         assert agg.ci95_tput == pytest.approx(
             1.96 * tputs.std(ddof=1) / math.sqrt(len(grp)), rel=1e-12)
-        assert agg.mean_active == pytest.approx(
+        assert agg.mean_active_links == pytest.approx(
             np.mean([r.active_links for r in grp]), rel=1e-12)
 
 
@@ -436,11 +436,11 @@ def test_synthetic_power_modes():
     for mode, fracs in syn.fractions.items():
         for f in fracs:
             assert np.all(f >= 0.0) and np.all(f <= 1.0 + 1e-12)
-    agg = {a.power_mode: a for a in syn.aggregates}
+    energy = {a.power_mode: a.mean_energy_bits_per_joule for a in syn.aggregates}
     # optimized power beats full power on bits per joule, and the assignment
     # refinement on top of the smooth solver beats the smooth solver alone
-    assert agg["gp+assignment"].mean_energy > agg["gp"].mean_energy
-    assert agg["gp"].mean_energy > agg["full"].mean_energy
+    assert energy["gp+assignment"] > energy["gp"]
+    assert energy["gp"] > energy["full"]
     # the refinement never spends more on any link than the smooth solution
     for fa, fg in zip(syn.fractions["gp+assignment"], syn.fractions["gp"]):
         assert np.all(fa <= fg + 1e-9)
