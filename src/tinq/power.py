@@ -8,12 +8,13 @@ active) defines over its active subset the square input matrix
 whose assignment-problem dual labels (y_u, y_v) encode power: the
 componentwise-maximal left labels over all dual optima with a tight diagonal
 give the componentwise-minimal feasible powers r_j = -y_{u_j}. Three solvers
-are provided: a centralized Kuhn-Munkres label-updating solver whose
-intermediate states (initial labels, per-round label decrements, round
-count) are observable, a relaxation of the same labels as least potentials
-of the TIN difference constraints (what the pipelines and the feasibility
-test run), and a decentralized fixed-increment auction that reaches the
-same labels up to a documented |subset|*epsilon gap.
+are provided: a centralized Kuhn-Munkres label-updating solver, written as
+array steps over rows and columns, whose intermediate states (initial
+labels, per-round label decrements, round count) are observable, a
+relaxation of the same labels as least potentials of the TIN difference
+constraints (what the pipelines and the feasibility test run), and a
+decentralized fixed-increment auction that reaches the same labels up to a
+documented |subset|*epsilon gap, its powers clipped at full power.
 A target is achievable exactly when the diagonal is an optimal assignment of
 A; all three solvers raise an ``Infeasible`` error when it is not.
 """
@@ -157,109 +158,72 @@ def solve_power_hungarian(alpha: ChannelMatrix, d, subset=None,
     """
     am = build_assignment_matrix(alpha, d, subset)
     n, A = am.n, am.A
-    if n == 0:
-        r = PowerAlloc(np.full(alpha.K, -np.inf))
-        labels = LabelPair(y_u=np.zeros(0), y_v=np.zeros(0))
-        trace = KmTrace(np.zeros(0), np.zeros(0), (), (), ())
-        return (r, labels, trace) if return_trace else (r, labels)
-
-    y_u = A.max(axis=1).astype(float)
-    y_v = np.zeros(n)
-    diag = np.diag(A)
-    match_of_col = [-1] * n
-    match_of_row = [-1] * n
-
-    rounds = 0
-    trace_alpha, trace_yu, trace_yv = [], [], []
+    y_u = A.max(axis=1) if n else np.zeros(0)  # initial=0.0 can flip a zero's sign
+    y_v, diag = np.zeros(n), np.diag(A)
     initial_y_u, initial_y_v = y_u.copy(), y_v.copy()
-
-    def diag_tight() -> bool:
-        return bool((y_u + y_v - diag <= TOL).all())
+    trace_alpha, trace_yu, trace_yv = [], [], []
+    match_of_col, match_of_row = np.full(n, -1), np.full(n, -1)
 
     # deterministic greedy matching inside the equality subgraph: row by row,
     # each row takes its first free tight column
     for i in range(n):
-        for j in range(n):
-            if match_of_col[j] < 0 and y_u[i] + y_v[j] - A[i, j] <= TOL:
-                match_of_col[j] = i
-                match_of_row[i] = j
+        free = np.flatnonzero((match_of_col < 0) & (y_u[i] + y_v - A[i] <= TOL))
+        if free.size:
+            match_of_col[free[0]], match_of_row[i] = i, free[0]
+
+    in_row = None  # the rows of the alternating tree being grown, if any
+    while not (y_u + y_v - diag <= TOL).all():
+        # grow trees from unmatched rows and augment along them until the
+        # current tree has no tight column outside it; then lower its labels
+        while True:
+            if in_row is None:
+                unmatched = np.flatnonzero(match_of_row < 0)
+                if not unmatched.size:
+                    # perfect matching, diagonal still slack: the diagonal is
+                    # not an optimal assignment, so d lies outside the region
+                    raise InfeasibleGdof("no feasible power allocation achieves d")
+                root = unmatched[0]
+                in_row, in_col = np.arange(n) == root, np.zeros(n, dtype=bool)
+                prev_col = np.full(n, -1)  # tree row that discovered each column
+                slack, slack_row = y_u[root] + y_v - A[root], np.full(n, root)
+            out = ~in_col
+            tight = out & (slack <= TOL)
+            j = tight.argmax()
+            if not tight[j]:
                 break
-
-    def make_result():
-        labels = LabelPair(y_u=y_u.copy(), y_v=y_v.copy())
-        r = _full_power(alpha, am.subset, y_u)
-        if not return_trace:
-            return r, labels
-        trace = KmTrace(
-            initial_y_u=initial_y_u, initial_y_v=initial_y_v,
-            alpha_l=tuple(trace_alpha),
-            y_u_after=tuple(trace_yu), y_v_after=tuple(trace_yv),
-        )
-        return r, labels, trace
-
-    while True:
-        if diag_tight():
-            return make_result()
-        try:
-            root = match_of_row.index(-1)
-        except ValueError:
-            # perfect matching, diagonal still slack: the diagonal is not an
-            # optimal assignment, so the target lies outside the region
-            raise InfeasibleGdof("no feasible power allocation achieves d")
-
-        in_tree_row = [False] * n
-        in_tree_col = [False] * n
-        in_tree_row[root] = True
-        prev_col = [-1] * n  # tree row that discovered each column
-        slack = y_u[root] + y_v - A[root]
-        slack_row = [root] * n
-
-        augmented = False
-        while not augmented:
-            j = next((j for j in range(n) if not in_tree_col[j] and slack[j] <= TOL), -1)
-            if j < 0:
-                alpha_l = min(slack[j] for j in range(n) if not in_tree_col[j])
-                if rounds > n * n + n:
-                    # each update adds a tight column to some tree, so this
-                    # bound cannot be reached; guard against stalls anyway
-                    raise RuntimeError("label updates exceeded the n^2 bound")
-                for i in range(n):
-                    if in_tree_row[i]:
-                        y_u[i] -= alpha_l
-                    if in_tree_col[i]:
-                        y_v[i] += alpha_l
-                    else:
-                        slack[i] -= alpha_l
-                rounds += 1
-                if return_trace:
-                    trace_alpha.append(float(alpha_l))
-                    trace_yu.append(y_u.copy())
-                    trace_yv.append(y_v.copy())
-                if diag_tight():
-                    return make_result()
-                continue
-
             prev_col[j] = slack_row[j]
             owner = match_of_col[j]
-            if owner < 0:
-                # augmenting path found: flip matches back to the root
-                while True:
-                    row = prev_col[j]
-                    old = match_of_row[row]
-                    match_of_col[j] = row
-                    match_of_row[row] = j
-                    if old < 0:
-                        break
-                    j = old
-                augmented = True
-            else:
-                in_tree_col[j] = True
-                in_tree_row[owner] = True
+            if owner >= 0:
+                in_col[j] = in_row[owner] = True
                 new_slack = y_u[owner] + y_v - A[owner]
-                for jj in range(n):
-                    if new_slack[jj] < slack[jj]:
-                        slack[jj] = new_slack[jj]
-                        slack_row[jj] = owner
+                lower = new_slack < slack
+                slack[lower], slack_row[lower] = new_slack[lower], owner
+                continue
+            # augmenting path found: flip matches back to the root
+            while j >= 0:
+                row = prev_col[j]
+                match_of_col[j] = row
+                match_of_row[row], j = j, match_of_row[row]
+            in_row = None
+
+        if len(trace_alpha) > n * n + n:
+            # each update adds a tight column to some tree, so this bound
+            # cannot be reached; guard against stalls anyway
+            raise RuntimeError("label updates exceeded the n^2 bound")
+        alpha_l = slack[out].min()
+        y_u[in_row] -= alpha_l
+        y_v[in_col] += alpha_l
+        slack[out] -= alpha_l
+        trace_alpha.append(float(alpha_l))
+        if return_trace:
+            trace_yu.append(y_u.copy())
+            trace_yv.append(y_v.copy())
+
+    r, labels = _full_power(alpha, am.subset, y_u), LabelPair(y_u=y_u, y_v=y_v)
+    if not return_trace:
+        return r, labels
+    return r, labels, KmTrace(initial_y_u, initial_y_v, tuple(trace_alpha),
+                              tuple(trace_yu), tuple(trace_yv))
 
 
 def solve_power_potentials(alpha: ChannelMatrix, d, subset=None):
@@ -321,16 +285,17 @@ def solve_power_auction(alpha: ChannelMatrix, d, subset=None,
     settle, a diagonal that weighs less than the pairs they assigned, by more
     than TOL, is not an optimal assignment, and the target is declared
     infeasible (InfeasibleGdof). Otherwise the powers are read off the
-    diagonal, r_i = y_v_i - A_ii, and sit within |subset|*epsilon of the
-    centralized minimal ones.
+    diagonal, r_i = y_v_i - A_ii, clipped at full power (r_i <= 0), and sit
+    within |subset|*epsilon of the centralized minimal ones.
 
     ``snap`` skips the auction: once epsilon is checked, it returns
     ``solve_power_hungarian``'s exact labels for the same instance without
     placing a bid. The bid count is capped at
     ceil(10 n^2 max(A)/epsilon) + n, beyond which the target is declared
     infeasible (or epsilon too large to resolve it). A cap above
-    ``BID_CEILING`` raises EpsilonTooSmall before any bid, and so does a
-    nonpositive, infinite or NaN epsilon (as ValueError).
+    ``BID_CEILING``, infinite ones included, raises EpsilonTooSmall before
+    any bid, and so does a nonpositive, infinite or NaN epsilon (as
+    ValueError).
     """
     if not (0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -341,7 +306,8 @@ def solve_power_auction(alpha: ChannelMatrix, d, subset=None,
     if snap:
         return solve_power_hungarian(alpha, d, subset)
 
-    bid_cap = int(math.ceil(10.0 * n * n * float(A.max()) / epsilon)) + n
+    bids_needed = 10.0 * n * n * float(A.max()) / epsilon  # inf for a tiny epsilon
+    bid_cap = int(math.ceil(bids_needed)) + n if bids_needed < math.inf else math.inf
     if bid_cap > BID_CEILING:
         raise EpsilonTooSmall(
             f"epsilon {epsilon:g} needs a cap of {bid_cap} bids on {n} users, "
@@ -377,9 +343,11 @@ def solve_power_auction(alpha: ChannelMatrix, d, subset=None,
     if np.trace(A) < A[bidders, won].sum() - TOL:
         raise InfeasibleGdof("no feasible power allocation achieves d")
     # labels off the diagonal: y_u_i = A_ii - y_v_i for every assigned
-    # bidder, and its best value (below epsilon) for every other one
+    # bidder, and its best value (below epsilon) for every other one; both
+    # clipped at 0, since overbidding can lift a price above A_ii where the
+    # minimal power is full power
     y_u = np.maximum(0.0, (A - prices).max(axis=1))
-    y_u[bidders] = np.diag(A)[bidders] - prices[bidders]
+    y_u[bidders] = np.maximum(0.0, np.diag(A)[bidders] - prices[bidders])
     labels = LabelPair(y_u=y_u, y_v=prices.copy())
     return _full_power(alpha, am.subset, y_u), labels
 

@@ -863,13 +863,33 @@ def test_check_skips_the_zero_edge_condition_past_its_cap(capsys, tmp_path):
 
 
 def test_power_auction_rejects_unreachable_epsilon(net_a):
-    # the bid cap for epsilon 1e-9 is about 1.35e11 bids: refused before the
-    # first bid as a usage error
-    proc = subprocess.run([sys.executable, "-m", "tinq.cli", "power", "--network", net_a,
-                           "--gdof", "0.5,0.6,0.7", "--solver", "auction",
-                           "--epsilon", "1e-9"], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: epsilon 1e-09 needs a cap of 135000000003 bids")
+    # the bid cap for epsilon 1e-9 is about 1.35e11 bids, and a subnormal
+    # epsilon's overflows a float (its conversion to an int used to raise
+    # OverflowError): each refused before the first bid as a usage error
+    for epsilon, says in (("1e-9", "1e-09 needs a cap of 135000000003 bids"),
+                          ("1e-310", "1e-310 needs a cap of inf bids"),
+                          ("5e-324", "4.94066e-324 needs a cap of inf bids")):
+        proc = subprocess.run([sys.executable, "-m", "tinq.cli", "power", "--network", net_a,
+                               "--gdof", "0.5,0.6,0.7", "--solver", "auction",
+                               "--epsilon", epsilon], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: epsilon {says}")
+        assert proc.stderr.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("weights, gdof", [("1,2,1", "1.0,1.0,0.5"), ("3,1,1", "2.0,0.3,0.2")])
+def test_power_auction_answers_boundary_targets(capsys, net_a, weights, gdof):
+    # LP optima where a user's minimal power is full power: overbidding
+    # lifted its price above A_ii, and the auction's power above 0 was refused
+    code, out = run(capsys, ["sumgdof", "--network", net_a, "--weights", weights])
+    assert code == 0 and out["d"] == [float(v) for v in gdof.split(",")]
+    code, exact = run(capsys, ["power", "--network", net_a, "--gdof", gdof])
+    assert code == 0 and max(exact["r"]) == pytest.approx(0.0, abs=1e-12)
+    code, out = run(capsys, ["power", "--network", net_a, "--gdof", gdof,
+                             "--solver", "auction"])
+    assert code == 0
+    np.testing.assert_allclose(out["r"], exact["r"], rtol=0, atol=3 * power.DEFAULT_EPSILON)
 
 
 @pytest.mark.parametrize("argv, setting", [

@@ -112,6 +112,10 @@ def test_auction_refuses_bid_cap_above_ceiling(monkeypatch):
     monkeypatch.setattr(power, "BID_CEILING", 13500002)
     with pytest.raises(EpsilonTooSmall):
         solve_power_auction(NETWORK_A, D_REF, epsilon=1e-5)
+    # a subnormal epsilon makes the cap overflow a float: refused, not an
+    # OverflowError from its conversion to an int
+    with pytest.raises(EpsilonTooSmall, match="cap of inf bids"):
+        solve_power_auction(NETWORK_A, D_REF, epsilon=1e-310)
 
 
 @pytest.mark.parametrize("epsilon", [np.inf, np.nan, 0.0, -1e-5])
@@ -183,6 +187,36 @@ def test_auction_tracks_hungarian(k, seed):
     on = np.isfinite(r_h.r)
     np.testing.assert_array_equal(on, np.isfinite(r_a.r))
     assert np.all(np.abs(r_a.r[on] - r_h.r[on]) <= k * eps + 1e-12)
+
+
+@given(st.integers(1, 8), st.booleans(), st.integers(0, 2**31 - 1))
+def test_hungarian_label_states(k, grid, seed):
+    # labels start at A's row maxima and zero; each round lowers y_u and
+    # raises y_v by a decrement above TOL; every state is dual feasible; the
+    # last state is the answer. Weak cross links make about half the draws
+    # run label rounds. On the 0.25 grid the target is rounded down, which
+    # keeps it inside the region
+    rng = np.random.default_rng(seed)
+    alpha = random_alpha(rng, k, cross_hi=1.0)
+    if grid:
+        alpha = ChannelMatrix(np.round(alpha.alpha * 4) / 4)
+    d = achieved_gdof(alpha, PowerAlloc(rng.uniform(-1.5, 0.0, size=k))).d
+    if grid:
+        d = np.floor(d * 4) / 4
+    _, labels, trace = solve_power_hungarian(alpha, d, return_trace=True)
+    a = build_assignment_matrix(alpha, d).A
+    assert np.array_equal(trace.initial_y_u, a.max(axis=1, initial=0.0))
+    assert not trace.initial_y_v.any()
+    assert all(step > TOL for step in trace.alpha_l)
+    states = [(trace.initial_y_u, trace.initial_y_v),
+              *zip(trace.y_u_after, trace.y_v_after)]
+    for (y_u, y_v), (next_u, next_v) in zip(states, states[1:]):
+        assert np.all(next_u <= y_u) and np.all(next_v >= y_v)
+    for y_u, y_v in states:
+        assert (y_u[:, None] + y_v - a).min(initial=0.0) >= -TOL
+    assert _bits(states[-1][0]) == _bits(labels.y_u)
+    assert _bits(states[-1][1]) == _bits(labels.y_v)
+    assert trace.rounds == len(trace.y_u_after) == len(trace.y_v_after)
 
 
 @given(st.integers(1, 7), st.integers(0, 2**31 - 1))
@@ -357,8 +391,8 @@ def test_potentials_edge_cases():
 
 
 def test_hungarian_matches_loop_reference_edge_cases():
-    # solve_power_hungarian is the per-element loop; its edge cases are
-    # checked directly, traced and untraced. One link (its diagonal is its
+    # the edge cases of solve_power_hungarian's array steps, checked
+    # directly, traced and untraced. One link (its diagonal is its
     # row maximum), and dominant direct links with small targets, which make
     # every diagonal entry its row maximum: the diagonal is tight at the
     # start, so no label round runs

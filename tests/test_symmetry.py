@@ -21,10 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import random_alpha
-from tinq.model import ChannelMatrix, GdofTuple
-from tinq.optimize import max_weighted_gdof_exact, max_weighted_gdof_lp
-from tinq.power import solve_power_hungarian, solve_power_potentials
+from tinq.model import TOL, ChannelMatrix, GdofTuple, realize_network
+from tinq.optimize import decentralized_gp, max_weighted_gdof_exact, max_weighted_gdof_lp
+from tinq.power import (DEFAULT_EPSILON, solve_power_auction, solve_power_hungarian,
+                        solve_power_potentials)
 from tinq.region import check_conditions, contains, tina_polytope
+from tinq.schedule import flashlinq_schedule, itlinq_plus_schedule, itlinq_schedule
 
 SCALES = (0.5, 2.0, 3.0)
 
@@ -42,14 +44,20 @@ def draw(seed: int):
     return ChannelMatrix(a), w, rng
 
 
+def half_lp_point(d_lp: np.ndarray) -> np.ndarray:
+    """Half the LP point with its entries below 1e-6 switched off, a power
+    target inside the region, since the region is convex and holds the
+    origin."""
+    return np.where(d_lp > 1e-6, d_lp / 2.0, 0.0)
+
+
 def answers(alpha: ChannelMatrix, w: np.ndarray, target=None) -> SimpleNamespace:
-    """Every solver's answer on one network. The power target defaults to half
-    the LP point with its entries below 1e-6 switched off, which lies inside
-    the region, since the region is convex and holds the origin."""
+    """Every solver's answer on one network. The power target defaults to
+    ``half_lp_point``."""
     d_lp, lp = max_weighted_gdof_lp(alpha, w=w)
     d_ex, sub_ex, ex = max_weighted_gdof_exact(alpha, w)
     if target is None:
-        target = np.where(d_lp.d > 1e-6, d_lp.d / 2.0, 0.0)
+        target = half_lp_point(d_lp.d)
     rep = check_conditions(alpha)
     return SimpleNamespace(
         bounds=tina_polytope(alpha).constraints,
@@ -92,6 +100,37 @@ def test_relabeling_users_permutes_every_answer(seed):
     assert np.array_equal(moved.gnaj[back], base.gnaj)
     assert np.array_equal(moved.c1[back], base.c1)
     assert moved.c2 == base.c2
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**31 - 1))
+def test_relabeling_users_permutes_auction_dgp_and_schedules(seed):
+    # the auction's bids follow user order, so relabeled powers agree within
+    # its |S|*eps gap; dgp and the schedulers move exactly with the users,
+    # each scheduler with its priority order relabeled along
+    alpha, w, rng = draw(seed)
+    pi = rng.permutation(alpha.K)
+    back = np.argsort(pi)
+    moved = ChannelMatrix(alpha.alpha[np.ix_(pi, pi)])
+    target = half_lp_point(max_weighted_gdof_lp(alpha, w=w)[0].d)
+    gap = np.count_nonzero(target > TOL) * DEFAULT_EPSILON
+    for solve, arg, atol in (
+            (solve_power_auction, target, gap + 1e-12),
+            (lambda a, w_: decentralized_gp(a, w=w_, iters=300), w, 1e-12)):
+        r = solve(alpha, arg)[0].r
+        r_moved = solve(moved, arg[pi])[0].r[back]
+        np.testing.assert_array_equal(np.isfinite(r_moved), np.isfinite(r))
+        live = np.isfinite(r)
+        np.testing.assert_allclose(r_moved[live], r[live], rtol=0, atol=atol)
+
+    priority = rng.permutation(alpha.K)
+    snr_tab = realize_network(alpha, 1e4).nominal_snr()
+    snr_moved = snr_tab[np.ix_(pi, pi)]
+    for schedule in (itlinq_plus_schedule, itlinq_schedule, flashlinq_schedule):
+        sel = schedule(np.diag(snr_tab), snr_tab, priority=priority).selected
+        sel_moved = schedule(np.diag(snr_moved), snr_moved,
+                             priority=back[priority]).selected
+        assert pi[list(sel_moved)].tolist() == list(sel), schedule.__name__
 
 
 @settings(max_examples=75)
