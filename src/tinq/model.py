@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 TOL = 1e-9  # absolute tolerance of every weight, bound and label comparison
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def check_subset(K: int, subset, allow_empty: bool = False) -> tuple[int, ...]:
@@ -57,8 +58,10 @@ def check_size(what: str, n: int, cap: int) -> None:
 
 
 def db_to_linear(x_db):
-    """10^(x/10), elementwise."""
-    return np.power(10.0, np.asarray(x_db, dtype=float) / 10.0)
+    """10^(x/10), elementwise; a ratio that overflows a float is inf, without
+    a warning, for the caller's finiteness check to reject."""
+    with np.errstate(over="ignore"):
+        return np.power(10.0, np.asarray(x_db, dtype=float) / 10.0)
 
 
 def db_setting(name: str, value_db: float) -> float:
@@ -83,6 +86,16 @@ def check_reference_power(p) -> float:
     return float(p)
 
 
+def check_realized(reference_power: float, strengths, *levels) -> None:
+    """DomainError naming the reference power when any of ``levels``, P
+    raised to ``strengths`` with overflow warnings off, overflowed a float."""
+    if any(np.isinf(level).any() for level in levels):
+        raise DomainError(
+            f"reference power {reference_power:g} raised to strength "
+            f"{np.max(strengths):g} overflows a float"
+        )
+
+
 def _readonly(a, own: bool = False) -> np.ndarray:
     """``a`` as a read-only float array: a copy, or with ``own`` the float64
     array itself, which the caller hands over and no longer writes."""
@@ -105,7 +118,8 @@ def _handed_over(cls, **fields):
 @dataclass(frozen=True, eq=False)
 class ChannelMatrix:
     """K x K matrix of channel strength exponents (log-P scale), entry (i, j)
-    is the strength of link Tx-i -> Rx-j. Entries finite and >= 0.
+    is the strength of link Tx-i -> Rx-j. Entries >= 0 and at most
+    1.8e308 / K, so that every sum over the K users is finite.
 
     The constructor copies the caller's array into a read-only one of its
     own; tinq's own builders hand over the arrays they made instead."""
@@ -122,6 +136,9 @@ class ChannelMatrix:
             raise ShapeError("alpha entries must be finite")
         if np.any(a < 0):
             raise ShapeError("alpha entries must be nonnegative")
+        if a.max() > _FLOAT_MAX / a.shape[0]:
+            raise ShapeError(f"alpha entries of a {a.shape[0]}-user network must be at "
+                             f"most {_FLOAT_MAX / a.shape[0]:g}, so that their sums are finite")
         object.__setattr__(self, "alpha", _readonly(a, own))
 
     @property
@@ -208,8 +225,13 @@ class PhysicalNetwork:
         object.__setattr__(self, "gains", _readonly(g, own))
         object.__setattr__(self, "max_tx_power", _readonly(p))
         object.__setattr__(self, "noise_power", float(self.noise_power))
-        snr = self.gains * self.max_tx_power[:, None]
-        snr /= self.noise_power
+        with np.errstate(over="ignore"):
+            snr = self.gains * self.max_tx_power[:, None]
+            snr /= self.noise_power
+        over = np.isinf(snr)
+        if over.any():
+            i, j = np.argwhere(over)[0]
+            raise ShapeError(f"nominal SNR of Tx-{i} at Rx-{j} overflows a float")
         snr.setflags(write=False)
         object.__setattr__(self, "_nominal_snr", snr)
 
@@ -247,11 +269,7 @@ def realize_network(alpha: ChannelMatrix, reference_power: float) -> PhysicalNet
     reference_power = check_reference_power(reference_power)
     with np.errstate(over="ignore"):
         gains = np.power(reference_power, alpha.alpha)
-    if np.isinf(gains).any():
-        raise DomainError(
-            f"reference power {reference_power:g} raised to strength "
-            f"{alpha.alpha.max():g} overflows a float"
-        )
+    check_realized(reference_power, alpha.alpha, gains)
     return _handed_over(
         PhysicalNetwork,
         gains=gains,
@@ -263,11 +281,8 @@ def realize_network(alpha: ChannelMatrix, reference_power: float) -> PhysicalNet
 
 def _interference_exponent(alpha: ChannelMatrix, r: np.ndarray) -> np.ndarray:
     """max{0, max_{i != j} (alpha_ij + r_i)} for every receiver j."""
-    k = alpha.K
     levels = alpha.alpha + r[:, None]  # (i, j): interference exponent of Tx-i at Rx-j
     np.fill_diagonal(levels, -np.inf)
-    if k == 1:
-        return np.zeros(1)
     return np.maximum(0.0, levels.max(axis=0))
 
 

@@ -1,7 +1,7 @@
 """Globally minimal power allocation for a target GDoF tuple.
 
-The target d (one rule, ``_active_target``, says which users it keeps
-active) defines over its active subset the square input matrix
+The target d (one reader, ``build_assignment_matrix``, says which users it
+keeps active) defines over its active subset the square input matrix
 
     A_ij = alpha_ij (i != j),   A_jj = alpha_jj - d_j,
 
@@ -38,7 +38,6 @@ from .exceptions import (
 from .model import TOL, ChannelMatrix, GdofTuple, PowerAlloc, check_subset
 
 __all__ = [
-    "AssignmentMatrix",
     "LabelPair",
     "KmTrace",
     "build_assignment_matrix",
@@ -53,18 +52,6 @@ DEFAULT_EPSILON = 1e-5
 # before the first bid instead of bidding for minutes. The default epsilon on
 # up to 22 active users of strength <= 2 stays below it.
 BID_CEILING = 10**9
-
-
-@dataclass(frozen=True)
-class AssignmentMatrix:
-    """Input matrix of the assignment problem over the active subset."""
-
-    A: np.ndarray
-    subset: tuple
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
 
 
 @dataclass(frozen=True)
@@ -92,12 +79,15 @@ class KmTrace:
         return len(self.alpha_l)
 
 
-def _active_target(alpha: ChannelMatrix, d, subset=None) -> tuple[np.ndarray, tuple]:
-    """The one rule for a GDoF target: (d as a float vector, active users).
+def build_assignment_matrix(alpha: ChannelMatrix, d, subset=None) -> tuple[np.ndarray, tuple]:
+    """The one reader of a GDoF target: (A, active users), where
+    A_ij = alpha_ij off the diagonal and alpha_jj - d_j on it.
 
     d must have K entries, none NaN or below -TOL. Users whose target is at
     most TOL are off and the rest are active; subset=None takes every active
-    user, and an explicit subset may name active users only.
+    user, and an explicit subset may name active users only. A target more
+    than TOL above its direct strength is rejected outright; one within TOL
+    above it reads as the direct strength, so A stays nonnegative.
     """
     dv = d.d if isinstance(d, GdofTuple) else np.asarray(d, dtype=float).reshape(-1)
     if dv.size != alpha.K:
@@ -105,33 +95,25 @@ def _active_target(alpha: ChannelMatrix, d, subset=None) -> tuple[np.ndarray, tu
     if np.any(np.isnan(dv)) or np.any(dv < -TOL):
         raise ValueError("GDoF targets must be nonnegative")
     if subset is None:
-        return dv, tuple(np.flatnonzero(dv > TOL).tolist())
-    idx = check_subset(alpha.K, subset, allow_empty=True)
-    for k in idx:
-        if dv[k] <= TOL:
-            raise ValueError(
-                f"user {k} has target {dv[k]}; zero-GDoF users must be removed first"
-            )
-    return dv, idx
-
-
-def build_assignment_matrix(alpha: ChannelMatrix, d, subset=None) -> AssignmentMatrix:
-    """A_ij = alpha_ij off the diagonal, alpha_jj - d_j on it, over the active
-    users of ``_active_target``. A target above the direct strength makes
-    the diagonal negative and is rejected outright.
-    """
-    dv, idx = _active_target(alpha, d, subset)
+        idx = tuple(np.flatnonzero(dv > TOL).tolist())
+    else:
+        idx = check_subset(alpha.K, subset, allow_empty=True)
+        for k in idx:
+            if dv[k] <= TOL:
+                raise ValueError(
+                    f"user {k} has target {dv[k]}; zero-GDoF users must be removed first"
+                )
     ix = np.array(idx, dtype=int)
     direct = alpha.alpha[ix, ix]
-    above = dv[ix] > direct
+    above = dv[ix] > direct + TOL
     if above.any():
         k = idx[int(above.argmax())]  # the first offender in subset order
         raise ImmediatelyInfeasible(
             f"target d_{k}={dv[k]} exceeds direct strength {alpha.alpha[k, k]}"
         )
     a = alpha.alpha[np.ix_(ix, ix)]
-    np.fill_diagonal(a, direct - dv[ix])
-    return AssignmentMatrix(A=a, subset=idx)
+    np.fill_diagonal(a, np.maximum(direct - dv[ix], 0.0))
+    return a, idx
 
 
 def _full_power(alpha: ChannelMatrix, subset, y_u) -> PowerAlloc:
@@ -156,8 +138,8 @@ def solve_power_hungarian(alpha: ChannelMatrix, d, subset=None,
     Returns (PowerAlloc, LabelPair), plus a KmTrace when ``return_trace``;
     the label states are only recorded then.
     """
-    am = build_assignment_matrix(alpha, d, subset)
-    n, A = am.n, am.A
+    A, idx = build_assignment_matrix(alpha, d, subset)
+    n = len(idx)
     y_u = A.max(axis=1) if n else np.zeros(0)  # initial=0.0 can flip a zero's sign
     y_v, diag = np.zeros(n), np.diag(A)
     initial_y_u, initial_y_v = y_u.copy(), y_v.copy()
@@ -219,7 +201,7 @@ def solve_power_hungarian(alpha: ChannelMatrix, d, subset=None,
             trace_yu.append(y_u.copy())
             trace_yv.append(y_v.copy())
 
-    r, labels = _full_power(alpha, am.subset, y_u), LabelPair(y_u=y_u, y_v=y_v)
+    r, labels = _full_power(alpha, idx, y_u), LabelPair(y_u=y_u, y_v=y_v)
     if not return_trace:
         return r, labels
     return r, labels, KmTrace(initial_y_u, initial_y_v, tuple(trace_alpha),
@@ -249,8 +231,8 @@ def solve_power_potentials(alpha: ChannelMatrix, d, subset=None):
 
     Returns (PowerAlloc, LabelPair).
     """
-    am = build_assignment_matrix(alpha, d, subset)
-    n, cross = am.n, am.A
+    cross, idx = build_assignment_matrix(alpha, d, subset)
+    n = len(idx)
     if n == 0:
         return PowerAlloc(np.full(alpha.K, -np.inf)), LabelPair(np.zeros(0), np.zeros(0))
     base = -np.diag(cross)
@@ -263,7 +245,7 @@ def solve_power_potentials(alpha: ChannelMatrix, d, subset=None):
             break
         if not np.any(new > r + TOL):
             labels = LabelPair(y_u=-new, y_v=new - base)
-            return _full_power(alpha, am.subset, labels.y_u), labels
+            return _full_power(alpha, idx, labels.y_u), labels
         # exact: r only rises, so the maxima over all rows are the old ones
         # raised by the changed rows' new terms
         changed = new != r
@@ -299,8 +281,8 @@ def solve_power_auction(alpha: ChannelMatrix, d, subset=None,
     """
     if not (0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    am = build_assignment_matrix(alpha, d, subset)
-    n, A = am.n, am.A
+    A, idx = build_assignment_matrix(alpha, d, subset)
+    n = len(idx)
     if n == 0:
         return PowerAlloc(np.full(alpha.K, -np.inf)), LabelPair(np.zeros(0), np.zeros(0))
     if snap:
@@ -349,16 +331,16 @@ def solve_power_auction(alpha: ChannelMatrix, d, subset=None,
     y_u = np.maximum(0.0, (A - prices).max(axis=1))
     y_u[bidders] = np.maximum(0.0, np.diag(A)[bidders] - prices[bidders])
     labels = LabelPair(y_u=y_u, y_v=prices.copy())
-    return _full_power(alpha, am.subset, y_u), labels
+    return _full_power(alpha, idx, y_u), labels
 
 
 def is_feasible(alpha: ChannelMatrix, d) -> bool:
     """Whether the target tuple is TIN-achievable, by assignment solvability
-    over its active users (``_active_target``): a target above its direct
-    strength, or potentials that do not settle at or below zero power
-    (``solve_power_potentials``), are infeasible. The verdict agrees with
-    ``solve_power_hungarian``'s and with membership in the achievable region;
-    a malformed target raises as it does there.
+    over its active users (``build_assignment_matrix``): a target more than
+    TOL above its direct strength, or potentials that do not settle at or
+    below zero power (``solve_power_potentials``), are infeasible. The
+    verdict agrees with ``solve_power_hungarian``'s and with membership in
+    the achievable region; a malformed target raises as it does there.
     """
     try:
         solve_power_potentials(alpha, d)

@@ -288,7 +288,7 @@ def _allocate(net: PhysicalNetwork, alpha: ChannelMatrix, selected: tuple,
         r, _ = gp_then_assignment(net, subset=selected)
     else:  # lp+assignment
         d, _ = max_weighted_gdof_lp(alpha, selected)
-        r, _ = solve_power_potentials(alpha, np.minimum(d.d, np.diag(alpha.alpha)))
+        r, _ = solve_power_potentials(alpha, d)
     live = np.isfinite(r.r)
     frac[live] = net.reference_power ** r.r[live]
     return frac

@@ -283,7 +283,8 @@ def assignment_matrix_loop(alpha: ChannelMatrix, d, subset=None):
     """``build_assignment_matrix`` user by user: (A, subset), with the same
     errors. The whole target is checked before any strength: NaN or an entry
     below -TOL, then, in subset order, a user whose target is at most TOL,
-    then the first target above its direct strength."""
+    then the first target more than TOL above its direct strength. A target
+    within TOL above it gives a zero diagonal entry."""
     dv = d.d if isinstance(d, GdofTuple) else np.asarray(d, dtype=float).reshape(-1)
     if dv.size != alpha.K:
         raise ShapeError(f"d has {dv.size} entries for a {alpha.K}-user network")
@@ -299,13 +300,13 @@ def assignment_matrix_loop(alpha: ChannelMatrix, d, subset=None):
                 f"user {k} has target {dv[k]}; zero-GDoF users must be removed first"
             )
     for k in idx:
-        if dv[k] > alpha.alpha[k, k]:
+        if dv[k] > alpha.alpha[k, k] + TOL:
             raise ImmediatelyInfeasible(
                 f"target d_{k}={dv[k]} exceeds direct strength {alpha.alpha[k, k]}"
             )
     a = alpha.alpha[np.ix_(idx, idx)].copy()
     for p, k in enumerate(idx):
-        a[p, p] = alpha.alpha[k, k] - dv[k]
+        a[p, p] = max(alpha.alpha[k, k] - dv[k], 0.0)
     return a, idx
 
 

@@ -131,7 +131,7 @@ def test_criterion_4_global_minimality_oracle():
             continue
         done += 1
         r, labels = solve_power_hungarian(alpha, d)
-        y_u, y_v = lp_dual_labels(build_assignment_matrix(alpha, d).A)
+        y_u, y_v = lp_dual_labels(build_assignment_matrix(alpha, d)[0])
         worst_label = max(worst_label,
                           float(np.max(np.abs(labels.y_u - y_u))),
                           float(np.max(np.abs(labels.y_v - y_v))))

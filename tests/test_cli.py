@@ -422,14 +422,14 @@ def test_highs_solve_error_never_exits_1(net_b, argv):
         assert proc.stderr.startswith("error: LP solve failed at largest weight ")
 
 
+@pytest.mark.filterwarnings("error")
 def test_physical_network_with_infinite_reference_power_exits_2(capsys, tmp_path):
     # 10^(4000/10) is inf as a float: no log-P scale, so no region to print
     path = tmp_path / "phys.json"
     path.write_text(json.dumps({"k": 2, "gains_db": [[0, -20], [-20, 0]],
                                 "tx_power_dbm": [30, 30], "noise_dbm": -40,
                                 "ref_snr_db": 4000}))
-    with np.errstate(over="ignore"):
-        code = dispatch(["region", "--network", str(path)])
+    code = dispatch(["region", "--network", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == ("error: bad physical network: reference power must be "

@@ -71,7 +71,7 @@ SUBSET_FUNCS = {
     "converse_g_bound": lambda s: converse_g_bound(NETWORK_A, s),
     "solve_power_hungarian": lambda s: solve_power_hungarian(NETWORK_A, D, s)[0].r.tolist(),
     "solve_power_auction": lambda s: solve_power_auction(NETWORK_A, D, s)[0].r.tolist(),
-    "build_assignment_matrix": lambda s: build_assignment_matrix(NETWORK_A, D, s).subset,
+    "build_assignment_matrix": lambda s: build_assignment_matrix(NETWORK_A, D, s)[1],
     "max_weighted_gdof_lp": lambda s: max_weighted_gdof_lp(NETWORK_A, s)[0].d.tolist(),
     "gp_power_control": lambda s: gp_power_control(PHYS_A, s).subset,
     "decentralized_gp": lambda s: decentralized_gp(NETWORK_A, s, iters=20)[1].d.tolist(),

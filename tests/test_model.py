@@ -216,6 +216,25 @@ def test_realize_network_overflow_names_reference_power():
     assert net.gains.tobytes() == np.power(1e150, NETWORK_A.alpha).tobytes()
 
 
+def test_overflowing_physical_inputs_raise_without_warnings():
+    # a dB ratio that overflows is inf and fails the network's own checks; a
+    # nominal SNR that overflows is named, not read as an infinite strength
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert db_to_linear([4000.0, 20.0])[0] == np.inf
+        with pytest.raises(ShapeError, match=r"^nominal SNR of Tx-1 at Rx-1 overflows a float$"):
+            PhysicalNetwork(gains=np.diag([1.0, 1e300]), max_tx_power=[1.0, 10.0],
+                            noise_power=1e-10, reference_power=1e4)
+
+
+def test_alpha_entries_must_keep_their_sums_finite():
+    big = np.finfo(float).max / 2
+    assert ChannelMatrix([[big, 0.5], [0.2, big]]).alpha[0, 0] == big
+    with pytest.raises(ShapeError, match="must be at most 8.98847e[+]307, so that their sums"):
+        ChannelMatrix([[np.nextafter(big, np.inf), 0.5], [0.2, 1.0]])
+    assert ChannelMatrix([[1e308]]).K == 1
+
+
 def test_db_helpers():
     assert db_to_linear(30.0) == pytest.approx(1000.0)
     assert 10.0 * math.log10(db_to_linear(-7.3)) == pytest.approx(-7.3)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from oracles import (assignment_matrix_loop, lp_dual_labels, potentials_full_rounds,
@@ -15,6 +15,7 @@ from tinq import (
     achieved_gdof,
     build_assignment_matrix,
     is_feasible,
+    max_weighted_gdof_lp,
     solve_power_auction,
     solve_power_hungarian,
 )
@@ -32,22 +33,22 @@ D_REF = GdofTuple([0.5, 0.6, 0.7])
 
 
 def test_assignment_matrix_full():
-    am = build_assignment_matrix(NETWORK_A, D_REF)
+    a, subset = build_assignment_matrix(NETWORK_A, D_REF)
     expect = np.array([
         [1.5, 0.5, 0.1],
         [0.2, 0.4, 0.5],
         [1.0, 0.5, 0.8],
     ])
-    assert am.subset == (0, 1, 2)
-    np.testing.assert_allclose(am.A, expect, atol=1e-12)
+    assert subset == (0, 1, 2)
+    np.testing.assert_allclose(a, expect, atol=1e-12)
 
 
 def test_assignment_matrix_subset():
-    am = build_assignment_matrix(
+    a, subset = build_assignment_matrix(
         NETWORK_A, GdofTuple([1.0, 0.5, 0.0]), subset=(0, 1)
     )
-    np.testing.assert_allclose(am.A, [[1.0, 0.5], [0.2, 0.5]], atol=1e-12)
-    assert am.subset == (0, 1)
+    np.testing.assert_allclose(a, [[1.0, 0.5], [0.2, 0.5]], atol=1e-12)
+    assert subset == (0, 1)
 
 
 def test_hungarian_reference_solution_and_trace():
@@ -90,6 +91,43 @@ def test_is_feasible_examples():
     # raising the first entry breaks the first pair bound and the sum bound
     assert is_feasible(NETWORK_B, GdofTuple([0.5, 0.6, 0.7]))
     assert not is_feasible(NETWORK_B, GdofTuple([0.6, 0.6, 0.7]))
+
+
+# a network whose weighted LP optimum puts d_1 one ulp above alpha_11
+ULP_ALPHA = ChannelMatrix([[1.84062, 0.462, 0.863],
+                           [0.569, 1.17101, 0.048],
+                           [0.714, 0.071, 1.21063]])
+
+
+def test_target_within_tol_above_its_direct_strength_reads_as_it():
+    d, _ = max_weighted_gdof_lp(ULP_ALPHA, None, [1.54, 0.76, 1.97])
+    assert d.d[1] == np.nextafter(1.17101, np.inf)
+    assert is_feasible(ULP_ALPHA, d)
+    want = [-0.815, 0.0, -0.071]
+    for solve in (solve_power_hungarian, solve_power_potentials):
+        r, _ = solve(ULP_ALPHA, d)
+        np.testing.assert_allclose(r.r, want, atol=1e-12)
+    r, _ = solve_power_auction(ULP_ALPHA, d)
+    assert np.abs(r.r - want).max() <= 3 * power.DEFAULT_EPSILON
+    # more than TOL above it is rejected as before
+    above = d.d + [0.0, 2 * TOL, 0.0]
+    assert not is_feasible(ULP_ALPHA, above)
+    with pytest.raises(ImmediatelyInfeasible,
+                       match=r"^target d_1=1\.171010002\d* exceeds direct strength 1\.17101$"):
+        solve_power_hungarian(ULP_ALPHA, above)
+
+
+@given(st.integers(2, 7), st.integers(0, 2**31 - 1))
+@example(3, 475)
+@example(5, 1065)
+@example(7, 1241)  # the examples put an optimum one ulp above a direct strength
+def test_lp_optima_of_weak_networks_are_feasible(k, seed):
+    rng = np.random.default_rng(seed)
+    alpha = ChannelMatrix(np.round(random_alpha(rng, k, diag_lo=1.0, cross_hi=1.0).alpha, 3))
+    d, _ = max_weighted_gdof_lp(alpha, None, rng.uniform(0.5, 2.0, k))
+    assert is_feasible(alpha, d)
+    r, _ = solve_power_hungarian(alpha, d)
+    assert np.all(achieved_gdof(alpha, r).d >= d.d - TOL)
 
 
 def test_auction_reference_values():
@@ -154,7 +192,7 @@ def test_hungarian_labels_match_lp_dual(k, seed):
     _, d = feasible_target(rng, alpha)
     assume(np.any(d.d > 0))
     _, labels = solve_power_hungarian(alpha, d)
-    y_u, y_v = lp_dual_labels(build_assignment_matrix(alpha, d).A)
+    y_u, y_v = lp_dual_labels(build_assignment_matrix(alpha, d)[0])
     np.testing.assert_allclose(labels.y_u, y_u, atol=1e-7)
     np.testing.assert_allclose(labels.y_v, y_v, atol=1e-7)
 
@@ -164,7 +202,7 @@ def test_duality_and_complementary_slackness(k, seed):
     rng = np.random.default_rng(seed)
     alpha = random_alpha(rng, k)
     _, d = feasible_target(rng, alpha)
-    a = build_assignment_matrix(alpha, d).A
+    a, _ = build_assignment_matrix(alpha, d)
     _, labels = solve_power_hungarian(alpha, d)
     y_u, y_v = labels.y_u, labels.y_v
     # the diagonal is the optimal assignment, so the dual value equals its
@@ -204,7 +242,7 @@ def test_hungarian_label_states(k, grid, seed):
     if grid:
         d = np.floor(d * 4) / 4
     _, labels, trace = solve_power_hungarian(alpha, d, return_trace=True)
-    a = build_assignment_matrix(alpha, d).A
+    a, _ = build_assignment_matrix(alpha, d)
     assert np.array_equal(trace.initial_y_u, a.max(axis=1, initial=0.0))
     assert not trace.initial_y_v.any()
     assert all(step > TOL for step in trace.alpha_l)
@@ -295,7 +333,7 @@ def assert_potentials_match_hungarian(alpha, d, subset=None):
     live = np.isfinite(r0.r)
     np.testing.assert_array_equal(np.isfinite(r.r), live)
     assert np.abs(r.r[live] - r0.r[live]).max(initial=0.0) <= 1e-12
-    a = build_assignment_matrix(alpha, d, subset).A
+    a, _ = build_assignment_matrix(alpha, d, subset)
     slack = labels.y_u[:, None] + labels.y_v - a
     assert slack.min(initial=0.0) >= -1e-12
     assert np.abs(np.diag(slack)).max(initial=0.0) <= 1e-12
@@ -336,12 +374,19 @@ def test_assignment_matrix_matches_loop_reference(k, seed):
     # zero targets inside an explicit subset and targets above the direct
     # strength, in random order: the first offender in subset order decides.
     # Some entries sit on either side of the TOL rule: in [-TOL, 0) and
-    # (0, TOL] they are off, and one draw in ten has an entry below -TOL
+    # (0, TOL] they are off, and one draw in ten has an entry below -TOL.
+    # Others sit at or just above their direct strength: up to TOL above it
+    # they read as the strength itself, and beyond it they are rejected
     rng = np.random.default_rng(seed)
     alpha = random_alpha(rng, k)
     d = np.round(rng.uniform(-0.5, 3.0, size=k), 2).clip(0.0)
     edge = rng.random(k) < 0.2
     d[edge] = rng.choice([-TOL, -TOL / 2, TOL / 2, TOL, 2 * TOL], size=edge.sum())
+    near = rng.random(k) < 0.2
+    direct = np.diag(alpha.alpha)[near]
+    d[near] = np.choose(rng.integers(0, 4, size=direct.size),
+                        [direct, np.nextafter(direct, np.inf), direct + TOL / 2,
+                         direct + 2 * TOL])
     if rng.random() < 0.1:
         d[rng.integers(k)] = -2 * TOL
     subset = None if rng.random() < 0.3 else \
@@ -358,7 +403,7 @@ def test_assignment_matrix_matches_loop_reference(k, seed):
     if isinstance(want[0], type):
         assert got == want
     else:
-        assert (_bits(got.A), got.subset) == (_bits(want[0]), want[1])
+        assert (_bits(got[0]), got[1]) == (_bits(want[0]), want[1])
 
 
 def test_potentials_match_hungarian_on_drop_instances(monkeypatch):
