@@ -86,16 +86,6 @@ def check_reference_power(p) -> float:
     return float(p)
 
 
-def check_realized(reference_power: float, strengths, *levels) -> None:
-    """DomainError naming the reference power when any of ``levels``, P
-    raised to ``strengths`` with overflow warnings off, overflowed a float."""
-    if any(np.isinf(level).any() for level in levels):
-        raise DomainError(
-            f"reference power {reference_power:g} raised to strength "
-            f"{np.max(strengths):g} overflows a float"
-        )
-
-
 def _readonly(a, own: bool = False) -> np.ndarray:
     """``a`` as a read-only float array: a copy, or with ``own`` the float64
     array itself, which the caller hands over and no longer writes."""
@@ -269,7 +259,9 @@ def realize_network(alpha: ChannelMatrix, reference_power: float) -> PhysicalNet
     reference_power = check_reference_power(reference_power)
     with np.errstate(over="ignore"):
         gains = np.power(reference_power, alpha.alpha)
-    check_realized(reference_power, alpha.alpha, gains)
+    if np.isinf(gains).any():
+        raise DomainError(f"reference power {reference_power:g} raised to strength "
+                          f"{alpha.alpha.max():g} overflows a float")
     return _handed_over(
         PhysicalNetwork,
         gains=gains,

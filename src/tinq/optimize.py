@@ -398,28 +398,35 @@ def decentralized_gp(alpha: ChannelMatrix, subset=None, w=None, step=None,
     wsum = 0.0
     residuals = []
     grow = 0
-    for t in range(1, iters + 1):
-        delta = float(step(t))
-        # every user's local solve reads only last iteration's duals
-        coef = -ww - gamma[off].reshape(n, m).sum(axis=1)
-        r = np.where(coef > 0, -r_box, 0.0)
-        rp.T[off] = _local_estimate_solves(ww, gamma.T[off].reshape(n, m), lower, upper,
-                                           order, breaks).ravel()
-        gamma += delta * (rp - (a + r[:, None]))
+    # the duals add up differences of up to r_box, so strengths near the
+    # float range can overflow them: a DomainError, not an answer
+    try:
+        with np.errstate(over="raise"):
+            for t in range(1, iters + 1):
+                delta = float(step(t))
+                # every user's local solve reads only last iteration's duals
+                coef = -ww - gamma[off].reshape(n, m).sum(axis=1)
+                r = np.where(coef > 0, -r_box, 0.0)
+                rp.T[off] = _local_estimate_solves(ww, gamma.T[off].reshape(n, m), lower, upper,
+                                                   order, breaks).ravel()
+                gamma += delta * (rp - (a + r[:, None]))
 
-        wsum += delta
-        r_avg += delta * (r - r_avg) / wsum
-        rp_avg += delta * (rp - rp_avg) / wsum
-        res = float(np.abs(rp_avg - (a + r_avg[:, None]))[off].sum())
-        residuals.append(res)
-        if len(residuals) >= 2 and res > residuals[-2] + 1e-12:
-            grow += 1
-            if grow >= 100:
-                raise DivergenceDetected(
-                    f"consistency residual grew for {grow} consecutive steps"
-                )
-        else:
-            grow = 0
+                wsum += delta
+                r_avg += delta * (r - r_avg) / wsum
+                rp_avg += delta * (rp - rp_avg) / wsum
+                res = float(np.abs(rp_avg - (a + r_avg[:, None]))[off].sum())
+                residuals.append(res)
+                if len(residuals) >= 2 and res > residuals[-2] + 1e-12:
+                    grow += 1
+                    if grow >= 100:
+                        raise DivergenceDetected(
+                            f"consistency residual grew for {grow} consecutive steps"
+                        )
+                else:
+                    grow = 0
+    except FloatingPointError:
+        raise DomainError(f"decentralized GP at strength {alpha.alpha.max():g} "
+                          "overflows a float") from None
 
     r_full = np.full(alpha.K, -np.inf)
     r_full[list(idx)] = np.minimum(r_avg, 0.0)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShapeError
-from .model import (TOL, ChannelMatrix, GdofTuple, check_realized, check_reference_power,
-                    db_setting, is_finite_real)
+from .model import (TOL, ChannelMatrix, GdofTuple, check_reference_power, db_setting,
+                    is_finite_real, realize_network)
 from .optimize import max_weighted_gdof_exact, max_weighted_gdof_lp
 
 __all__ = [
@@ -276,12 +276,9 @@ def _solve_service(alpha: ChannelMatrix, w: np.ndarray, solver: str,
         # levels realized at the reference power.
         cand = [k for k in range(alpha.K) if w[k] > 0]
         cand.sort(key=lambda k: (-w[k], k))
-        a = alpha.alpha[np.ix_(cand, cand)]
-        with np.errstate(over="ignore"):
-            snr = np.array([ref_power ** x for x in np.diag(a)])
-            inr = ref_power ** a
-        check_realized(ref_power, a, snr, inr)
-        res = itlinq_plus_schedule(snr, inr)
+        block = ChannelMatrix(alpha.alpha[np.ix_(cand, cand)])
+        levels = realize_network(block, ref_power).nominal_snr()
+        res = itlinq_plus_schedule(np.diag(levels), levels)
         chosen = tuple(cand[i] for i in res.selected)
         d, _ = max_weighted_gdof_lp(alpha, chosen, w)
         return d.d

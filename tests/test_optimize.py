@@ -42,8 +42,8 @@ from tinq import (
 )
 import tinq.optimize
 from tinq import sim
-from tinq.exceptions import (ConvergenceFailure, DivergenceDetected, ShapeError,
-                             SubsetTooLarge)
+from tinq.exceptions import (ConvergenceFailure, DivergenceDetected, DomainError,
+                             ShapeError, SubsetTooLarge)
 from tinq.model import TOL, PhysicalNetwork
 from tinq.power import PowerAlloc, solve_power_hungarian, solve_power_potentials
 
@@ -202,6 +202,19 @@ def test_dgp_single_user():
 def test_dgp_rejects_zero_iterations():
     with pytest.raises(ValueError):
         decentralized_gp(NETWORK_A, iters=0)
+
+
+@pytest.mark.oldest_pins
+@pytest.mark.filterwarnings("error")
+def test_dgp_overflow_is_a_domain_error():
+    # the duals overflow a float near 9e306 on two users, with no warning
+    # and no answer computed past it; at 1e306 every value stays finite
+    huge = ChannelMatrix(np.array([[8.99e306, 0.5], [0.2, 8.99e306]]))
+    with pytest.raises(DomainError, match=r"^decentralized GP at strength 8\.99e\+306 "
+                                          r"overflows a float$"):
+        decentralized_gp(huge)
+    r, d = decentralized_gp(ChannelMatrix(np.array([[1e306, 0.5], [0.2, 1e306]])))
+    assert np.isfinite(r.r).all() and np.isfinite(d.d).all() and (r.r < 0).all()
 
 
 @pytest.mark.oldest_pins

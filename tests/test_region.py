@@ -92,7 +92,7 @@ def test_polytope_caps():
         with pytest.raises(SubsetTooLarge) as exc:
             call(net)
         assert str(exc.value) == f"{what} of {k} users exceeds its cap of {cap}"
-        assert net not in region._MEMO
+        assert "_subset_bounds" not in vars(net)
 
 
 def test_contains_examples():
@@ -421,28 +421,27 @@ def test_mutating_a_polytope_leaves_the_memo_intact():
 
 
 def test_memo_entry_dies_with_the_network():
-    entries = len(region._MEMO)
+    # the memo lives on the matrix: nothing in region keeps the matrix alive,
+    # and an equal matrix in a new object starts with no memo
     net = weak_six()
     max_weighted_gdof_lp(net)
     tina_polytope(net)
-    assert len(region._MEMO) == entries + 1
+    assert len(net._subset_bounds) == 2**6 - 1
+    assert "_subset_bounds" not in vars(ChannelMatrix(net.alpha))
     ref = weakref.ref(net)
     del net
     gc.collect()
     assert ref() is None
-    assert len(region._MEMO) == entries
 
 
 def test_rows_are_shared_and_the_memo_keeps_bounds_only():
     # the 0/1 rows depend on the subset size alone: one read-only table per
     # size for every network; a network's memo holds {user tuple: c_S}
-    gc.collect()
-    entries = len(region._MEMO)
     net, other = weak_six(), weak_six(8)
     rows, bounds = region.halfspaces(net, (0, 2, 5))
     other_rows, _ = region.halfspaces(other, (1, 3, 4))
     assert rows is other_rows and not rows.flags.writeable
-    memo = region._MEMO[net]
+    memo = net._subset_bounds
     assert type(memo) is dict
     assert list(memo) == [(0,), (2,), (5,), (0, 2), (0, 5), (2, 5), (0, 2, 5)]
     assert all(type(bound) is float for bound in memo.values())
@@ -451,7 +450,7 @@ def test_rows_are_shared_and_the_memo_keeps_bounds_only():
     del net, memo
     gc.collect()
     assert ref() is None
-    assert len(region._MEMO) == entries + 1  # the other network's entry
+    assert list(other._subset_bounds) == [(1,), (3,), (4,), (1, 3), (1, 4), (3, 4), (1, 3, 4)]
     assert other_rows is region.halfspaces(other, (0, 1, 2))[0]
 
 

@@ -26,6 +26,7 @@ NETWORKS = {
     "zero-diagonal": ({"k": 2, "alpha": [[0, 0.5], [0.5, 1]]}, 2),
     "strong-cross": ({"k": 3, "alpha": [[1, 2, 2], [2, 1, 2], [2, 2, 1]]}, 3),
     "huge": ({"k": 2, "alpha": [[1e308, 0.5], [0.2, 1e308]]}, 2),
+    "near-float-max": ({"k": 2, "alpha": [[8.99e306, 0.5], [0.2, 8.99e306]]}, 2),
     "physical": (PHYSICAL, 2),
     "physical-ref-overflow": ({**PHYSICAL, "ref_snr_db": 4000}, 2),
     "physical-tx-overflow": ({**PHYSICAL, "tx_power_dbm": [4000, 20]}, 2),
@@ -62,7 +63,7 @@ def _forms(k: int) -> list:
         ["sumgdof", "--weights", weights], ["sumgdof", "--weights", weights, "--subset", "0"],
         ["sumgdof", "--weights", weights, "--method", "exact"],
         ["sumgdof", "--weights", weights, "--method", "gp"],
-        ["sumgdof", "--weights", weights, "--method", "dgp", "--iters", "50"],
+        ["sumgdof", "--weights", weights, "--method", "dgp"],
         ["schedule", "--scheme", "flashlinq"], ["schedule", "--scheme", "itlinq"],
         ["schedule", "--scheme", "itlinq+"],
         ["num", "--slots", "3"], ["num", "--slots", "3", "--solver", "lp"],
@@ -136,7 +137,9 @@ def test_simulate_forms_answer_or_fail_in_one_line(capsys, argv):
      "error: reference power 1e+200 raised to strength 2 overflows a float\n"),
     ("physical-snr-overflow", ["region"],
      "error: bad physical network: nominal SNR of Tx-0 at Rx-0 overflows a float\n"),
-], ids=["num-itlinq+-ref-power", "physical-snr"])
+    ("near-float-max", ["sumgdof", "--weights", "1,1", "--method", "dgp"],
+     "error: decentralized GP at strength 8.99e+306 overflows a float\n"),
+], ids=["num-itlinq+-ref-power", "physical-snr", "sumgdof-dgp"])
 def test_overflow_prints_one_line_in_a_fresh_interpreter(tmp_path, name, form, message):
     # a fresh interpreter prints each warning location once, which an
     # in-process run may already have used up

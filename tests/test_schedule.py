@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (arrivals_loop, flashlinq_loop, itis_plus_check_loop, itlinq_loop,
                      itlinq_plus_loop, random_alpha_tied)
+from tinq import schedule
 from tinq.exceptions import InvalidReferencePower, ShapeError
-from tinq.model import ChannelMatrix
+from tinq.model import ChannelMatrix, realize_network
 from tinq.region import check_conditions
 from tinq.sim import generate_drop, scenario1, scenario2
 from tinq.schedule import (
@@ -302,6 +303,26 @@ def test_num_step_update_arithmetic():
     assert d.d == pytest.approx([0.5])
     assert a == pytest.approx([0.3])
     assert new.weights == pytest.approx([0.8])
+
+
+def test_num_itlinq_plus_reads_the_realized_network(monkeypatch):
+    # 1e6 ** 1.19, 1.22 and 1.73 as Python floats differ in the last bit from
+    # numpy's array power on some builds: the pass must see the levels that
+    # realize_network builds for the weight-ordered candidate block
+    alpha = ChannelMatrix([[1.19, 0.3, 0.2], [0.4, 1.22, 0.1], [0.3, 0.5, 1.73]])
+    seen = []
+
+    def spy(snr, inr, **kwargs):
+        seen.append((snr, inr))
+        return itlinq_plus_schedule(snr, inr, **kwargs)
+
+    monkeypatch.setattr(schedule, "itlinq_plus_schedule", spy)
+    state = NumState(np.array([1.0, 3.0, 2.0]), v=10.0, a_max=1.0)
+    num_step(state, alpha, "itlinq+", ref_power=1e6)
+    cand = [1, 2, 0]
+    t = realize_network(ChannelMatrix(alpha.alpha[np.ix_(cand, cand)]), 1e6).nominal_snr()
+    (snr, inr), = seen
+    assert snr.tobytes() == np.diag(t).tobytes() and inr.tobytes() == t.tobytes()
 
 
 @pytest.mark.parametrize("solver", ["exact", "lp", "itlinq+"])
