@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import sys
@@ -46,7 +45,6 @@ from .sim import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
-EMIT_BATCH = 8192  # encoder chunks per write
 
 
 def _round12(x: float):
@@ -73,13 +71,12 @@ def _jsonable(obj):
 
 
 def _emit(obj, out_path=None) -> None:
-    """Write ``obj`` as json.dumps(..., indent=2) text and a newline, joining
-    the encoder's chunks in batches of EMIT_BATCH, so that the whole text is
-    never held at once."""
-    chunks = json.JSONEncoder(indent=2).iterencode(_jsonable(obj))
+    """Write ``obj`` as json.dumps(..., indent=2) text and a newline through
+    json.dump, which writes the encoder's chunks as they come, so that the
+    whole text is never held at once."""
+    doc = _jsonable(obj)
     with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
-        while batch := list(itertools.islice(chunks, EMIT_BATCH)):
-            fh.write("".join(batch))
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
@@ -349,8 +346,8 @@ _HANDLERS = {
 def dispatch(argv) -> int:
     """Parse argv (no program name), run the chosen subcommand on its network
     and write the one JSON document that results. An infeasibility verdict is
-    such a document, with exit 3; a failure to read, validate or write is a
-    usage error, with exit 2."""
+    such a document, with exit 3; a failure to read, validate, allocate or
+    write is a usage error, with exit 2."""
     args = _build_parser().parse_args(argv)
     try:
         try:
@@ -365,7 +362,7 @@ def dispatch(argv) -> int:
         if doc.get("infeasible"):
             print(f"infeasible: {doc['error']}", file=sys.stderr)
         return code
-    except (TinqError, ValueError, IndexError, OSError) as e:
+    except (TinqError, ValueError, IndexError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

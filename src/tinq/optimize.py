@@ -64,15 +64,16 @@ class GpSolution:
     subset: tuple
 
 
-def _as_weights(w, K: int) -> np.ndarray:
-    if w is None:
-        return np.ones(K)
-    v = np.asarray(w, dtype=float).reshape(-1)
+def _weighted_users(K: int, subset, w) -> tuple[tuple, np.ndarray]:
+    """The sorted users of ``subset`` (None: all K) whose weight is positive,
+    the only users a weighted sum serves, and the K weights (None: all ones).
+    Every solver of the weighted objective reads both here."""
+    v = np.ones(K) if w is None else np.asarray(w, dtype=float).reshape(-1)
     if v.size != K:
         raise ShapeError(f"got {v.size} weights for {K} users")
     if np.any(v < 0) or not np.all(np.isfinite(v)):
         raise ShapeError("weights must be finite and nonnegative")
-    return v
+    return tuple(k for k in check_subset(K, subset, allow_empty=True) if v[k] > 0), v
 
 
 def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[GdofTuple, float]:
@@ -90,8 +91,7 @@ def max_weighted_gdof_lp(alpha: ChannelMatrix, subset=None, w=None) -> tuple[Gdo
     reports as failed (several weights of 1e18 or more can end in its solve
     error), naming HiGHS's message and the largest weight.
     """
-    wv = _as_weights(w, alpha.K)
-    idx = tuple(k for k in check_subset(alpha.K, subset, allow_empty=True) if wv[k] > 0)
+    idx, wv = _weighted_users(alpha.K, subset, w)
     d = np.zeros(alpha.K)
     if len(idx) == 0:
         return GdofTuple(d), 0.0
@@ -136,15 +136,13 @@ def max_weighted_gdof_exact(alpha: ChannelMatrix, w=None,
 
     Restricting enumeration to the positively weighted users is exact:
     removing a zero-weight user relaxes every remaining bound; users outside
-    ``subset`` drop out the same way. Capped at 10 users; larger networks
-    should use the scheduling pipeline instead. A subset skipped as unable
-    to win never has its LP solved, so it cannot end the search in HiGHS's
-    solve error either.
+    ``subset`` drop out the same way. Capped at 10 positively weighted users;
+    larger networks should use the scheduling pipeline instead. A subset
+    skipped as unable to win never has its LP solved, so it cannot end the
+    search in HiGHS's solve error either.
     """
-    wv = _as_weights(w, alpha.K)
-    idx = check_subset(alpha.K, subset, allow_empty=True)
-    check_size("exact search", len(idx), EXACT_K_MAX)
-    users = tuple(k for k in idx if wv[k] > 0)
+    users, wv = _weighted_users(alpha.K, subset, w)
+    check_size("exact search", len(users), EXACT_K_MAX)
     w_of, top = wv.tolist(), np.diag(alpha.alpha).tolist()
     best = (GdofTuple(np.zeros(alpha.K)), (), 0.0)
     for sub, cap in zip(_nonempty_subsets(users), subset_bounds(alpha, users).tolist()):
@@ -237,8 +235,7 @@ def gp_power_control(net: PhysicalNetwork, subset=None, w=None) -> GpSolution:
     Solved in log-power coordinates, where the objective is smooth and convex,
     with an analytic gradient under box bounds, by L-BFGS-B (``_lbfgsb``).
     """
-    wv = _as_weights(w, net.K)
-    idx = tuple(k for k in check_subset(net.K, subset, allow_empty=True) if wv[k] > 0)
+    idx, wv = _weighted_users(net.K, subset, w)
     if len(idx) == 0:
         raise ShapeError("no positively weighted users in subset")
     cross = net.nominal_snr()[np.ix_(idx, idx)]  # a fresh block, zeroed in place
@@ -361,8 +358,7 @@ def decentralized_gp(alpha: ChannelMatrix, subset=None, w=None, step=None,
     """
     if iters < 1:
         raise ValueError(f"need at least one iteration, got {iters}")
-    wv = _as_weights(w, alpha.K)
-    idx = tuple(k for k in check_subset(alpha.K, subset, allow_empty=True) if wv[k] > 0)
+    idx, wv = _weighted_users(alpha.K, subset, w)
     if len(idx) == 0:
         raise ShapeError("no positively weighted users in subset")
     if step is None:

@@ -17,7 +17,7 @@ import numpy as np
 from .exceptions import ShapeError
 from .model import (TOL, ChannelMatrix, GdofTuple, check_reference_power, db_setting,
                     is_finite_real, realize_network)
-from .optimize import max_weighted_gdof_exact, max_weighted_gdof_lp
+from .optimize import _weighted_users, max_weighted_gdof_exact, max_weighted_gdof_lp
 
 __all__ = [
     "ScheduleResult",
@@ -211,8 +211,7 @@ class NumState:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).reshape(-1).copy()
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ShapeError("weights must be finite and nonnegative")
+        _weighted_users(w.size, None, w)  # the solvers' weight check
         _require_finite(v=self.v, a_max=self.a_max, fairness=self.fairness)
         if not (self.v > 0 and self.a_max > 0 and self.fairness >= 0):
             raise ShapeError("v, a_max must be positive and fairness nonnegative")
@@ -274,8 +273,7 @@ def _solve_service(alpha: ChannelMatrix, w: np.ndarray, solver: str,
     if solver == "itlinq+":
         # Candidates are positively weighted links in descending-weight order;
         # levels realized at the reference power.
-        cand = [k for k in range(alpha.K) if w[k] > 0]
-        cand.sort(key=lambda k: (-w[k], k))
+        cand = sorted(_weighted_users(alpha.K, None, w)[0], key=lambda k: (-w[k], k))
         block = ChannelMatrix(alpha.alpha[np.ix_(cand, cand)])
         levels = realize_network(block, ref_power).nominal_snr()
         res = itlinq_plus_schedule(np.diag(levels), levels)

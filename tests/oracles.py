@@ -56,7 +56,7 @@ from tinq.optimize import (
     EXACT_K_MAX,
     Z_FLOOR,
     GpSolution,
-    _as_weights,
+    _weighted_users,
     gp_power_control,
     max_weighted_gdof_lp,
 )
@@ -454,8 +454,7 @@ def dgp_loop(alpha: ChannelMatrix, subset=None, w=None, step=None, iters: int = 
     """
     if iters < 1:
         raise ValueError(f"need at least one iteration, got {iters}")
-    wv = _as_weights(w, alpha.K)
-    idx = tuple(k for k in check_subset(alpha.K, subset, allow_empty=True) if wv[k] > 0)
+    idx, wv = _weighted_users(alpha.K, subset, w)
     if len(idx) == 0:
         raise ShapeError("no positively weighted users in subset")
     if step is None:
@@ -613,8 +612,7 @@ def polytope_lp_fresh(alpha: ChannelMatrix, subset=None, w=None):
     """``max_weighted_gdof_lp`` on a fresh polytope with its rows built one
     constraint at a time on every call. A single user takes the library's
     closed form, so every linprog call of the two sides can be compared."""
-    wv = _as_weights(w, alpha.K)
-    idx = tuple(k for k in check_subset(alpha.K, subset, allow_empty=True) if wv[k] > 0)
+    idx, wv = _weighted_users(alpha.K, subset, w)
     if len(idx) == 0:
         return GdofTuple(np.zeros(alpha.K)), 0.0
     if len(idx) == 1:
@@ -651,9 +649,8 @@ def polytope_lp_fresh(alpha: ChannelMatrix, subset=None, w=None):
 
 def exact_fresh(alpha: ChannelMatrix, w=None):
     """``max_weighted_gdof_exact`` over ``polytope_lp_fresh``."""
-    wv = _as_weights(w, alpha.K)
-    check_size("exact search", alpha.K, EXACT_K_MAX)
-    support = [k for k in range(alpha.K) if wv[k] > 0]
+    support, wv = _weighted_users(alpha.K, None, w)
+    check_size("exact search", len(support), EXACT_K_MAX)
     best = (GdofTuple(np.zeros(alpha.K)), (), 0.0)
     for size in range(1, len(support) + 1):
         for sub in itertools.combinations(support, size):
@@ -670,8 +667,7 @@ def gp_power_control_minimize(net, subset=None, w=None) -> GpSolution:
     """``gp_power_control`` solved by ``scipy.optimize.minimize``'s L-BFGS-B,
     with the same objective, restarts and failure test. Reads GP_MAX_ITER
     from ``tinq.optimize`` on every call, so a patched cap applies to both."""
-    wv = _as_weights(w, net.K)
-    idx = tuple(k for k in check_subset(net.K, subset, allow_empty=True) if wv[k] > 0)
+    idx, wv = _weighted_users(net.K, subset, w)
     if len(idx) == 0:
         raise ShapeError("no positively weighted users in subset")
     g = net.nominal_snr()[np.ix_(idx, idx)]
@@ -732,7 +728,7 @@ def gp_gdof_equivalence_gap(net, subset=None, w=None) -> float:
     The GP value sum w_i log(SINR_i)/log(P) matches the polytope LP optimum up
     to sum w_i log|subset|/log P, shrinking as the reference power grows.
     """
-    wv = _as_weights(w, net.K)
+    _, wv = _weighted_users(net.K, None, w)
     alpha = strength_from_physical(net)
     _, lp_obj = max_weighted_gdof_lp(alpha, subset, wv)
     sol = gp_power_control(net, subset, wv)

@@ -13,7 +13,7 @@ import pytest
 import tinq
 from tinq import optimize, power, schedule, sim
 from oracles import random_alpha
-from tinq.cli import EMIT_BATCH, _build_parser, _jsonable, dispatch
+from tinq.cli import _build_parser, _jsonable, dispatch
 from tinq.exceptions import DomainError
 from tinq.fixtures import fixture_checksums
 
@@ -614,10 +614,10 @@ def test_region_prints_the_same_bytes_to_stdout_and_out(monkeypatch, tmp_path):
         assert dispatch(["region", "--network", str(path)]) == 0
         monkeypatch.undo()
         assert stdout.getvalue() == out_path.read_text() == want
-    # the 12-user document (4,095 constraints, 528 kB) reaches the stream in
-    # batches of encoder chunks, none of them longer than 16 characters here,
+    # the 12-user document (4,095 constraints, 528 kB) reaches the stream one
+    # encoder chunk per write, none of them longer than 16 characters here,
     # never as one whole string
-    assert max(stdout.sizes) <= 16 * EMIT_BATCH < len(want)
+    assert max(stdout.sizes) <= 16 < len(want)
 
 
 def test_usage_errors(capsys, tmp_path, net_a):
@@ -814,6 +814,17 @@ def test_one_user_past_each_cap_exits_2(capsys, tmp_path, argv, k, what, cap):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {what} of {k} users exceeds its cap of {cap}\n"
+
+
+def test_an_allocation_that_fails_exits_2(capsys, net_a):
+    # num_run's first table of this many slots would take 4 EiB, more than a
+    # 64-bit address space maps, so numpy refuses it before using any memory
+    code = dispatch(["num", "--network", net_a, "--slots", "192153584101141162",
+                     "--solver", "lp"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate 4.00 EiB for an array ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 @pytest.mark.parametrize("setup", [[], ["--synthetic"]], ids=["geometric", "synthetic"])

@@ -46,6 +46,7 @@ from tinq.exceptions import (ConvergenceFailure, DivergenceDetected, DomainError
                              ShapeError, SubsetTooLarge)
 from tinq.model import TOL, PhysicalNetwork
 from tinq.power import PowerAlloc, solve_power_hungarian, solve_power_potentials
+from tinq.schedule import NumState
 
 
 def test_lp_reference_objectives():
@@ -108,6 +109,42 @@ def test_exact_on_a_subset_drops_the_other_users():
     assert max_weighted_gdof_exact(eleven, None, [0, 5, 10])[1] != ()
     with pytest.raises(IndexError, match=r"^subset \[11\] out of range for K=11$"):
         max_weighted_gdof_exact(eleven, None, [11])
+
+
+def test_exact_cap_counts_the_positively_weighted_users():
+    # a zero-weight user is never searched, so eleven users with one zero
+    # weight pose the search of the other ten, as a subset of those ten does
+    eleven = random_alpha(np.random.default_rng(5), 11, diag_lo=1.0, cross_hi=1.0)
+    w = np.ones(11)
+    w[10] = 0.0
+    d, subset, obj = max_weighted_gdof_exact(eleven, w)
+    d_sub, subset_sub, obj_sub = max_weighted_gdof_exact(eleven, None, range(10))
+    assert subset != () and subset == subset_sub
+    assert d.d.tobytes() == d_sub.d.tobytes() and obj == obj_sub
+    with pytest.raises(SubsetTooLarge, match="^exact search of 11 users exceeds its cap of 10$"):
+        max_weighted_gdof_exact(eleven, np.ones(11))
+
+
+_WEIGHTED = {
+    "lp": lambda w: max_weighted_gdof_lp(NETWORK_B, w=w),
+    "exact": lambda w: max_weighted_gdof_exact(NETWORK_B, w),
+    "gp": lambda w: gp_power_control(realize_network(NETWORK_B, 1e4), w=w),
+    "dgp": lambda w: decentralized_gp(NETWORK_B, w=w, iters=10),
+    "NumState": lambda w: NumState(w, v=10.0, a_max=1.0),
+}
+
+
+# every solver of the weighted objective, and NUM's state, reads its weights
+# through one check; NumState takes its user count from its weights
+@pytest.mark.parametrize("target, w, message", [
+    *[(target, [1.0, bad, 1.0], "weights must be finite and nonnegative")
+      for target in _WEIGHTED for bad in (-1.0, np.nan, np.inf)],
+    *[(target, [1.0, 1.0], "got 2 weights for 3 users") for target in _WEIGHTED
+      if target != "NumState"],
+], ids=str)
+def test_weights_are_checked_in_one_place(target, w, message):
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        _WEIGHTED[target](w)
 
 
 @given(st.integers(1, 8), st.integers(0, 2**31 - 1))
