@@ -57,6 +57,19 @@ def check_size(what: str, n: int, cap: int) -> None:
         raise SubsetTooLarge(f"{what} of {n} users exceeds its cap of {cap}")
 
 
+def check_setting(name: str, value, lo: float = -math.inf, hi: float = math.inf,
+                  open_lo: bool = False) -> float:
+    """``value`` as a float if it is a finite real, not a bool, in [lo, hi]
+    ((lo, hi] with ``open_lo``), else ShapeError naming the setting: the one
+    check of every scalar setting, counts included."""
+    if not is_finite_real(value):
+        raise ShapeError(f"{name} must be finite, got {value}")
+    if not (lo < value <= hi if open_lo else lo <= value <= hi):
+        raise ShapeError(f"{name} must lie in {'(' if open_lo else '['}{lo:g}, {hi:g}"
+                         f"{')' if hi == math.inf else ']'}, got {value}")
+    return float(value)
+
+
 def db_to_linear(x_db):
     """10^(x/10), elementwise; a ratio that overflows a float is inf, without
     a warning, for the caller's finiteness check to reject."""

@@ -29,6 +29,7 @@ from .model import (
     PhysicalNetwork,
     PowerAlloc,
     achieved_gdof,
+    check_setting,
     check_size,
     check_subset,
     strength_from_physical,
@@ -351,13 +352,12 @@ def decentralized_gp(alpha: ChannelMatrix, subset=None, w=None, step=None,
     solves are exact (the subproblems are piecewise linear over boxes), and
     the reported allocation is the stepsize-weighted average of the iterates.
     Raises DivergenceDetected if the consistency residual grows for 100
-    consecutive iterations, and ValueError for fewer than one iteration.
+    consecutive iterations, and ShapeError for fewer than one iteration.
 
     Returns (PowerAlloc, GdofTuple), plus an info dict of the per-iteration
     consistency residuals when ``return_info``.
     """
-    if iters < 1:
-        raise ValueError(f"need at least one iteration, got {iters}")
+    check_setting("iters", iters, 1)
     idx, wv = _weighted_users(alpha.K, subset, w)
     if len(idx) == 0:
         raise ShapeError("no positively weighted users in subset")

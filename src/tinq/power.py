@@ -35,7 +35,7 @@ from .exceptions import (
     InfeasibleOrEpsilonTooLarge,
     ShapeError,
 )
-from .model import TOL, ChannelMatrix, GdofTuple, PowerAlloc, check_subset
+from .model import TOL, ChannelMatrix, GdofTuple, PowerAlloc, check_setting, check_subset
 
 __all__ = [
     "LabelPair",
@@ -276,11 +276,10 @@ def solve_power_auction(alpha: ChannelMatrix, d, subset=None,
     ceil(10 n^2 max(A)/epsilon) + n, beyond which the target is declared
     infeasible (or epsilon too large to resolve it). A cap above
     ``BID_CEILING``, infinite ones included, raises EpsilonTooSmall before
-    any bid, and so does a nonpositive, infinite or NaN epsilon (as
-    ValueError).
+    any bid, and an epsilon that is not a positive finite real (a bool
+    included) raises ShapeError.
     """
-    if not (0 < epsilon < math.inf):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    epsilon = check_setting("epsilon", epsilon, 0.0, open_lo=True)
     A, idx = build_assignment_matrix(alpha, d, subset)
     n = len(idx)
     if n == 0:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShapeError
-from .model import (TOL, ChannelMatrix, GdofTuple, check_reference_power, db_setting,
-                    is_finite_real, realize_network)
+from .model import (TOL, ChannelMatrix, GdofTuple, check_reference_power, check_setting,
+                    db_setting, realize_network)
 from .optimize import _weighted_users, max_weighted_gdof_exact, max_weighted_gdof_lp
 
 __all__ = [
@@ -29,13 +29,6 @@ __all__ = [
     "num_step",
     "num_run",
 ]
-
-
-def _require_finite(**knobs) -> None:
-    """Reject a scheduler or NUM setting that is not a finite real, by name."""
-    for name, value in knobs.items():
-        if not is_finite_real(value):
-            raise ShapeError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -89,9 +82,7 @@ def itlinq_plus_schedule(snr, inr, eta: float = 0.9, gamma: float = 0.1,
     same float operation as in the per-link loop, so the selections and
     tables are bitwise the loop's.
     """
-    _require_finite(eta=eta, gamma=gamma)
-    if not (0.0 <= eta <= 1.0 and 0.0 <= gamma <= 1.0):
-        raise ShapeError("exponents must lie in [0, 1]")
+    eta, gamma = check_setting("eta", eta, 0.0, 1.0), check_setting("gamma", gamma, 0.0, 1.0)
     snr, inr, n = _validate_levels(snr, inr)
     # levels[p, 0, k] = inr[k, s_p]: k at the p-th selected link's receiver;
     # levels[p, 1, k] = inr[s_p, k]: that link's transmitter at k
@@ -149,7 +140,7 @@ def itlinq_schedule(snr, inr, eta: float = 0.7, m_db: float = 25.0,
     their maximum, and a maximum of floats is exact, so the single
     comparison decides as the per-link tests do.
     """
-    _require_finite(eta=eta, m_db=m_db)
+    eta, m_db = check_setting("eta", eta), check_setting("m_db", m_db)
     snr, inr, n = _validate_levels(snr, inr)
     m = db_setting("m_db", m_db)
     worst = np.full(n, -np.inf)
@@ -159,8 +150,10 @@ def itlinq_schedule(snr, inr, eta: float = 0.7, m_db: float = 25.0,
         np.maximum(worst, inr[:, k], out=worst)
         np.maximum(worst, inr[k], out=worst)
 
-    return _greedy_pass(n, priority, lambda k, _: bool(m * snr[k] ** eta >= worst[k]),
-                        admit)
+    # a bar that overflows is +inf, its correctly rounded value, and admits
+    with np.errstate(over="ignore"):
+        return _greedy_pass(n, priority, lambda k, _: bool(m * snr[k] ** eta >= worst[k]),
+                            admit)
 
 
 def flashlinq_schedule(snr, inr, sir_db: float = 9.0, priority=None) -> ScheduleResult:
@@ -172,7 +165,7 @@ def flashlinq_schedule(snr, inr, sir_db: float = 9.0, priority=None) -> Schedule
     and each admission j ands in its column and row of ratios: the same
     quotients and comparisons as the per-link tests.
     """
-    _require_finite(sir_db=sir_db)
+    sir_db = check_setting("sir_db", sir_db)
     snr, inr, n = _validate_levels(snr, inr)
     theta = db_setting("sir_db", sir_db)
     ok = np.ones(n, dtype=bool)
@@ -212,9 +205,9 @@ class NumState:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).reshape(-1).copy()
         _weighted_users(w.size, None, w)  # the solvers' weight check
-        _require_finite(v=self.v, a_max=self.a_max, fairness=self.fairness)
-        if not (self.v > 0 and self.a_max > 0 and self.fairness >= 0):
-            raise ShapeError("v, a_max must be positive and fairness nonnegative")
+        check_setting("v", self.v, 0.0, open_lo=True)
+        check_setting("a_max", self.a_max, 0.0, open_lo=True)
+        check_setting("fairness", self.fairness, 0.0)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -229,23 +222,28 @@ def _arrivals(state: NumState) -> np.ndarray:
     w, v, cap, f = state.weights, state.v, state.a_max, state.fairness
     a = np.full_like(w, cap)  # a zero weight admits the cap
     pos = w > 0
-    if f == 0:
-        a[pos] = np.where(v >= w[pos], cap, 0.0)
-    elif f == 1:
-        a[pos] = np.minimum(v / w[pos], cap)
-    else:
-        # one scalar power per user: numpy's array power may differ from the
-        # scalar one in the last bit
-        a[pos] = np.minimum([x ** (1.0 / f) for x in v / w[pos]], cap)
+    # an overflowing v / w or power is +inf, its correctly rounded value,
+    # and the cap binds
+    with np.errstate(over="ignore"):
+        if f == 0:
+            a[pos] = np.where(v >= w[pos], cap, 0.0)
+        elif f == 1:
+            a[pos] = np.minimum(v / w[pos], cap)
+        else:
+            # one scalar power per user: numpy's array power may differ from
+            # the scalar one in the last bit
+            a[pos] = np.minimum([x ** (1.0 / f) for x in v / w[pos]], cap)
     return a
 
 
 def utility_value(d, fairness: float) -> float:
-    """Fairness-family utility of a GDoF vector (log(0) yields -inf)."""
+    """Fairness-family utility of a GDoF vector (log(0) yields -inf, and so
+    does a power d**(1 - fairness) that overflows to +inf, its correctly
+    rounded value)."""
     d = np.asarray(d, dtype=float)
     if fairness == 0:
         return float(d.sum())
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         if fairness == 1:
             return float(np.sum(np.log(d)))
         if fairness > 1 and np.any(d == 0):
@@ -322,8 +320,7 @@ def num_run(alpha: ChannelMatrix, fairness: float = 1.0, v: float = 10.0,
             a_max: float = 1.0, t_slots: int = 1000, solver: str = "exact",
             ref_power: float = 1e6) -> NumTrajectory:
     """Run the drift-plus-penalty loop for t_slots from unit weights."""
-    if t_slots < 1:
-        raise ShapeError("need at least one slot")
+    check_setting("t_slots", t_slots, 1)
     state = NumState(np.ones(alpha.K), v=v, a_max=a_max, fairness=fairness)
     ds = np.zeros((t_slots, alpha.K))
     avg = np.zeros((t_slots, alpha.K))

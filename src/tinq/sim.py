@@ -20,8 +20,8 @@ import numpy as np
 
 from .exceptions import (ConvergenceFailure, DomainError, Infeasible, RegionTooTight,
                          ShapeError)
-from .model import (ChannelMatrix, PhysicalNetwork, _handed_over, check_size, db_setting,
-                    is_finite_real, realize_network, strength_from_physical)
+from .model import (ChannelMatrix, PhysicalNetwork, _handed_over, check_setting, check_size,
+                    db_setting, is_finite_real, realize_network, strength_from_physical)
 from .optimize import gp_power_control, gp_then_assignment, max_weighted_gdof_lp
 from .power import solve_power_potentials
 from .schedule import _PASSES, _run_pass
@@ -79,10 +79,8 @@ class Scenario:
         if isinstance(self.n_links, bool) or not isinstance(self.n_links, numbers.Integral):
             raise ShapeError(f"scenario field n_links must be an integer, got {self.n_links!r}")
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name not in ("n_links", "dist_range_m") and not is_finite_real(value):
-                raise ShapeError(f"scenario field {f.name} must be a finite number, "
-                                 f"got {value!r}")
+            if f.name not in ("n_links", "dist_range_m"):
+                check_setting(f"scenario field {f.name}", getattr(self, f.name))
         lo, hi = self.dist_range_m
         if not (self.area_m > 0 and self.n_links >= 1 and 0 < lo <= hi):
             raise ShapeError("area, link count, and distance range must be positive")
@@ -353,8 +351,7 @@ def _drop_rows(make_drop, pairs: tuple, master_seed: int, index: int):
 def _run_drops(make_drop, pairs, n_drops: int, master_seed: int, jobs: int = 1):
     """Rows, per-drop power fractions and the excluded-drop count over seeded
     drops, on at most min(jobs, n_drops, CPU count) worker processes."""
-    if n_drops < 1:
-        raise ShapeError("need at least one drop")
+    check_setting("n_drops", n_drops, 1)
     rows, fracs, excluded = [], [], 0
     work = partial(_drop_rows, make_drop, tuple(pairs), master_seed)
     workers = min(jobs, n_drops, os.cpu_count() or 1)
@@ -404,13 +401,17 @@ def run_experiment(scenario: Scenario, schemes, n_drops: int, master_seed: int,
     drops, on at most min(jobs, n_drops, CPU count) worker processes. Drops
     where a solver returns a typed verdict (infeasible, region too tight, no
     convergence) are excluded and counted; aggregates are flagged invalid
-    when more than 1% of drops are lost. Any other error propagates."""
+    when more than 1% of drops are lost. Any other error propagates. An
+    empty scheme list, an unknown or repeated scheme and an unknown power
+    mode raise ValueError; a jobs value below 2 runs serially."""
     schemes = tuple(schemes)
     if not schemes:
         raise ValueError("no schemes given")
-    for s in schemes:
+    for i, s in enumerate(schemes):
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}")
+        if s in schemes[:i]:
+            raise ValueError(f"repeated scheme {s!r}")
     if power_mode not in POWER_MODES:
         raise ValueError(f"unknown power mode {power_mode!r}")
     rows, _, excluded = _run_drops(partial(_geometric_drop, scenario),
@@ -426,8 +427,7 @@ def run_synthetic_experiment(n_links: int, n_drops: int, master_seed: int,
     10^(snr_db/10), compared across the full, gp and gp+assignment power
     modes with all links scheduled and unit bandwidth. A link count below 1
     raises ShapeError, and one above LINKS_MAX SubsetTooLarge."""
-    if n_links < 1:
-        raise ShapeError(f"link count must be positive, got {n_links}")
+    check_setting("n_links", n_links, 1)
     check_size("drop", n_links, LINKS_MAX)
     make_drop = partial(_synthetic_drop, n_links, db_setting("snr_db", snr_db))
     rows, fracs, excluded = _run_drops(make_drop, [("none", m) for m in SYNTHETIC_MODES],

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, JSON output, determinism."""
 
+import concurrent.futures
 import inspect
 import io
 import json
@@ -511,7 +512,26 @@ def test_simulate_zero_drops_exits_2(capsys):
         assert dispatch(["simulate", *mode, "--drops", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: need at least one drop" in captured.err
+        assert captured.err == "error: n_drops must lie in [1, inf), got 0\n"
+
+
+def test_simulate_repeated_scheme_exits_2(capsys):
+    # a repeated scheme used to count each drop twice: "n": 4 over 2 drops
+    assert dispatch(["simulate", "--schemes", "none,flashlinq,none", "--links", "2",
+                     "--drops", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: repeated scheme 'none'\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_simulate_jobs_below_two_runs_serially(capsys, monkeypatch, jobs):
+    # a pool would fail to start, so the document is the serial one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    argv = ["simulate", "--links", "3", "--drops", "2", "--schemes", "none"]
+    assert dispatch([*argv, "--jobs", "1"]) == 0
+    serial = capsys.readouterr()
+    assert dispatch([*argv, "--jobs", jobs]) == 0
+    assert capsys.readouterr() == serial
 
 
 def test_simulate_without_schemes_exits_2(capsys):
@@ -845,7 +865,7 @@ def test_one_link_past_the_drop_cap_exits_2_before_any_table(capsys, setup):
 
 @pytest.mark.parametrize("setup, message", [
     ([], "area, link count, and distance range must be positive"),
-    (["--synthetic"], "link count must be positive, got {links}"),
+    (["--synthetic"], "n_links must lie in [1, inf), got {links}"),
 ], ids=["geometric", "synthetic"])
 @pytest.mark.parametrize("links", [0, -1])
 def test_link_count_below_one_exits_2(capsys, setup, message, links):
@@ -950,4 +970,4 @@ def test_power_auction_rejects_non_finite_epsilon(capsys, net_a, epsilon):
                      "--solver", "auction", "--epsilon", epsilon])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == f"error: epsilon must be positive and finite, got {epsilon}\n"
+    assert captured.err == f"error: epsilon must be finite, got {epsilon}\n"

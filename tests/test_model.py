@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from tinq import (
     strength_from_physical,
 )
 from tinq.exceptions import DomainError, InvalidReferencePower, SchemaError, ShapeError
-from tinq.model import _handed_over
+from tinq.model import _handed_over, check_setting
 
 
 def single_link_net(snr: float, p: float) -> PhysicalNetwork:
@@ -233,6 +234,28 @@ def test_alpha_entries_must_keep_their_sums_finite():
     with pytest.raises(ShapeError, match="must be at most 8.98847e[+]307, so that their sums"):
         ChannelMatrix([[np.nextafter(big, np.inf), 0.5], [0.2, 1.0]])
     assert ChannelMatrix([[1e308]]).K == 1
+
+
+@pytest.mark.parametrize("value, bounds, message", [
+    (float("nan"), {}, "x must be finite, got nan"),
+    (-math.inf, {}, "x must be finite, got -inf"),
+    (True, {}, "x must be finite, got True"),
+    ("1", {}, "x must be finite, got 1"),
+    (1.5, {"lo": 0.0, "hi": 1.0}, "x must lie in [0, 1], got 1.5"),
+    (-0.0, {"lo": 0.0, "open_lo": True}, "x must lie in (0, inf), got -0.0"),
+    (0, {"lo": 1}, "x must lie in [1, inf), got 0"),
+])
+def test_check_setting_names_the_setting_and_its_range(value, bounds, message):
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        check_setting("x", value, **bounds)
+
+
+def test_check_setting_returns_each_accepted_value_as_a_float():
+    for value, bounds in ((0.0, {"lo": 0.0, "hi": 1.0}), (1, {"lo": 0.0, "hi": 1.0}),
+                          (np.float64(5e-324), {"lo": 0.0, "open_lo": True}),
+                          (-1e308, {})):
+        got = check_setting("x", value, **bounds)
+        assert type(got) is float and got == value
 
 
 def test_db_helpers():

@@ -21,7 +21,8 @@ from tinq import (
 )
 import tinq.optimize
 from tinq import power
-from tinq.exceptions import EpsilonTooSmall, ImmediatelyInfeasible, Infeasible, TinqError
+from tinq.exceptions import (EpsilonTooSmall, ImmediatelyInfeasible, Infeasible, ShapeError,
+                             TinqError)
 from tinq.model import TOL
 from tinq.power import InfeasibleGdof, PowerAlloc, solve_power_potentials
 from tinq.region import contains, tina_polytope
@@ -164,7 +165,16 @@ def test_auction_rejects_non_finite_or_nonpositive_epsilon(epsilon):
     for snap in (False, True):
         with pytest.raises(ValueError) as err:
             solve_power_auction(NETWORK_A, D_REF, epsilon=epsilon, snap=snap)
-        assert str(err.value) == f"epsilon must be positive and finite, got {epsilon}"
+        rule = "be finite" if not np.isfinite(epsilon) else "lie in (0, inf)"
+        assert str(err.value) == f"epsilon must {rule}, got {epsilon}"
+
+
+def test_auction_refuses_a_bool_epsilon():
+    # True used to run as epsilon 1 and return r = (-0.5, -0.5, -0.8) here,
+    # far from the minimal (-1.2, -0.4, -0.7)
+    for snap in (False, True):
+        with pytest.raises(ShapeError, match="^epsilon must be finite, got True$"):
+            solve_power_auction(NETWORK_A, D_REF, epsilon=True, snap=snap)
 
 
 def feasible_target(rng: np.random.Generator, alpha: ChannelMatrix):

@@ -85,6 +85,40 @@ SIMULATE_FORMS = [
 ]
 
 
+# Every numeric flag of power, sumgdof, schedule, num and simulate, under each
+# form that reads it, at the edges of a float; a count takes only 0 and -1,
+# so no work is ever asked for. simulate's --scenario is a choice of 1 or 2,
+# which argparse enforces.
+FLOAT_EDGES = ("0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "1e-300",
+               "1e17")
+COUNT_EDGES = ("0", "-1")
+NUM = ["num", "--slots", "3"]
+FLAG_FORMS = [
+    (["power", "--gdof", "0.5,0.5,0.5", "--solver", "auction"], "--epsilon", FLOAT_EDGES),
+    (["sumgdof", "--weights", "1,1,1", "--method", "gp"], "--snr-db", FLOAT_EDGES),
+    (["sumgdof", "--weights", "1,1,1", "--method", "dgp"], "--iters", COUNT_EDGES),
+    *[(["schedule", "--scheme", scheme], flag, FLOAT_EDGES)
+      for scheme, flags in (("flashlinq", ("--sir-db", "--snr-db")),
+                            ("itlinq", ("--eta", "--m-db", "--snr-db")),
+                            ("itlinq+", ("--eta", "--gamma", "--snr-db")))
+      for flag in flags],
+    *[([*NUM, "--solver", solver], flag, FLOAT_EDGES)
+      for solver in ("exact", "lp", "itlinq+")
+      for flag in ("--fairness", "--v", "--a-max", "--ref-power")],
+    *[(["num", "--solver", solver], "--slots", COUNT_EDGES)
+      for solver in ("exact", "lp", "itlinq+")],
+    (["simulate", "--synthetic", "--links", "3", "--drops", "1"], "--snr-db", FLOAT_EDGES),
+    *[(["simulate", *mode, *rest], flag, COUNT_EDGES)
+      for mode in ([], ["--synthetic"])
+      for rest, flag in ((["--drops", "1"], "--links"), (["--links", "3"], "--drops"),
+                         (["--links", "3", "--drops", "1"], "--seed"))],
+    (["simulate", "--links", "3", "--drops", "1"], "--jobs", COUNT_EDGES),
+    # two flags whose overflow neither one alone shows
+    (["schedule", "--scheme", "itlinq", "--m-db", "3000"], "--snr-db", ("300",)),
+    ([*NUM, "--fairness", "0.5"], "--v", ("1e308",)),
+]
+
+
 def _network_file(tmp_path, name) -> str:
     contents, _ = NETWORKS[name]
     if contents is ...:
@@ -130,6 +164,21 @@ def test_simulate_forms_answer_or_fail_in_one_line(capsys, argv):
     code = dispatch(argv)
     captured = capsys.readouterr()
     _assert_one_outcome(argv, code, captured.out, captured.err)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("form, flag, values", FLAG_FORMS,
+                         ids=[" ".join([*form, flag]) for form, flag, _ in FLAG_FORMS])
+def test_every_numeric_flag_at_its_edges_answers_or_fails_in_one_line(
+        capsys, tmp_path, form, flag, values):
+    path = _network_file(tmp_path, "a")
+    for value in values:
+        argv = [*form, f"{flag}={value}"]
+        if form[0] != "simulate":
+            argv += ["--network", path]
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        _assert_one_outcome(argv, code, captured.out, captured.err)
 
 
 @pytest.mark.parametrize("name, form, message", [

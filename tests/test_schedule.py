@@ -272,7 +272,7 @@ def test_passes_reject_non_finite_knobs(bad):
 @pytest.mark.parametrize("bad", [-0.1, 1.5])
 def test_itlinq_plus_rejects_exponents_outside_unit_interval(knob, bad):
     snr, inr = np.array([1e4, 1e4]), np.full((2, 2), 10.0)
-    with pytest.raises(ShapeError, match=r"exponents must lie in \[0, 1\]"):
+    with pytest.raises(ShapeError, match=rf"^{knob} must lie in \[0, 1\], got {bad}$"):
         itlinq_plus_schedule(snr, inr, **{knob: bad})
 
 

@@ -306,8 +306,15 @@ def test_runner_input_validation():
     with pytest.raises(ShapeError):
         run_experiment(scenario1(2), ("none",), 0, 0)
     for n_drops in (0, -1):
-        with pytest.raises(ShapeError, match="need at least one drop"):
+        with pytest.raises(ShapeError, match=rf"^n_drops must lie in \[1, inf\), got {n_drops}$"):
             run_synthetic_experiment(3, n_drops, 0, snr_db=30.0)
+
+
+def test_run_experiment_refuses_a_repeated_scheme():
+    # a repeated scheme used to count each drop twice, narrowing its interval
+    for schemes in (("none", "none"), ("itlinq", "flashlinq", "itlinq")):
+        with pytest.raises(ValueError, match=f"^repeated scheme {schemes[0]!r}$"):
+            run_experiment(scenario1(2), schemes, 1, 0)
 
 
 def test_pool_size_clamped_to_drops_and_cpus(monkeypatch):
